@@ -10,11 +10,8 @@ cross-checked against a brute-force truncated-Fock-space oracle.
 from .algebra import (
     CANONICAL_LABELS,
     DensityMatrix,
-    QubitPermutation,
     ValidationReport,
-    kron,
     partial_trace,
-    permute_qubits,
     validate_density,
 )
 from .analysis import (
@@ -76,7 +73,6 @@ __all__ = [
     "NumericalError",
     "PAIR_CHOICES",
     "PipelineComparison",
-    "QubitPermutation",
     "Regime",
     "RegimeReport",
     "Scenario",
@@ -96,13 +92,11 @@ __all__ = [
     "evolution_operator",
     "is_x_form",
     "jc_amplitudes",
-    "kron",
     "oracle_atomic_grid",
     "oracle_evolve",
     "pair_map",
     "pair_map_explicit",
     "partial_trace",
-    "permute_qubits",
     "sweep_concurrence",
     "validate_density",
     "x_coeff",

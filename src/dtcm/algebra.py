@@ -1,6 +1,6 @@
 """Dense helpers for few-qubit density matrices.
 
-Tensor products, qubit relabeling, partial traces and validity checks.  All
+Labeled density matrices, partial traces and validity checks.  All
 operations are pure functions; matrices are treated as immutable values and
 stored read-only.  Backed by numpy throughout.
 """
@@ -53,43 +53,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class QubitPermutation:
-    """A relabeling of tensor slots: ``source`` order rearranged into ``target``."""
-
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        src, tgt = tuple(self.source), tuple(self.target)
-        if len(set(src)) != len(src) or sorted(src) != sorted(tgt):
-            raise ValueError(f"{src} -> {tgt} is not a permutation")
-        object.__setattr__(self, "source", src)
-        object.__setattr__(self, "target", tgt)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product of two matrices."""
-    return np.kron(a, b)
-
-
-def permute_qubits(rho: DensityMatrix, perm: Union[QubitPermutation, Sequence[str]]) -> DensityMatrix:
-    """Reorder the tensor factors of ``rho`` into the permutation's target order.
-
-    ``perm`` may be a :class:`QubitPermutation` whose source matches
-    ``rho.labels``, or simply the desired label order.
-    """
-    if not isinstance(perm, QubitPermutation):
-        perm = QubitPermutation(rho.labels, tuple(perm))
-    if perm.source != rho.labels:
-        raise ValueError(f"permutation source {perm.source} does not match state labels {rho.labels}")
-    n = rho.n_qubits
-    axes = [rho.labels.index(lab) for lab in perm.target]
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    tensor = tensor.transpose(axes + [a + n for a in axes])
-    return DensityMatrix(tensor.reshape(rho.dim, rho.dim), perm.target)
 
 
 def _ptrace_subscripts(n_qubits: int, keep_positions: Sequence[int]) -> str:

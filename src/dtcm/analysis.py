@@ -8,13 +8,11 @@ atoms are to saturate the cavities.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _partial_trace_array, _validate_batch
+from .algebra import _validate_batch
 from .concurrence import _concurrence_x_batch, x_pattern_deviation
 from .dynamics import (
     BellPairSpec,
@@ -22,8 +20,8 @@ from .dynamics import (
     FieldSpec,
     Model,
     _as_tau_grid,
-    _assemble_djcm_grid,
-    _assemble_dtcm_grid,
+    _branch_weights,
+    _combine,
 )
 from .errors import NumericalError
 
@@ -163,48 +161,20 @@ def _validate_grid(name: str, values: np.ndarray, minimum: float, maximum: float
     return arr
 
 
-def _curve_for_alpha(
-    scenario: Scenario,
-    pair: str,
-    alpha: float,
-    taus: np.ndarray,
-    validate: bool,
-) -> ConcurrenceCurve:
-    spec = BellPairSpec(scenario.bell_type, alpha)
-    if scenario.model is Model.DTCM:
-        grid = _assemble_dtcm_grid(spec, spec, scenario.field_a, scenario.field_b, taus)
-        reduced = _partial_trace_array(grid, 4, _PAIR_POSITIONS[pair])
-    else:
-        grid = _assemble_djcm_grid(spec, scenario.field_a, scenario.field_b, taus)
-        reduced = grid
-    if validate:
-        tol_trace = 1e-12 + scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
-        report = _validate_batch(reduced, tol_herm=1e-12, tol_trace=tol_trace, psd_slack=1e-9)
-        if not report.ok:
-            raise NumericalError(
-                f"reduced state failed validation at alpha={alpha}: "
-                f"hermiticity {report.hermiticity_deviation:.3e}, trace {report.trace_deviation:.3e}, "
-                f"min eigenvalue {report.min_eigenvalue:.3e}"
-            )
-    deviation = x_pattern_deviation(reduced)
-    if deviation > _X_SHAPE_TOL:
-        raise NumericalError(f"reduced state left the X shape: off-pattern magnitude {deviation:.3e}")
-    return ConcurrenceCurve(pair, alpha, taus, _concurrence_x_batch(reduced))
-
-
 def sweep_concurrence(
     scenario: Scenario,
     pair: str,
     alpha_grid: np.ndarray,
     tau_grid: np.ndarray,
     threads: int = 1,
-    validate: bool = True,
 ) -> list[ConcurrenceCurve]:
     """Concurrence of one atom pair over an (alpha, tau) grid, one curve per alpha.
 
-    Every reduced state along the way is validated and checked against the X
-    pattern before the fast-path concurrence is taken.  ``threads`` > 1
-    distributes alphas over a thread pool; 0 means one thread per CPU.
+    The pair's kernel is built once; each alpha is then one contraction with
+    that alpha's preparation weights.  Every reduced state along the way is
+    validated and checked against the X pattern before the fast-path
+    concurrence is taken.  ``threads`` must be nonnegative and is otherwise
+    ignored: the sweep runs serially.
     """
     if pair not in PAIR_CHOICES:
         raise ValueError(f"pair must be one of {PAIR_CHOICES}")
@@ -212,14 +182,26 @@ def sweep_concurrence(
         raise ValueError("the single-pair layout only provides the AB pair")
     taus, _ = _as_tau_grid(_validate_grid("tau", tau_grid, 0.0, np.inf))
     alphas = _validate_grid("alpha", alpha_grid, 0.0, np.pi)
-    if threads == 0:
-        threads = os.cpu_count() or 1
     if threads < 0:
         raise ValueError("threads must be nonnegative")
-    if threads > 1 and alphas.size > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda a: _curve_for_alpha(scenario, pair, float(a), taus, validate), alphas))
-    return [_curve_for_alpha(scenario, pair, float(a), taus, validate) for a in alphas]
+    kernel = _combine(scenario.model, scenario.bell_type, scenario.field_a, scenario.field_b, taus, pair)
+    tol_trace = 1e-12 + scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
+    curves = []
+    for alpha in alphas:
+        spec = BellPairSpec(scenario.bell_type, float(alpha))
+        reduced = kernel @ _branch_weights(scenario.model, spec, spec)
+        report = _validate_batch(reduced, tol_herm=1e-12, tol_trace=tol_trace, psd_slack=1e-9)
+        if not report.ok:
+            raise NumericalError(
+                f"reduced state failed validation at alpha={alpha}: "
+                f"hermiticity {report.hermiticity_deviation:.3e}, trace {report.trace_deviation:.3e}, "
+                f"min eigenvalue {report.min_eigenvalue:.3e}"
+            )
+        deviation = x_pattern_deviation(reduced)
+        if deviation > _X_SHAPE_TOL:
+            raise NumericalError(f"reduced state left the X shape: off-pattern magnitude {deviation:.3e}")
+        curves.append(ConcurrenceCurve(pair, float(alpha), taus, _concurrence_x_batch(reduced)))
+    return curves
 
 
 def _zero_runs(below: np.ndarray) -> list[tuple[int, int]]:

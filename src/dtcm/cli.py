@@ -274,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_argument("--config", metavar="PATH", help="scenario config file")
         group.add_argument("--preset", metavar="NAME", help="bundled scenario preset")
         cmd.add_argument("--out", metavar="PATH", help="output path (default: config's output, else stdout)")
-        cmd.add_argument("--threads", type=int, default=1, metavar="N", help="worker threads, 0 = auto (default 1)")
+        cmd.add_argument("--threads", type=int, default=1, metavar="N", help="accepted for compatibility; has no effect")
         return cmd
 
     add_scenario_command("simulate", "write concurrence curves as CSV")
@@ -321,15 +321,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             cmd_plotdata(cfg, out, args.threads)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # before ValueError: LinAlgError subclasses it but is a numerical failure
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import DensityMatrix, validate_density
+from .algebra import DensityMatrix, _partial_trace_array, validate_density
 from .errors import NumericalError
 
 _TauLike = Union[float, np.ndarray]
@@ -130,10 +130,10 @@ class FieldSpec:
             return np.array([0]), np.array([1.0])
         if self.kind == "fock":
             return np.array([self.n]), np.array([1.0])
-        top = self.truncation_level()
-        ms = np.arange(top + 1)
-        ps = self.nbar ** ms / (1.0 + self.nbar) ** (ms + 1.0)
-        return ms, ps
+        ms = np.arange(self.truncation_level() + 1)
+        # q^m / (1 + nbar) stays finite where nbar^m / (1 + nbar)^(m+1) overflows
+        q = self.nbar / (1.0 + self.nbar)
+        return ms, q**ms / (1.0 + self.nbar)
 
     def weight_deficit(self) -> float:
         """Probability mass dropped by truncation (zero for vacuum and Fock)."""
@@ -225,6 +225,22 @@ def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return X
 
 
+def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """All one-atom transition amplitudes on a (photon, time) grid.
+
+    Returns a complex array indexed ``[atom_in, flip, photon, time]``.  An
+    excited atom exchanges its quantum with level m+1, a ground atom with
+    level m, so a ground atom in an empty cavity stays put by itself.
+    """
+    m = np.asarray(m, dtype=float)[:, None]
+    tau = np.asarray(tau, dtype=float)[None, :]
+    Y = np.zeros((2, 2, m.shape[0], tau.shape[1]), dtype=complex)
+    for i, rabi in ((0, np.sqrt(m)), (1, np.sqrt(m + 1.0))):
+        Y[i, 0] = np.cos(rabi * tau)
+        Y[i, 1] = -1j * np.sin(rabi * tau)
+    return Y
+
+
 def x_coeff(key: XCoefficientKey) -> complex:
     """Closed-form transition amplitude for one (pair, flips, photon, time) index."""
     X = _x_block_table(np.array([key.m]), np.array([key.tau]))
@@ -248,25 +264,33 @@ def _as_tau_grid(tau: _TauLike) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-def _build_delta_terms() -> dict[tuple[int, int, int, int], tuple[tuple[int, int, int, int], ...]]:
-    """Flip combinations allowed for each evolved pair operator |ik><jl|.
+def _build_delta_terms(n_atoms: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """Flip combinations allowed for each evolved operator |ket><bra| of ``n_atoms`` atoms.
 
-    A flip pair (r,s) on the ket changes the cavity photon number by
-    (-1)^i r + (-1)^k s; the bra flips (u,v) must change it by the same
-    amount, otherwise the field trace kills the term.  Entries are
-    (ket_flips, bra_flips, row, col) with rows/cols in the 2-bit pair basis.
+    Each flip moves one photon (an excited atom emits, a ground atom
+    absorbs); the bra flips must change the photon number by the same amount
+    as the ket flips, otherwise the field trace kills the term.  Entries are
+    (ket_in, bra_in, ket_flips, bra_flips, row, col), each a bit string read
+    as a binary number with the first atom most significant.
     """
-    table = {}
-    for i, k, j, l in product((0, 1), repeat=4):
-        terms = []
-        for r, s, u, v in product((0, 1), repeat=4):
-            if (1 - 2 * i) * r + (1 - 2 * k) * s == (1 - 2 * j) * u + (1 - 2 * l) * v:
-                terms.append((2 * r + s, 2 * u + v, 2 * (i ^ r) + (k ^ s), 2 * (j ^ u) + (l ^ v)))
-        table[(i, k, j, l)] = tuple(terms)
-    return table
+
+    def index(bits) -> int:
+        return sum(b << (n_atoms - 1 - pos) for pos, b in enumerate(bits))
+
+    def shift(bits, flips) -> int:
+        return sum((1 - 2 * b) * f for b, f in zip(bits, flips))
+
+    states = list(product((0, 1), repeat=n_atoms))
+    terms = []
+    for ket, bra, ket_flips, bra_flips in product(states, repeat=4):
+        if shift(ket, ket_flips) == shift(bra, bra_flips):
+            row = index([b ^ f for b, f in zip(ket, ket_flips)])
+            col = index([b ^ f for b, f in zip(bra, bra_flips)])
+            terms.append((index(ket), index(bra), index(ket_flips), index(bra_flips), row, col))
+    return tuple(terms)
 
 
-_DELTA_TERMS = _build_delta_terms()
+_DELTA_TERMS = {n_atoms: _build_delta_terms(n_atoms) for n_atoms in (1, 2)}
 
 # The ten transcribed closed forms for the evolved pair operators; the other
 # six index combinations follow by conjugate transposition.  Each entry is
@@ -302,17 +326,34 @@ def _accumulate_terms(
     return out
 
 
+def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Every evolved operator |ket><bra| of one cavity's atoms, as E[t, row, col, ket_in, bra_in].
+
+    ``n_atoms`` is 1 (one atom per cavity) or 2 (two atoms sharing the mode).
+    Each allowed flip term is summed over the field's photon distribution.
+    """
+    ms, ps = field.weights()
+    amps = _x_block_table(ms, taus) if n_atoms == 2 else _y_block_table(ms, taus)
+    dim = 2**n_atoms
+    E = np.zeros((taus.size, dim, dim, dim, dim), dtype=complex)
+    # one term at a time: gathering every term at once would hold a
+    # (terms x photons x taus) temporary, large on hot thermal fields
+    for ket_in, bra_in, ket_flips, bra_flips, row, col in _DELTA_TERMS[n_atoms]:
+        E[:, row, col, ket_in, bra_in] += np.einsum(
+            "m,mt->t", ps, amps[ket_in, ket_flips] * np.conj(amps[bra_in, bra_flips])
+        )
+    return E
+
+
 def pair_map(i: int, k: int, j: int, l: int, field: FieldSpec, tau: _TauLike) -> np.ndarray:
     """Evolved pair operator: |ik><jl| after interacting with one cavity field.
 
-    Sums transition amplitudes over the field's photon distribution, keeping
-    only ket/bra flip combinations that change the photon number equally (the
-    field trace removes everything else).  Scalar ``tau`` gives a (4, 4)
+    One slice of the two-atom channel tensor.  Scalar ``tau`` gives a (4, 4)
     matrix, a grid gives (T, 4, 4).
     """
     _check_bits(i=i, k=k, j=j, l=l)
     taus, scalar = _as_tau_grid(tau)
-    out = _accumulate_terms(_DELTA_TERMS[(i, k, j, l)], 2 * i + k, 2 * j + l, field, taus)
+    out = _channel_tensor(field, taus, 2)[:, :, :, 2 * i + k, 2 * j + l].copy()
     return out[0] if scalar else out
 
 
@@ -333,76 +374,81 @@ def pair_map_explicit(i: int, k: int, j: int, l: int, field: FieldSpec, tau: _Ta
     return out[0] if scalar else out
 
 
-def _channel_tensor(field: FieldSpec, taus: np.ndarray) -> np.ndarray:
-    """All sixteen evolved pair operators stacked as E[t, row, col, ket_in, bra_in]."""
-    ms, ps = field.weights()
-    X = _x_block_table(ms, taus)
-    E = np.zeros((taus.size, 4, 4, 4, 4), dtype=complex)
-    for (i, k, j, l), terms in _DELTA_TERMS.items():
-        ket_family, bra_family = 2 * i + k, 2 * j + l
-        for ket_flips, bra_flips, row, col in terms:
-            E[:, row, col, ket_family, bra_family] += np.einsum(
-                "m,mt->t", ps, X[ket_family, ket_flips] * np.conj(X[bra_family, bra_flips])
-            )
-    return E
-
-
-# ---------------------------------------------------------------------------
-# Single-atom ladder (one atom per cavity).
-# ---------------------------------------------------------------------------
-
-
-def _jc_branches(i: int, n: int, taus: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-    """Evolution branches of |i, n> as (atom bit, photon number, amplitude grid)."""
-    if i == 1:
-        root = math.sqrt(n + 1.0)
-        return [(1, n, np.cos(root * taus) + 0j), (0, n + 1, -1j * np.sin(root * taus))]
-    if n == 0:
-        # the ground atom in an empty cavity is stationary
-        return [(0, 0, np.ones_like(taus, dtype=complex))]
-    root = math.sqrt(float(n))
-    return [(0, n, np.cos(root * taus) + 0j), (1, n - 1, -1j * np.sin(root * taus))]
-
-
 def jc_amplitudes(i: int, n: int, tau: float) -> list[tuple[int, int, complex]]:
     """Single-atom transition amplitudes: |i, n> maps onto the returned branches.
 
-    Each branch is (atom bit, photon number, amplitude).
+    Each branch is (atom bit, photon number, amplitude).  A ground atom in an
+    empty cavity has only its stationary branch.
     """
     _check_bits(i=i)
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     taus, _ = _as_tau_grid(float(tau))
-    return [(bit, photon, complex(amp[0])) for bit, photon, amp in _jc_branches(i, n, taus)]
-
-
-def _jc_channel_tensor(field: FieldSpec, taus: np.ndarray) -> np.ndarray:
-    """Evolved single-atom operators stacked as E[t, row, col, ket_in, bra_in]."""
-    ms, ps = field.weights()
-    E = np.zeros((taus.size, 2, 2, 2, 2), dtype=complex)
-    for weight, n in zip(ps, ms):
-        branches = {i: _jc_branches(i, int(n), taus) for i in (0, 1)}
-        for i in (0, 1):
-            for j in (0, 1):
-                for bit_k, photon_k, amp_k in branches[i]:
-                    for bit_b, photon_b, amp_b in branches[j]:
-                        if photon_k == photon_b:
-                            E[:, bit_k, bit_b, i, j] += weight * amp_k * np.conj(amp_b)
-    return E
+    stay, flip = _y_block_table(np.array([n]), taus)[i, :, 0, 0]
+    branches = [(i, n, complex(stay))]
+    if i == 1 or n > 0:
+        branches.append((1 - i, n + 1 if i == 1 else n - 1, complex(flip)))
+    return branches
 
 
 # ---------------------------------------------------------------------------
-# Assembly of the joint atomic state.
+# Combining the two cavities into the atomic state.
 # ---------------------------------------------------------------------------
 
-_PRIME_PSI = np.array([3, 2, 1, 0])  # partner pair holds the flipped bits
-_PRIME_PHI = np.arange(4)  # partner pair repeats the bits
+# the qubits each cavity holds, in the cavity's own tensor order
+_CAVITY_LABELS = {Model.DTCM: ("AC", "BD"), Model.DJCM: ("A", "B")}
 
 
 def _pair_weights(pair_ab: BellPairSpec, pair_cd: BellPairSpec) -> np.ndarray:
     a_ab = pair_ab.amplitudes()
     a_cd = pair_cd.amplitudes()
     return np.array([a_ab[i] * a_cd[k] for i in (0, 1) for k in (0, 1)])
+
+
+def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) -> np.ndarray:
+    """W = outer(amp, amp) over cavity a's preparation branches, flattened to match a kernel."""
+    if pair_ab.bell_type is not pair_cd.bell_type:
+        raise ValueError("both pairs must share the same Bell type")
+    amp = _pair_weights(pair_ab, pair_cd) if model is Model.DTCM else np.array(pair_ab.amplitudes())
+    return np.outer(amp, amp).ravel()
+
+
+def _combine(
+    model: Model,
+    bell_type: BellType,
+    field_a: FieldSpec,
+    field_b: FieldSpec,
+    taus: np.ndarray,
+    keep: str,
+) -> np.ndarray:
+    """Alpha-free kernel K[t, row, col, branch] of the atomic state reduced to ``keep``.
+
+    Each cavity acts on its own atoms as an independent channel, so the state
+    is sum_sz W[s, z] Ea[t, :, :, s, z] (x) Eb[t, :, :, s', z'], with W the
+    preparation weights and s' the branch bits of cavity b's atoms (flipped
+    for psi, repeated for phi).  Each channel is traced down to the kept
+    qubits first (a cavity with none kept reduces to its trace), then the two
+    are multiplied.  ``K @ _branch_weights(...)`` is the reduced state, its
+    qubits in A<B<C<D order.
+    """
+    labels_a, labels_b = _CAVITY_LABELS[model]
+    n_atoms = len(labels_a)
+    Ea = _channel_tensor(field_a, taus, n_atoms)
+    Eb = Ea if field_b == field_a else _channel_tensor(field_b, taus, n_atoms)
+    branches = np.arange(2**n_atoms)
+    partner = branches[::-1] if bell_type is BellType.PSI else branches
+    reduced, order = [], ""
+    for E, labels, rows in ((Ea, labels_a, branches), (Eb, labels_b, partner)):
+        kept = [pos for pos, lab in enumerate(labels) if lab in keep]
+        R = _partial_trace_array(np.moveaxis(E, (1, 2), (3, 4)), n_atoms, kept)
+        reduced.append(R[:, rows][:, :, rows])
+        order += "".join(labels[pos] for pos in kept)
+    K = np.einsum("tszac,tszbd->tabcdsz", *reduced)
+    n_t, n_kept = taus.size, len(order)
+    perm = [order.index(lab) for lab in sorted(order)]
+    K = K.reshape((n_t,) + (2,) * (2 * n_kept) + (branches.size**2,))
+    K = K.transpose([0] + [1 + p for p in perm] + [1 + n_kept + p for p in perm] + [1 + 2 * n_kept])
+    return K.reshape(n_t, 2**n_kept, 2**n_kept, branches.size**2)
 
 
 def _assemble_dtcm_grid(
@@ -412,26 +458,9 @@ def _assemble_dtcm_grid(
     field_b: FieldSpec,
     taus: np.ndarray,
 ) -> np.ndarray:
-    """Joint four-atom state on a time grid, basis ordered A,B,C,D.
-
-    Cavity a evolves the (A,C) pair and cavity b the (B,D) pair; the initial
-    superposition weights couple the two channels through the shared pair
-    amplitudes.
-    """
-    if pair_ab.bell_type is not pair_cd.bell_type:
-        raise ValueError("both pairs must share the same Bell type")
-    amp4 = _pair_weights(pair_ab, pair_cd)  # index 2i + k over (A, C) bits
-    W = np.outer(amp4, amp4)
-    prime = _PRIME_PSI if pair_ab.bell_type is BellType.PSI else _PRIME_PHI
-    Ea = _channel_tensor(field_a, taus)
-    Eb = _channel_tensor(field_b, taus)
-    Ebp = Eb[:, :, :, prime][:, :, :, :, prime]
-    rho = np.einsum("sz,trcsz,tuwsz->trucw", W, Ea, Ebp)
-    # rows are (A,C) x (B,D); interleave into A,B,C,D order
-    n_t = taus.size
-    rho = rho.reshape(n_t, 2, 2, 2, 2, 2, 2, 2, 2)
-    rho = rho.transpose(0, 1, 3, 2, 4, 5, 7, 6, 8)
-    return rho.reshape(n_t, 16, 16)
+    """Joint four-atom state on a time grid, basis ordered A,B,C,D."""
+    w = _branch_weights(Model.DTCM, pair_ab, pair_cd)
+    return _combine(Model.DTCM, pair_ab.bell_type, field_a, field_b, taus, "ABCD") @ w
 
 
 def _assemble_djcm_grid(
@@ -441,15 +470,8 @@ def _assemble_djcm_grid(
     taus: np.ndarray,
 ) -> np.ndarray:
     """Two-atom state on a time grid for the one-atom-per-cavity layout."""
-    a0, a1 = pair_ab.amplitudes()
-    amp = np.array([a0, a1])
-    W = np.outer(amp, amp)
-    prime = np.array([1, 0]) if pair_ab.bell_type is BellType.PSI else np.array([0, 1])
-    Ea = _jc_channel_tensor(field_a, taus)
-    Eb = _jc_channel_tensor(field_b, taus)
-    Ebp = Eb[:, :, :, prime][:, :, :, :, prime]
-    rho = np.einsum("sz,trcsz,tuwsz->trucw", W, Ea, Ebp)
-    return rho.reshape(taus.size, 4, 4)
+    w = _branch_weights(Model.DJCM, pair_ab, pair_ab)
+    return _combine(Model.DJCM, pair_ab.bell_type, field_a, field_b, taus, "AB") @ w
 
 
 def assemble_atomic_state(

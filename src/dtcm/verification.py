@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from . import dynamics
-from .algebra import _partial_trace_array, _validate_batch
-from .analysis import _PAIR_POSITIONS, Scenario, sweep_concurrence
+from .algebra import _validate_batch
+from .analysis import Scenario, sweep_concurrence
 from .concurrence import _concurrence_general_batch, _concurrence_x_batch, x_pattern_deviation
-from .dynamics import BellPairSpec, BellType, FieldSpec, Model, _assemble_dtcm_grid
+from .dynamics import BellPairSpec, BellType, FieldSpec, Model
 from .oracle import compare_pipelines
 
 QUICK = "quick"
@@ -36,7 +37,10 @@ class SuiteResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        text = f"{self.name}: max deviation {self.max_deviation:.3e} (tolerance {self.tolerance:.0e}) {status}"
+        text = (
+            f"{self.name}: max deviation {self.max_deviation:.3e} (tolerance {self.tolerance:.0e}) "
+            f"{status} in {self.seconds:.2f} s"
+        )
         if self.detail:
             text += f" [{self.detail}]"
         return text
@@ -74,7 +78,7 @@ def suite_x_normalization() -> SuiteResult:
 
 
 def suite_explicit_maps() -> SuiteResult:
-    """The generic pair maps must match the transcribed closed forms."""
+    """The channel tensor the pipeline uses must match the transcribed closed forms."""
 
     def worker():
         fields = [
@@ -85,14 +89,11 @@ def suite_explicit_maps() -> SuiteResult:
         ]
         taus = np.linspace(0.0, 25.0, 50)
         dev = 0.0
-        for i in (0, 1):
-            for k in (0, 1):
-                for j in (0, 1):
-                    for l in (0, 1):
-                        for fld in fields:
-                            generic = dynamics.pair_map(i, k, j, l, fld, taus)
-                            explicit = dynamics.pair_map_explicit(i, k, j, l, fld, taus)
-                            dev = max(dev, float(np.abs(generic - explicit).max()))
+        for fld in fields:
+            E = dynamics._channel_tensor(fld, taus, 2)
+            for i, k, j, l in product((0, 1), repeat=4):
+                explicit = dynamics.pair_map_explicit(i, k, j, l, fld, taus)
+                dev = max(dev, float(np.abs(E[:, :, :, 2 * i + k, 2 * j + l] - explicit).max()))
         return dev, "16 operators x 4 fields x 50 times"
 
     return _timed("explicit-maps", 1e-12, worker)
@@ -201,11 +202,13 @@ def suite_state_validity() -> SuiteResult:
         worst = 0.0
         states = 0
         for scenario in scenarios:
-            for alpha in alphas:
-                spec = BellPairSpec(scenario.bell_type, float(alpha))
-                grid = _assemble_dtcm_grid(spec, spec, scenario.field_a, scenario.field_b, taus)
-                for pair in ("AB", "CD", "AC", "BD"):
-                    reduced = _partial_trace_array(grid, 4, _PAIR_POSITIONS[pair])
+            for pair in ("AB", "CD", "AC", "BD"):
+                kernel = dynamics._combine(
+                    scenario.model, scenario.bell_type, scenario.field_a, scenario.field_b, taus, pair
+                )
+                for alpha in alphas:
+                    spec = BellPairSpec(scenario.bell_type, float(alpha))
+                    reduced = kernel @ dynamics._branch_weights(scenario.model, spec, spec)
                     report = _validate_batch(reduced)
                     c_fast = _concurrence_x_batch(reduced)
                     c_general = _concurrence_general_batch(reduced)

@@ -2,29 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dtcm.algebra import (
-    DensityMatrix,
-    QubitPermutation,
-    kron,
-    partial_trace,
-    permute_qubits,
-    validate_density,
-)
+from dtcm.algebra import DensityMatrix, partial_trace, validate_density
 
 
 def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def test_kron_agrees_with_numpy():
-    rng = np.random.default_rng(11)
-    a, b = rng.normal(size=(2, 2)), rng.normal(size=(4, 4))
-    np.testing.assert_allclose(kron(a, b), np.kron(a, b), atol=0.0)
 
 
 def test_density_matrix_validation():
@@ -44,57 +29,11 @@ def test_density_matrix_validation():
         dm.matrix[0, 0] = 2.0
 
 
-def test_permutation_validation():
-    QubitPermutation(("A", "B"), ("B", "A"))
-    with pytest.raises(ValueError):
-        QubitPermutation(("A", "B"), ("A", "C"))
-    with pytest.raises(ValueError):
-        QubitPermutation(("A", "A"), ("A", "A"))
-
-
-def test_permute_round_trip():
-    rng = np.random.default_rng(5)
-    rho = DensityMatrix(random_density(rng, 16), ("A", "B", "C", "D"))
-    shuffled = permute_qubits(rho, ("C", "A", "D", "B"))
-    assert shuffled.labels == ("C", "A", "D", "B")
-    back = permute_qubits(shuffled, ("A", "B", "C", "D"))
-    np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-15)
-
-
-def test_permute_matches_index_shuffle():
-    # brute-force oracle: move bits of row and column indices directly
-    rng = np.random.default_rng(6)
-    rho = DensityMatrix(random_density(rng, 16), ("A", "C", "B", "D"))
-    out = permute_qubits(rho, ("A", "B", "C", "D"))
-
-    def bits(n):
-        return [(n >> 3) & 1, (n >> 2) & 1, (n >> 1) & 1, n & 1]
-
-    def join(b):
-        return (b[0] << 3) | (b[1] << 2) | (b[2] << 1) | b[3]
-
-    expected = np.zeros((16, 16), dtype=complex)
-    for r in range(16):
-        for c in range(16):
-            ra, rc, rb, rd = bits(r)
-            ca, cc, cb, cd = bits(c)
-            expected[join([ra, rb, rc, rd]), join([ca, cb, cc, cd])] = rho.matrix[r, c]
-    np.testing.assert_allclose(out.matrix, expected, atol=0.0)
-
-
-def test_permute_requires_matching_source():
-    rng = np.random.default_rng(7)
-    rho = DensityMatrix(random_density(rng, 4), ("A", "B"))
-    perm = QubitPermutation(("C", "D"), ("D", "C"))
-    with pytest.raises(ValueError):
-        permute_qubits(rho, perm)
-
-
 def test_partial_trace_product_state():
     rng = np.random.default_rng(8)
     rho_ab = random_density(rng, 4)
     rho_cd = random_density(rng, 4)
-    joint = DensityMatrix(kron(rho_ab, rho_cd), ("A", "B", "C", "D"))
+    joint = DensityMatrix(np.kron(rho_ab, rho_cd), ("A", "B", "C", "D"))
     np.testing.assert_allclose(partial_trace(joint, ("A", "B")).matrix, rho_ab, atol=1e-14)
     np.testing.assert_allclose(partial_trace(joint, ("C", "D")).matrix, rho_cd, atol=1e-14)
 
@@ -154,15 +93,3 @@ def test_validate_density_reports():
     # slack tolerances are honored
     loose = validate_density(np.diag([1.5, -0.5, 0.0, 0.0]), psd_slack=0.6, tol_trace=0.1)
     assert loose.ok
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_permutation_preserves_spectrum_and_trace(seed):
-    rng = np.random.default_rng(seed)
-    rho = DensityMatrix(random_density(rng, 8), ("A", "B", "D"))
-    out = permute_qubits(rho, ("D", "A", "B"))
-    np.testing.assert_allclose(np.trace(out.matrix), np.trace(rho.matrix), atol=1e-13)
-    np.testing.assert_allclose(
-        np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-12
-    )

@@ -121,3 +121,15 @@ def test_alpha_range_is_validated():
         BellPairSpec(BellType.PSI, 3.5)
     with pytest.raises(ValueError):
         BellPairSpec("psi", 0.5)
+
+
+@pytest.mark.parametrize("nbar", [12.0, 16.0])
+def test_hot_thermal_weights_stay_finite(nbar):
+    # nbar^m / (1+nbar)^(m+1) overflows to nan at these truncation depths
+    field = FieldSpec.thermal(nbar)
+    _, ps = field.weights()
+    assert np.all(np.isfinite(ps))
+    assert abs(ps.sum() + field.weight_deficit() - 1.0) <= 1e-12
+    pair = BellPairSpec(BellType.PSI, 0.6)
+    rho = assemble_atomic_state(pair, pair, field, field, 1.3)
+    assert np.isfinite(rho.matrix).all()

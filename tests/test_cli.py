@@ -1,5 +1,7 @@
 """Config parsing, CSV output and exit-code tests for the command line."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,18 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_linalg_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError but is a numerical failure, not a config error
+    cfg = write_cfg(tmp_path, BASE)
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "sweep_concurrence", broken)
+    assert cli.main(["simulate", "--config", cfg]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_verify_quick_passes(capsys):
     assert cli.main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out
@@ -230,6 +244,8 @@ def test_verify_quick_passes(capsys):
     assert all("PASS" in line for line in lines)
     assert any(line.startswith("x-normalization") for line in lines)
     assert any(line.startswith("oracle-agreement") for line in lines)
+    # each suite reports its own wall time right after the verdict
+    assert all(re.search(r"\) PASS in \d+\.\d\d s", line) for line in lines)
 
 
 def test_verify_catches_injected_fault(tmp_path, capsys, monkeypatch):

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from dtcm.analysis import Scenario
-from dtcm.dynamics import BellPairSpec, BellType, FieldSpec, Model, XCoefficientKey, x_coeff
+from dtcm.algebra import DensityMatrix, partial_trace
+from dtcm.analysis import PAIR_CHOICES, Scenario, sweep_concurrence
+from dtcm.concurrence import concurrence_general
+from dtcm.dynamics import (
+    BellPairSpec,
+    BellType,
+    FieldSpec,
+    Model,
+    XCoefficientKey,
+    assemble_atomic_state,
+    x_coeff,
+)
 from dtcm.errors import CutoffLeakageError
 from dtcm.oracle import (
     build_tc_hamiltonian,
@@ -135,3 +145,56 @@ def test_compare_pipelines_vacuum_smoke():
     result = compare_pipelines(sc, 0.9, np.linspace(0.0, 3.0, 7), n_max=4)
     assert result.within(1e-10)
     assert result.n_max == 4 and result.n_tau == 7
+
+
+# ---------------------------------------------------------------------------
+# asymmetric scenarios: the analytic pipeline against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_concurrence(model, pair_ab, pair_cd, field_a, field_b, taus, pair):
+    n_max = max(6, field_a.max_photon() + 3, field_b.max_photon() + 3)
+    grid = oracle_atomic_grid(pair_ab, pair_cd, field_a, field_b, np.asarray(taus), n_max, model)
+    labels = ("A", "B", "C", "D") if model is Model.DTCM else ("A", "B")
+    return np.array([concurrence_general(partial_trace(DensityMatrix(m, labels), pair).matrix) for m in grid])
+
+
+@pytest.mark.parametrize("bell", list(BellType), ids=lambda b: b.value)
+@pytest.mark.parametrize(
+    "field_a, field_b",
+    [(FieldSpec.vacuum(), FieldSpec.fock(1)), (FieldSpec.fock(2), FieldSpec.thermal(0.5))],
+    ids=["vacuum-fock1", "fock2-thermal0.5"],
+)
+def test_sweep_with_unequal_fields_matches_oracle(bell, field_a, field_b):
+    taus = np.linspace(0.0, 6.0, 13)
+    scenario = Scenario(Model.DTCM, bell, field_a, field_b)
+    for pair in PAIR_CHOICES:
+        for curve in sweep_concurrence(scenario, pair, np.array([0.3, 1.1]), taus):
+            spec = BellPairSpec(bell, curve.alpha)
+            expected = oracle_concurrence(Model.DTCM, spec, spec, field_a, field_b, taus, pair)
+            np.testing.assert_allclose(curve.values, expected, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("bell", list(BellType), ids=lambda b: b.value)
+def test_djcm_sweep_thermal_vacuum_matches_oracle(bell):
+    field_a, field_b = FieldSpec.thermal(1.0), FieldSpec.vacuum()
+    taus = np.linspace(0.0, 6.0, 13)
+    scenario = Scenario(Model.DJCM, bell, field_a, field_b)
+    for curve in sweep_concurrence(scenario, "AB", np.array([0.3, 1.1]), taus):
+        spec = BellPairSpec(bell, curve.alpha)
+        expected = oracle_concurrence(Model.DJCM, spec, spec, field_a, field_b, taus, "AB")
+        np.testing.assert_allclose(curve.values, expected, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("bell", list(BellType), ids=lambda b: b.value)
+def test_single_state_with_unequal_pair_angles_matches_oracle(bell):
+    pair_ab, pair_cd = BellPairSpec(bell, 0.4), BellPairSpec(bell, 1.2)
+    field_a, field_b = FieldSpec.vacuum(), FieldSpec.fock(1)
+    taus = np.array([0.0, 0.9, 2.6])
+    grid = oracle_atomic_grid(pair_ab, pair_cd, field_a, field_b, taus, 6)
+    for tau, reference in zip(taus, grid):
+        rho = assemble_atomic_state(pair_ab, pair_cd, field_a, field_b, float(tau))
+        np.testing.assert_allclose(rho.matrix, reference, rtol=0.0, atol=1e-10)
+        for pair in PAIR_CHOICES:
+            expected = oracle_concurrence(Model.DTCM, pair_ab, pair_cd, field_a, field_b, [tau], pair)[0]
+            assert abs(concurrence_general(partial_trace(rho, pair).matrix) - expected) <= 1e-10
