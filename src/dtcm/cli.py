@@ -216,13 +216,17 @@ def cmd_simulate(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> N
     Rows are ordered alpha-major, then pair (lexicographic), then tau.
     """
     pairs, curves = _sweep_all(cfg, threads)
-    lines = ["tau,alpha,pair,concurrence"]
+    # one joined block per curve: no string object per row outlives its curve
+    blocks = ["tau,alpha,pair,concurrence"]
+    tau_text = [_fmt(t) for t in cfg.tau]
     for index, alpha in enumerate(cfg.alphas):
+        alpha_text = _fmt(alpha)
         for pair in pairs:
-            curve = curves[pair][index]
-            for t, value in zip(curve.tau, curve.values):
-                lines.append(f"{_fmt(t)},{_fmt(alpha)},{pair},{_fmt(value)}")
-    _write_text(out, "\n".join(lines) + "\n")
+            middle = f",{alpha_text},{pair},"
+            values = curves[pair][index].values.tolist()
+            # the text _fmt gives; tolist() already made the values Python floats
+            blocks.append("\n".join([t + middle + format(v, ".12g") for t, v in zip(tau_text, values)]))
+    _write_text(out, "\n".join(blocks) + "\n")
 
 
 def cmd_events(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> None:

@@ -292,6 +292,29 @@ def _build_delta_terms(n_atoms: int) -> tuple[tuple[int, int, int, int, int, int
 
 _DELTA_TERMS = {n_atoms: _build_delta_terms(n_atoms) for n_atoms in (1, 2)}
 
+
+def _gather_indices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The selection-rule terms as index arrays for one gathered product.
+
+    Returns the ket amplitude row ``ket_in * dim + ket_flips`` and the bra
+    row ``bra_in * dim + bra_flips`` of a ``(dim * dim, photon, time)`` view
+    of the amplitude table, and each term's flat position in the
+    ``(row, col, ket_in, bra_in)`` block of the channel tensor.  The flips
+    follow from (ket_in, row) and (bra_in, col), so no two terms share a
+    position.
+    """
+    dim = 2**n_atoms
+    ket_in, bra_in, ket_flips, bra_flips, row, col = np.array(_DELTA_TERMS[n_atoms]).T
+    dst = np.ravel_multi_index((row, col, ket_in, bra_in), (dim,) * 4)
+    return ket_in * dim + ket_flips, bra_in * dim + bra_flips, dst
+
+
+_GATHER = {n_atoms: _gather_indices(n_atoms) for n_atoms in (1, 2)}
+
+# complex cells per gathered product (terms x photons x taus in one chunk);
+# bounds a channel build's working memory whatever the grid length
+_CHUNK_CELLS = 2**16
+
 # The ten transcribed closed forms for the evolved pair operators; the other
 # six index combinations follow by conjugate transposition.  Each entry is
 # (ket_flips, bra_flips, row, col) exactly as the closed forms spell the
@@ -330,19 +353,24 @@ def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndar
     """Every evolved operator |ket><bra| of one cavity's atoms, as E[t, row, col, ket_in, bra_in].
 
     ``n_atoms`` is 1 (one atom per cavity) or 2 (two atoms sharing the mode).
-    Each allowed flip term is summed over the field's photon distribution.
+    Every allowed flip term is gathered from the amplitude table and summed
+    over the field's photon distribution in one product per chunk of taus;
+    a chunk holds at most ``_CHUNK_CELLS`` cells of that product, or a
+    single tau where one tau alone needs more.
     """
     ms, ps = field.weights()
-    amps = _x_block_table(ms, taus) if n_atoms == 2 else _y_block_table(ms, taus)
+    table = _x_block_table if n_atoms == 2 else _y_block_table
+    ket, bra, dst = _GATHER[n_atoms]
     dim = 2**n_atoms
-    E = np.zeros((taus.size, dim, dim, dim, dim), dtype=complex)
-    # one term at a time: gathering every term at once would hold a
-    # (terms x photons x taus) temporary, large on hot thermal fields
-    for ket_in, bra_in, ket_flips, bra_flips, row, col in _DELTA_TERMS[n_atoms]:
-        E[:, row, col, ket_in, bra_in] += np.einsum(
-            "m,mt->t", ps, amps[ket_in, ket_flips] * np.conj(amps[bra_in, bra_flips])
-        )
-    return E
+    E = np.zeros((taus.size, dim**4), dtype=complex)
+    chunk = max(1, _CHUNK_CELLS // (dst.size * ms.size))
+    for start in range(0, taus.size, chunk):
+        span = slice(start, start + chunk)
+        amps = table(ms, taus[span]).reshape(dim * dim, ms.size, -1)
+        terms = amps[ket]
+        terms *= np.conj(amps)[bra]
+        E[span, dst] = (ps @ terms).T
+    return E.reshape(taus.size, dim, dim, dim, dim)
 
 
 def pair_map(i: int, k: int, j: int, l: int, field: FieldSpec, tau: _TauLike) -> np.ndarray:

@@ -84,7 +84,7 @@ def _evolution_grid(H: TruncatedHamiltonian, taus: np.ndarray) -> np.ndarray:
     """exp(-i H tau) for every grid point, via the Hermitian eigendecomposition."""
     w, V = np.linalg.eigh(H.matrix)
     phases = np.exp(-1j * np.outer(taus, w))
-    return np.einsum("ab,tb,cb->tac", V, phases, V.conj())
+    return (V * phases[:, None, :]) @ V.conj().T
 
 
 def evolution_operator(H: TruncatedHamiltonian, tau: float) -> np.ndarray:
