@@ -9,15 +9,15 @@ cross pair never fires at all.
 """
 import numpy as np
 
-from dtcm import BellType, FieldSpec, Model, Scenario, detect_esb, detect_esd, sweep_concurrence
+from dtcm import BellType, FieldSpec, Model, Scenario, detect_esb, detect_esd, sweep_pairs
 
 fock1 = FieldSpec.fock(1)
 scenario = Scenario(Model.DTCM, BellType.PSI, fock1, fock1)
 tau = np.linspace(0.0, 25.0, 2501)
 alphas = np.array([0.0, 0.1, 0.2, 0.25, 0.45]) * np.pi
 
-ab = sweep_concurrence(scenario, "AB", alphas, tau)
-bd = sweep_concurrence(scenario, "BD", alphas, tau)
+curves = sweep_pairs(scenario, ("AB", "BD"), alphas, tau)  # one channel build for both pairs
+ab, bd = curves["AB"], curves["BD"]
 
 print("one photon per cavity, one-excitation preparation")
 print(f"{'alpha/pi':>9} {'AB death':>9} {'BD birth':>9} {'BD peak':>8}")

@@ -25,6 +25,7 @@ from .analysis import (
     detect_esb,
     detect_esd,
     sweep_concurrence,
+    sweep_pairs,
 )
 from .concurrence import (
     XFormMatrix,
@@ -98,6 +99,7 @@ __all__ = [
     "pair_map_explicit",
     "partial_trace",
     "sweep_concurrence",
+    "sweep_pairs",
     "validate_density",
     "x_coeff",
     "x_pattern_deviation",

@@ -19,8 +19,10 @@ from .dynamics import (
     BellType,
     FieldSpec,
     Model,
+    _apply_weights,
     _as_tau_grid,
     _branch_weights,
+    _channels,
     _combine,
 )
 from .errors import NumericalError
@@ -161,35 +163,53 @@ def _validate_grid(name: str, values: np.ndarray, minimum: float, maximum: float
     return arr
 
 
-def sweep_concurrence(
+def _pair_states(scenario: Scenario, pairs: tuple[str, ...], alphas: np.ndarray, taus: np.ndarray):
+    """Yield (pair, alpha, reduced states on ``taus``) for every pair, then every alpha.
+
+    The two cavity channels are built once and shared by every pair; each
+    pair's kernel lives only while its alphas are produced.
+    """
+    channels = _channels(scenario.model, scenario.field_a, scenario.field_b, taus)
+    for pair in pairs:
+        kernel = _combine(scenario.model, scenario.bell_type, *channels, pair)
+        for alpha in alphas:
+            spec = BellPairSpec(scenario.bell_type, float(alpha))
+            yield pair, float(alpha), _apply_weights(kernel, _branch_weights(scenario.model, spec, spec))
+        del kernel  # free it before the next pair's kernel is built
+
+
+def sweep_pairs(
     scenario: Scenario,
-    pair: str,
+    pairs: tuple[str, ...],
     alpha_grid: np.ndarray,
     tau_grid: np.ndarray,
     threads: int = 1,
-) -> list[ConcurrenceCurve]:
-    """Concurrence of one atom pair over an (alpha, tau) grid, one curve per alpha.
+) -> dict[str, list[ConcurrenceCurve]]:
+    """Concurrence of several atom pairs over one (alpha, tau) grid, one curve per pair and alpha.
 
-    The pair's kernel is built once; each alpha is then one contraction with
-    that alpha's preparation weights.  Every reduced state along the way is
-    validated and checked against the X pattern before the fast-path
-    concurrence is taken.  ``threads`` must be nonnegative and is otherwise
-    ignored: the sweep runs serially.
+    The cavity channels are built once for all pairs; each pair's kernel is
+    built once, and each alpha is then one contraction with that alpha's
+    preparation weights.  Every reduced state along the way is validated and
+    checked against the X pattern before the fast-path concurrence is taken.
+    ``threads`` must be nonnegative and is otherwise ignored: the sweep runs
+    serially.
     """
-    if pair not in PAIR_CHOICES:
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("pairs must name at least one pair")
+    if any(pair not in PAIR_CHOICES for pair in pairs):
         raise ValueError(f"pair must be one of {PAIR_CHOICES}")
-    if scenario.model is Model.DJCM and pair != "AB":
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("pairs must not repeat")
+    if scenario.model is Model.DJCM and any(pair != "AB" for pair in pairs):
         raise ValueError("the single-pair layout only provides the AB pair")
     taus, _ = _as_tau_grid(_validate_grid("tau", tau_grid, 0.0, np.inf))
     alphas = _validate_grid("alpha", alpha_grid, 0.0, np.pi)
     if threads < 0:
         raise ValueError("threads must be nonnegative")
-    kernel = _combine(scenario.model, scenario.bell_type, scenario.field_a, scenario.field_b, taus, pair)
     tol_trace = 1e-12 + scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
-    curves = []
-    for alpha in alphas:
-        spec = BellPairSpec(scenario.bell_type, float(alpha))
-        reduced = kernel @ _branch_weights(scenario.model, spec, spec)
+    curves: dict[str, list[ConcurrenceCurve]] = {pair: [] for pair in pairs}
+    for pair, alpha, reduced in _pair_states(scenario, pairs, alphas, taus):
         report = _validate_batch(reduced, tol_herm=1e-12, tol_trace=tol_trace, psd_slack=1e-9)
         if not report.ok:
             raise NumericalError(
@@ -200,8 +220,19 @@ def sweep_concurrence(
         deviation = x_pattern_deviation(reduced)
         if deviation > _X_SHAPE_TOL:
             raise NumericalError(f"reduced state left the X shape: off-pattern magnitude {deviation:.3e}")
-        curves.append(ConcurrenceCurve(pair, float(alpha), taus, _concurrence_x_batch(reduced)))
+        curves[pair].append(ConcurrenceCurve(pair, alpha, taus, _concurrence_x_batch(reduced)))
     return curves
+
+
+def sweep_concurrence(
+    scenario: Scenario,
+    pair: str,
+    alpha_grid: np.ndarray,
+    tau_grid: np.ndarray,
+    threads: int = 1,
+) -> list[ConcurrenceCurve]:
+    """Concurrence of one atom pair over an (alpha, tau) grid: :func:`sweep_pairs` for one pair."""
+    return sweep_pairs(scenario, (pair,), alpha_grid, tau_grid, threads=threads)[pair]
 
 
 def _zero_runs(below: np.ndarray) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import PAIR_CHOICES, Scenario, detect_esb, detect_esd, sweep_concurrence
+from .analysis import PAIR_CHOICES, Scenario, detect_esb, detect_esd, sweep_pairs
 from .dynamics import BellType, FieldSpec, Model
 from .errors import ConfigError, NumericalError
 from .verification import run_verification
@@ -207,7 +207,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _sweep_all(cfg: ScenarioConfig, threads: int):
     scenario = Scenario(cfg.model, cfg.bell_type, cfg.field_a, cfg.field_b)
     pairs = tuple(sorted(cfg.pairs))
-    return pairs, {pair: sweep_concurrence(scenario, pair, cfg.alphas, cfg.tau, threads=threads) for pair in pairs}
+    return pairs, sweep_pairs(scenario, pairs, cfg.alphas, cfg.tau, threads=threads)
 
 
 def cmd_simulate(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> None:

@@ -185,43 +185,82 @@ class XCoefficientKey:
         object.__setattr__(self, "tau", tau)
 
 
+# Each two-atom amplitude is base + cos_w (cos(om tau) - 1) + 1j sin_w sin(om tau),
+# with om the frequency of the ladder family its initial pair selects: both
+# atoms excited (om^2 = 2(2m+3)), one excited (2(2m+1)) or none (2(2m-1)).
+# Frequencies and weights depend on the photon number m alone, so they are
+# tabulated once per process; ``_photon_coefficients`` grows the table to
+# the highest level asked for so far.  Row m holds the three family
+# frequencies, then the base, cos and sin weights of the 16 amplitudes
+# ``[pair_in, flips]``.
+_FAMILY = np.array([0, 1, 1, 2])  # frequency column of each initial pair state
+_PHOTON_TABLE = np.zeros((0, 3 + 3 * 16))
+
+
+def _coefficient_rows(levels: int) -> np.ndarray:
+    m = np.arange(levels, dtype=float)
+    table = np.zeros((levels, 3 + 3 * 16))
+    freq = table[:, :3]
+    base, cos_w, sin_w = (table[:, 3 + 16 * j : 3 + 16 * (j + 1)].reshape(levels, 4, 4) for j in range(3))
+
+    # both atoms excited: chain |11,m> <-> one flip, m+1 <-> |00,m+2>
+    freq[:, 2] = np.sqrt(2.0 * (2.0 * m + 3.0))
+    base[:, 3, 0] = 1.0
+    cos_w[:, 3, 0] = (m + 1.0) / (2.0 * m + 3.0)
+    sin_w[:, 3, 1] = sin_w[:, 3, 2] = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 3.0)))
+    cos_w[:, 3, 3] = np.sqrt((m + 1.0) * (m + 2.0)) / (2.0 * m + 3.0)
+
+    # one excitation in the pair: the excited atom gives up its photon, the
+    # ground atom takes one from the field
+    freq[:, 1] = np.sqrt(2.0 * (2.0 * m + 1.0))
+    emit = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 1.0)))
+    absorb = -np.sqrt(m / (2.0 * (2.0 * m + 1.0)))
+    for pair_in, own, other in ((1, 1, 2), (2, 2, 1)):
+        base[:, pair_in, 0] = 1.0
+        cos_w[:, pair_in, 0] = cos_w[:, pair_in, 3] = 0.5
+        sin_w[:, pair_in, own] = emit
+        sin_w[:, pair_in, other] = absorb
+
+    # both atoms in the ground state; an empty cavity leaves them stationary
+    # (row 0 keeps frequency 0 and base 1), and sqrt(m(m-1)) kills the
+    # double-absorption branch below m = 2
+    base[:, 0, 0] = 1.0
+    live = m[1:]
+    freq[1:, 0] = np.sqrt(2.0 * (2.0 * live - 1.0))
+    cos_w[1:, 0, 0] = live / (2.0 * live - 1.0)
+    sin_w[1:, 0, 1] = sin_w[1:, 0, 2] = -np.sqrt(live / (2.0 * (2.0 * live - 1.0)))
+    cos_w[1:, 0, 3] = np.sqrt(live * (live - 1.0)) / (2.0 * live - 1.0)
+    return table
+
+
+def _photon_coefficients(levels: int) -> np.ndarray:
+    """The coefficient table with at least ``levels`` rows (photon numbers 0..levels-1)."""
+    global _PHOTON_TABLE
+    table = _PHOTON_TABLE
+    if table.shape[0] < levels:
+        table = _PHOTON_TABLE = _coefficient_rows(levels)
+    return table
+
+
 def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """All two-atom transition amplitudes on a (photon, time) grid.
 
     Returns a complex array indexed ``[pair_in, flips, photon, time]`` where
     ``pair_in = 2i + k`` and ``flips = 2p + q``.
     """
-    m = np.asarray(m, dtype=float)[:, None]
-    tau = np.asarray(tau, dtype=float)[None, :]
-    n_m, n_t = m.shape[0], tau.shape[1]
-    X = np.zeros((4, 4, n_m, n_t), dtype=complex)
-
-    # both atoms excited: chain |11,m> <-> one flip, m+1 <-> |00,m+2>
-    om = np.sqrt(2.0 * (2.0 * m + 3.0))
-    c, s = np.cos(om * tau), np.sin(om * tau)
-    X[3, 0] = (m + 1.0) / (2.0 * m + 3.0) * (c - 1.0) + 1.0
-    X[3, 1] = X[3, 2] = -1j * np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 3.0))) * s
-    X[3, 3] = np.sqrt((m + 1.0) * (m + 2.0)) / (2.0 * m + 3.0) * (c - 1.0)
-
-    # one excitation in the pair
-    om = np.sqrt(2.0 * (2.0 * m + 1.0))
-    c, s = np.cos(om * tau), np.sin(om * tau)
-    emit = -1j * np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 1.0))) * s
-    absorb = -1j * np.sqrt(m / (2.0 * (2.0 * m + 1.0))) * s
-    X[1, 0] = X[2, 0] = (c + 1.0) / 2.0
-    X[1, 3] = X[2, 3] = (c - 1.0) / 2.0
-    X[1, 1] = X[2, 2] = emit  # the excited atom gives up its photon
-    X[1, 2] = X[2, 1] = absorb  # the ground atom takes one from the field
-
-    # both atoms in the ground state; an empty cavity leaves them stationary
-    live = m >= 1.0
-    m_safe = np.where(live, m, 1.0)
-    om = np.sqrt(2.0 * (2.0 * m_safe - 1.0))
-    c, s = np.cos(om * tau), np.sin(om * tau)
-    X[0, 0] = np.where(live, m_safe / (2.0 * m_safe - 1.0) * (c - 1.0) + 1.0, 1.0)
-    X[0, 1] = X[0, 2] = np.where(live, -1j * np.sqrt(m_safe / (2.0 * (2.0 * m_safe - 1.0))) * s, 0.0)
-    # sqrt(m(m-1)) kills the double-absorption branch below m = 2
-    X[0, 3] = np.where(live, np.sqrt(m_safe * (m_safe - 1.0)) / (2.0 * m_safe - 1.0) * (c - 1.0), 0.0)
+    m = np.asarray(m).astype(np.intp)
+    tau = np.asarray(tau, dtype=float)
+    n_m = m.size
+    rows = _photon_coefficients(int(m.max()) + 1)[m].T  # (3 + 48, photon)
+    angles = rows[:3, :, None] * tau
+    cos_m1 = (np.cos(angles) - 1.0)[_FAMILY][:, None]
+    sin = np.sin(angles)[_FAMILY][:, None]
+    base, cos_w, sin_w = rows[3:].reshape(3, 4, 4, n_m, 1)
+    X = np.empty((4, 4, n_m, tau.size), dtype=complex)
+    real = X.real
+    np.multiply(cos_w, cos_m1, out=real)
+    real += base
+    np.multiply(sin_w, sin, out=X.imag)
     return X
 
 
@@ -230,14 +269,19 @@ def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
     Returns a complex array indexed ``[atom_in, flip, photon, time]``.  An
     excited atom exchanges its quantum with level m+1, a ground atom with
-    level m, so a ground atom in an empty cavity stays put by itself.
+    level m, so a ground atom in an empty cavity stays put by itself.  Both
+    rows read one cos/sin evaluation per level in ``min(m) .. max(m) + 1``.
     """
-    m = np.asarray(m, dtype=float)[:, None]
-    tau = np.asarray(tau, dtype=float)[None, :]
-    Y = np.zeros((2, 2, m.shape[0], tau.shape[1]), dtype=complex)
-    for i, rabi in ((0, np.sqrt(m)), (1, np.sqrt(m + 1.0))):
-        Y[i, 0] = np.cos(rabi * tau)
-        Y[i, 1] = -1j * np.sin(rabi * tau)
+    m = np.asarray(m).astype(np.intp)
+    tau = np.asarray(tau, dtype=float)
+    low = int(m.min())
+    angles = np.sqrt(np.arange(low, int(m.max()) + 2, dtype=float))[:, None] * tau
+    c, s = np.cos(angles), np.sin(angles)
+    Y = np.zeros((2, 2, m.size, tau.size), dtype=complex)
+    for i in (0, 1):
+        level = m - low + i  # the level atom state i exchanges its quantum with
+        Y.real[i, 0] = c[level]
+        Y.imag[i, 1] = -s[level]
     return Y
 
 
@@ -441,42 +485,50 @@ def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) 
     return np.outer(amp, amp).ravel()
 
 
-def _combine(
-    model: Model,
-    bell_type: BellType,
-    field_a: FieldSpec,
-    field_b: FieldSpec,
-    taus: np.ndarray,
-    keep: str,
-) -> np.ndarray:
+def _channels(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both cavities' channel tensors on ``taus``; equal fields share one build (``Eb is Ea``)."""
+    n_atoms = len(_CAVITY_LABELS[model][0])
+    Ea = _channel_tensor(field_a, taus, n_atoms)
+    Eb = Ea if field_b == field_a else _channel_tensor(field_b, taus, n_atoms)
+    return Ea, Eb
+
+
+def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, keep: str) -> np.ndarray:
     """Alpha-free kernel K[t, row, col, branch] of the atomic state reduced to ``keep``.
 
-    Each cavity acts on its own atoms as an independent channel, so the state
-    is sum_sz W[s, z] Ea[t, :, :, s, z] (x) Eb[t, :, :, s', z'], with W the
+    Each cavity acts on its own atoms as an independent channel (``Ea``,
+    ``Eb`` from :func:`_channels`), so the state is
+    sum_sz W[s, z] Ea[t, :, :, s, z] (x) Eb[t, :, :, s', z'], with W the
     preparation weights and s' the branch bits of cavity b's atoms (flipped
     for psi, repeated for phi).  Each channel is traced down to the kept
     qubits first (a cavity with none kept reduces to its trace), then the two
-    are multiplied.  ``K @ _branch_weights(...)`` is the reduced state, its
-    qubits in A<B<C<D order.
+    are multiplied.  ``_apply_weights(K, _branch_weights(...))`` is the
+    reduced state, its qubits in A<B<C<D order.
     """
     labels_a, labels_b = _CAVITY_LABELS[model]
     n_atoms = len(labels_a)
-    Ea = _channel_tensor(field_a, taus, n_atoms)
-    Eb = Ea if field_b == field_a else _channel_tensor(field_b, taus, n_atoms)
-    branches = np.arange(2**n_atoms)
-    partner = branches[::-1] if bell_type is BellType.PSI else branches
+    n_branch = 2**n_atoms
+    # cavity b's branch bits run reversed for psi (flipped bits), as-is for phi
+    partner = slice(None, None, -1) if bell_type is BellType.PSI else slice(None)
     reduced, order = [], ""
-    for E, labels, rows in ((Ea, labels_a, branches), (Eb, labels_b, partner)):
+    for E, labels, rows in ((Ea, labels_a, slice(None)), (Eb, labels_b, partner)):
         kept = [pos for pos, lab in enumerate(labels) if lab in keep]
-        R = _partial_trace_array(np.moveaxis(E, (1, 2), (3, 4)), n_atoms, kept)
-        reduced.append(R[:, rows][:, :, rows])
+        R = _partial_trace_array(np.moveaxis(E, (1, 2), (3, 4)), n_atoms, kept)  # [t, s, z, row, col]
+        reduced.append(np.moveaxis(R[:, rows, rows], (1, 2), (3, 4)))  # [t, row, col, s, z]
         order += "".join(labels[pos] for pos in kept)
-    K = np.einsum("tszac,tszbd->tabcdsz", *reduced)
-    n_t, n_kept = taus.size, len(order)
+    Ra, Rb = reduced
+    # [t, row_a, row_b, col_a, col_b, s, z]
+    K = np.multiply(Ra[:, :, None, :, None], Rb[:, None, :, None, :], order="C")
+    n_t, n_kept = Ea.shape[0], len(order)
     perm = [order.index(lab) for lab in sorted(order)]
-    K = K.reshape((n_t,) + (2,) * (2 * n_kept) + (branches.size**2,))
+    K = K.reshape((n_t,) + (2,) * (2 * n_kept) + (n_branch**2,))
     K = K.transpose([0] + [1 + p for p in perm] + [1 + n_kept + p for p in perm] + [1 + 2 * n_kept])
-    return K.reshape(n_t, 2**n_kept, 2**n_kept, branches.size**2)
+    return K.reshape(n_t, 2**n_kept, 2**n_kept, n_branch**2)
+
+
+def _apply_weights(K: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The reduced states ``K @ w``, as one flat (T*d*d, branch) matrix-vector product."""
+    return (K.reshape(-1, w.size) @ w).reshape(K.shape[:-1])
 
 
 def _assemble_dtcm_grid(
@@ -488,7 +540,8 @@ def _assemble_dtcm_grid(
 ) -> np.ndarray:
     """Joint four-atom state on a time grid, basis ordered A,B,C,D."""
     w = _branch_weights(Model.DTCM, pair_ab, pair_cd)
-    return _combine(Model.DTCM, pair_ab.bell_type, field_a, field_b, taus, "ABCD") @ w
+    channels = _channels(Model.DTCM, field_a, field_b, taus)
+    return _apply_weights(_combine(Model.DTCM, pair_ab.bell_type, *channels, "ABCD"), w)
 
 
 def _assemble_djcm_grid(
@@ -499,7 +552,8 @@ def _assemble_djcm_grid(
 ) -> np.ndarray:
     """Two-atom state on a time grid for the one-atom-per-cavity layout."""
     w = _branch_weights(Model.DJCM, pair_ab, pair_ab)
-    return _combine(Model.DJCM, pair_ab.bell_type, field_a, field_b, taus, "AB") @ w
+    channels = _channels(Model.DJCM, field_a, field_b, taus)
+    return _apply_weights(_combine(Model.DJCM, pair_ab.bell_type, *channels, "AB"), w)
 
 
 def assemble_atomic_state(

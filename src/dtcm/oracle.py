@@ -136,13 +136,20 @@ def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
     """Numerically traced per-cavity map G[t, ket_out, bra_out, ket_in, bra_in].
 
     Contracts the evolution operator against itself over the emitted photon
-    index, weighting input photon levels by the field distribution.
+    index and the input photon levels, each level weighted by the field
+    distribution: per time, G = X X^dagger with X the (atoms out, atoms in)
+    by (photon out, photon in) block of U, its columns scaled by the square
+    roots of the photon probabilities.
     """
     ms, ps = field.weights()
     if int(ms.max()) > n_max:
         raise ValueError("field occupies levels beyond the cutoff")
-    U_in = U5[:, :, :, :, ms]
-    return np.einsum("tapsm,tbpzm,m->tabsz", U_in, U_in.conj(), ps)
+    n_t, dim, n_ph = U5.shape[:3]
+    G = np.empty((n_t, dim, dim, dim, dim), dtype=complex)  # [t, a, b, s, z]
+    for t in range(n_t):
+        X = (U5[t][:, :, :, ms] * np.sqrt(ps)).transpose(0, 2, 1, 3).reshape(dim * dim, n_ph * ms.size)
+        G[t] = (X @ X.conj().T).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
+    return G
 
 
 def _channel_leak(U5: np.ndarray, field: FieldSpec, atom_probs: np.ndarray, n_max: int) -> float:

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import dynamics
 from .algebra import _validate_batch
-from .analysis import Scenario, sweep_concurrence
+from .analysis import PAIR_CHOICES, Scenario, _pair_states, sweep_pairs
 from .concurrence import _concurrence_general_batch, _concurrence_x_batch, x_pattern_deviation
-from .dynamics import BellPairSpec, BellType, FieldSpec, Model, jc_amplitudes
+from .dynamics import BellType, FieldSpec, Model, jc_amplitudes
 from .oracle import compare_pipelines
 
 QUICK = "quick"
@@ -193,22 +193,21 @@ def suite_pair_symmetries() -> SuiteResult:
         alphas = np.linspace(0.0, np.pi / 2, 20)
         taus = np.linspace(0.0, 25.0, 20)
         dev = 0.0
-        same_pair_scenarios = [
-            Scenario(Model.DTCM, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum()),
-            Scenario(Model.DTCM, BellType.PHI, FieldSpec.vacuum(), FieldSpec.vacuum()),
-            Scenario(Model.DTCM, BellType.PSI, FieldSpec.fock(1), FieldSpec.fock(1)),
+        # (scenario, whether the cross-pair relabeling is checked on it too)
+        scenarios = [
+            (Scenario(Model.DTCM, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum()), True),
+            (Scenario(Model.DTCM, BellType.PHI, FieldSpec.vacuum(), FieldSpec.vacuum()), False),
+            (Scenario(Model.DTCM, BellType.PSI, FieldSpec.fock(1), FieldSpec.fock(1)), True),
         ]
-        for scenario in same_pair_scenarios:
-            ab = sweep_concurrence(scenario, "AB", alphas, taus)
-            cd = sweep_concurrence(scenario, "CD", alphas, taus)
-            for c_ab, c_cd in zip(ab, cd):
-                dev = max(dev, float(np.abs(c_ab.values - c_cd.values).max()))
-        for scenario in same_pair_scenarios[:1] + same_pair_scenarios[2:]:
-            ac = sweep_concurrence(scenario, "AC", alphas, taus)
-            bd = sweep_concurrence(scenario, "BD", alphas + np.pi / 2, taus)
-            for c_ac, c_bd in zip(ac, bd):
-                dev = max(dev, float(np.abs(c_ac.values - c_bd.values).max()))
-        return dev, f"{len(same_pair_scenarios)} scenarios on a {alphas.size}x{taus.size} grid"
+        for scenario, cross in scenarios:
+            curves = sweep_pairs(scenario, ("AB", "CD", "AC") if cross else ("AB", "CD"), alphas, taus)
+            compared = [(curves["AB"], curves["CD"])]
+            if cross:
+                compared.append((curves["AC"], sweep_pairs(scenario, ("BD",), alphas + np.pi / 2, taus)["BD"]))
+            for first, second in compared:
+                for c_first, c_second in zip(first, second):
+                    dev = max(dev, float(np.abs(c_first.values - c_second.values).max()))
+        return dev, f"{len(scenarios)} scenarios on a {alphas.size}x{taus.size} grid"
 
     return _timed("pair-symmetries", 1e-10, worker)
 
@@ -232,25 +231,20 @@ def suite_state_validity() -> SuiteResult:
         worst = 0.0
         states = 0
         for scenario in scenarios:
-            for pair in ("AB", "CD", "AC", "BD"):
-                kernel = dynamics._combine(
-                    scenario.model, scenario.bell_type, scenario.field_a, scenario.field_b, taus, pair
+            # the states sweep_pairs produces, from one channel build per scenario
+            for _, _, reduced in _pair_states(scenario, PAIR_CHOICES, alphas, taus):
+                report = _validate_batch(reduced)
+                c_fast = _concurrence_x_batch(reduced)
+                c_general = _concurrence_general_batch(reduced)
+                worst = max(
+                    worst,
+                    report.hermiticity_deviation / 1e-12,
+                    report.trace_deviation / 1e-12,
+                    max(0.0, -report.min_eigenvalue) / 1e-9,
+                    x_pattern_deviation(reduced) / 1e-10,
+                    float(np.abs(c_fast - c_general).max()) / 1e-9,
                 )
-                for alpha in alphas:
-                    spec = BellPairSpec(scenario.bell_type, float(alpha))
-                    reduced = kernel @ dynamics._branch_weights(scenario.model, spec, spec)
-                    report = _validate_batch(reduced)
-                    c_fast = _concurrence_x_batch(reduced)
-                    c_general = _concurrence_general_batch(reduced)
-                    worst = max(
-                        worst,
-                        report.hermiticity_deviation / 1e-12,
-                        report.trace_deviation / 1e-12,
-                        max(0.0, -report.min_eigenvalue) / 1e-9,
-                        x_pattern_deviation(reduced) / 1e-10,
-                        float(np.abs(c_fast - c_general).max()) / 1e-9,
-                    )
-                    states += reduced.shape[0]
+                states += reduced.shape[0]
         return worst, f"{states} reduced states, worst bar-normalized ratio"
 
     return _timed("state-validity", 1.0, worker)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dtcm import analysis, dynamics, verification
 from dtcm.analysis import (
     ConcurrenceCurve,
     EsdEvents,
@@ -12,8 +13,11 @@ from dtcm.analysis import (
     detect_esb,
     detect_esd,
     sweep_concurrence,
+    sweep_pairs,
 )
-from dtcm.dynamics import BellType, FieldSpec, Model
+from dtcm.concurrence import _concurrence_x_batch
+from dtcm.dynamics import BellPairSpec, BellType, FieldSpec, Model
+from dtcm.errors import NumericalError
 
 VAC = FieldSpec.vacuum()
 
@@ -197,6 +201,107 @@ def test_sweep_validates_inputs():
     djcm = Scenario(Model.DJCM, BellType.PSI, VAC, VAC)
     with pytest.raises(ValueError):
         sweep_concurrence(djcm, "CD", np.array([0.3]), tau)
+
+
+def count_channel_builds(monkeypatch) -> list:
+    calls = []
+    real = dynamics._channel_tensor
+
+    def counted(field, taus, n_atoms):
+        calls.append(field)
+        return real(field, taus, n_atoms)
+
+    monkeypatch.setattr(dynamics, "_channel_tensor", counted)
+    return calls
+
+
+def test_sweep_pairs_builds_each_channel_once(monkeypatch):
+    calls = count_channel_builds(monkeypatch)
+    thermal = FieldSpec.thermal(1.0)
+    tau = np.linspace(0.0, 5.0, 51)
+    alphas = np.array([0.2, 0.9])
+    curves = sweep_pairs(Scenario(Model.DTCM, BellType.PSI, thermal, thermal), ("AB", "BD"), alphas, tau)
+    assert calls == [thermal]
+    assert sorted(curves) == ["AB", "BD"]
+    assert all(len(curves[pair]) == alphas.size for pair in curves)
+    calls.clear()
+    sweep_pairs(Scenario(Model.DTCM, BellType.PSI, thermal, VAC), ("AB", "BD"), alphas, tau)
+    assert calls == [thermal, VAC]
+
+
+
+def test_state_validity_builds_one_channel_per_scenario(monkeypatch):
+    calls = count_channel_builds(monkeypatch)
+    result = verification.suite_state_validity()
+    assert result.passed, result.line()
+    assert len(calls) == 6
+
+def test_sweep_concurrence_is_sweep_pairs_for_one_pair():
+    sc = Scenario(Model.DTCM, BellType.PHI, FieldSpec.fock(1), VAC)
+    alphas = np.array([0.3, 1.2])
+    tau = np.linspace(0.0, 4.0, 41)
+    both = sweep_pairs(sc, ("AC", "BD"), alphas, tau)
+    for pair in ("AC", "BD"):
+        for one, shared in zip(sweep_concurrence(sc, pair, alphas, tau), both[pair]):
+            assert (one.pair, one.alpha) == (shared.pair, shared.alpha)
+            np.testing.assert_array_equal(one.values, shared.values)
+
+
+def stacked_route(scenario, pair, alphas, taus):
+    """Per alpha, the stacked product of the pair kernel with that alpha's weights."""
+    channels = dynamics._channels(scenario.model, scenario.field_a, scenario.field_b, taus)
+    kernel = dynamics._combine(scenario.model, scenario.bell_type, *channels, pair)
+    states = []
+    for alpha in alphas:
+        spec = BellPairSpec(scenario.bell_type, float(alpha))
+        states.append(kernel @ dynamics._branch_weights(scenario.model, spec, spec))
+    return states
+
+
+@pytest.mark.parametrize("model", (Model.DTCM, Model.DJCM))
+@pytest.mark.parametrize("bell", (BellType.PSI, BellType.PHI))
+def test_sweep_pairs_matches_stacked_route(model, bell):
+    thermal = FieldSpec.thermal(0.5)
+    pairs = ("AB", "AC", "BD", "CD") if model is Model.DTCM else ("AB",)
+    alphas = np.linspace(0.1, 1.4, 4)
+    tau = np.linspace(0.0, 12.0, 121)
+    for field_b in (thermal, FieldSpec.fock(1)):
+        sc = Scenario(model, bell, thermal, field_b)
+        curves = sweep_pairs(sc, pairs, alphas, tau)
+        flat = {(pair, alpha): state for pair, alpha, state in analysis._pair_states(sc, pairs, alphas, tau)}
+        for pair in pairs:
+            for alpha, curve, stacked in zip(alphas, curves[pair], stacked_route(sc, pair, alphas, tau)):
+                np.testing.assert_allclose(flat[(pair, float(alpha))], stacked, rtol=0.0, atol=1e-15)
+                np.testing.assert_allclose(curve.values, _concurrence_x_batch(stacked), rtol=0.0, atol=1e-15)
+
+
+def test_sweep_pairs_validation_failure_names_its_alpha(monkeypatch):
+    # scale the third alpha's weights so its states trace to 2
+    real = dynamics._branch_weights
+    calls = []
+
+    def faulty(model, pair_ab, pair_cd):
+        calls.append(pair_ab.alpha)
+        w = real(model, pair_ab, pair_cd)
+        return 2.0 * w if len(calls) == 3 else w
+
+    monkeypatch.setattr(analysis, "_branch_weights", faulty)
+    sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
+    alphas = np.linspace(0.1, 1.3, 5)
+    with pytest.raises(NumericalError, match=f"alpha={alphas[2]}:"):
+        sweep_pairs(sc, ("AB",), alphas, np.linspace(0.0, 3.0, 31))
+    assert len(calls) == 3
+
+
+def test_sweep_pairs_validates_pairs():
+    sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
+    tau = np.linspace(0.0, 1.0, 5)
+    alphas = np.array([0.3])
+    for pairs in ((), ("AB", "AB"), ("AB", "XY")):
+        with pytest.raises(ValueError):
+            sweep_pairs(sc, pairs, alphas, tau)
+    with pytest.raises(ValueError):
+        sweep_pairs(Scenario(Model.DJCM, BellType.PSI, VAC, VAC), ("AB", "CD"), alphas, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -65,3 +65,61 @@ def test_explicit_maps_suite_checks_the_one_atom_channel(monkeypatch):
     result = verification.suite_explicit_maps()
     assert not result.passed
     assert result.max_deviation > 1e-3
+
+
+def closed_form_x(m, tau):
+    """The two-atom amplitudes written out family by family, as [pair_in, flips, photon, time]."""
+    m = np.asarray(m, dtype=float)[:, None]
+    tau = np.asarray(tau, dtype=float)[None, :]
+    X = np.zeros((4, 4, m.shape[0], tau.shape[1]), dtype=complex)
+    om = np.sqrt(2.0 * (2.0 * m + 3.0))
+    c, s = np.cos(om * tau), np.sin(om * tau)
+    X[3, 0] = (m + 1.0) / (2.0 * m + 3.0) * (c - 1.0) + 1.0
+    X[3, 1] = X[3, 2] = -1j * np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 3.0))) * s
+    X[3, 3] = np.sqrt((m + 1.0) * (m + 2.0)) / (2.0 * m + 3.0) * (c - 1.0)
+    om = np.sqrt(2.0 * (2.0 * m + 1.0))
+    c, s = np.cos(om * tau), np.sin(om * tau)
+    X[1, 0] = X[2, 0] = (c + 1.0) / 2.0
+    X[1, 3] = X[2, 3] = (c - 1.0) / 2.0
+    X[1, 1] = X[2, 2] = -1j * np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 1.0))) * s
+    X[1, 2] = X[2, 1] = -1j * np.sqrt(m / (2.0 * (2.0 * m + 1.0))) * s
+    live = m >= 1.0
+    m_safe = np.where(live, m, 1.0)
+    om = np.sqrt(2.0 * (2.0 * m_safe - 1.0))
+    c, s = np.cos(om * tau), np.sin(om * tau)
+    X[0, 0] = np.where(live, m_safe / (2.0 * m_safe - 1.0) * (c - 1.0) + 1.0, 1.0)
+    X[0, 1] = X[0, 2] = np.where(live, -1j * np.sqrt(m_safe / (2.0 * (2.0 * m_safe - 1.0))) * s, 0.0)
+    X[0, 3] = np.where(live, np.sqrt(m_safe * (m_safe - 1.0)) / (2.0 * m_safe - 1.0) * (c - 1.0), 0.0)
+    return X
+
+
+def test_photon_table_grows_only_to_the_largest_level(monkeypatch):
+    # start from an empty table: hot thermal queries each ask for a few more levels
+    monkeypatch.setattr(dynamics, "_PHOTON_TABLE", np.zeros((0, dynamics._PHOTON_TABLE.shape[1])))
+    taus = np.linspace(0.0, 25.0, 7)
+    largest = 0
+    for nbar in np.linspace(12.0, 16.0, 50):
+        ms, _ = FieldSpec.thermal(float(nbar)).weights()
+        largest = max(largest, ms.size)
+        X = dynamics._x_block_table(ms, taus)
+        assert dynamics._PHOTON_TABLE.shape[0] == largest
+        np.testing.assert_allclose(X, closed_form_x(ms, taus), rtol=0.0, atol=1e-14)
+    table = dynamics._PHOTON_TABLE
+    m = np.arange(table.shape[0], dtype=float)
+    np.testing.assert_allclose(table[:, 2], np.sqrt(2.0 * (2.0 * m + 3.0)), rtol=1e-15)
+    np.testing.assert_allclose(table[:, 1], np.sqrt(2.0 * (2.0 * m + 1.0)), rtol=1e-15)
+    np.testing.assert_allclose(table[1:, 0], np.sqrt(2.0 * (2.0 * m[1:] - 1.0)), rtol=1e-15)
+    # lower levels read from a grown table are unchanged
+    few = np.array([0, 1, 2, 5])
+    np.testing.assert_allclose(dynamics._x_block_table(few, taus), closed_form_x(few, taus), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("ms", ([0], [3], [0, 1, 2, 3, 4, 5], [2, 7]), ids=str)
+def test_one_atom_table_matches_ladder_closed_form(ms):
+    ms = np.array(ms)
+    taus = np.linspace(0.0, 25.0, 33)
+    Y = dynamics._y_block_table(ms, taus)
+    for i, rabi in ((0, np.sqrt(ms)), (1, np.sqrt(ms + 1.0))):
+        angle = rabi[:, None] * taus[None, :]
+        np.testing.assert_array_equal(Y[i, 0], np.cos(angle))
+        np.testing.assert_array_equal(Y[i, 1], -1j * np.sin(angle))

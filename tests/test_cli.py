@@ -231,7 +231,7 @@ def test_linalg_failure_exits_3(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(cli, "sweep_concurrence", broken)
+    monkeypatch.setattr(cli, "sweep_pairs", broken)
     assert cli.main(["simulate", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
 

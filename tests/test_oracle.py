@@ -16,6 +16,7 @@ from dtcm.dynamics import (
     x_coeff,
 )
 from dtcm.errors import CutoffLeakageError
+from dtcm import oracle
 from dtcm.oracle import (
     build_tc_hamiltonian,
     compare_pipelines,
@@ -198,3 +199,24 @@ def test_single_state_with_unequal_pair_angles_matches_oracle(bell):
         for pair in PAIR_CHOICES:
             expected = oracle_concurrence(Model.DTCM, pair_ab, pair_cd, field_a, field_b, [tau], pair)[0]
             assert abs(concurrence_general(partial_trace(rho, pair).matrix) - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("n_atoms", (1, 2))
+@pytest.mark.parametrize(
+    "field", [FieldSpec.vacuum(), FieldSpec.fock(2), FieldSpec.thermal(0.5)], ids=["vacuum", "fock2", "thermal0.5"]
+)
+def test_cavity_channel_is_the_literal_photon_trace(field, n_atoms):
+    # the per-time Gram product against the plain sum over output and input photons
+    n_max = field.max_photon() + 3
+    H = build_tc_hamiltonian(n_max, n_atoms)
+    taus = np.linspace(0.0, 6.0, 7)
+    dim = 2**n_atoms
+    U5 = oracle._evolution_grid(H, taus).reshape(taus.size, dim, n_max + 1, dim, n_max + 1)
+    ms, ps = field.weights()
+    expected = np.zeros((taus.size, dim, dim, dim, dim), dtype=complex)
+    for m, p in zip(ms, ps):
+        for photon_out in range(n_max + 1):
+            block = U5[:, :, photon_out, :, m]  # [t, atoms out, atoms in]
+            expected += p * block[:, :, None, :, None] * block.conj()[:, None, :, None, :]
+    G = oracle._cavity_channel(U5, field, n_max)
+    np.testing.assert_allclose(G, expected, rtol=0.0, atol=1e-14)
