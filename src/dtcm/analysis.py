@@ -183,7 +183,6 @@ def sweep_pairs(
     pairs: tuple[str, ...],
     alpha_grid: np.ndarray,
     tau_grid: np.ndarray,
-    threads: int = 1,
 ) -> dict[str, list[ConcurrenceCurve]]:
     """Concurrence of several atom pairs over one (alpha, tau) grid, one curve per pair and alpha.
 
@@ -191,8 +190,6 @@ def sweep_pairs(
     built once, and each alpha is then one contraction with that alpha's
     preparation weights.  Every reduced state along the way is validated and
     checked against the X pattern before the fast-path concurrence is taken.
-    ``threads`` must be nonnegative and is otherwise ignored: the sweep runs
-    serially.
     """
     pairs = tuple(pairs)
     if not pairs:
@@ -205,21 +202,21 @@ def sweep_pairs(
         raise ValueError("the single-pair layout only provides the AB pair")
     taus, _ = _as_tau_grid(_validate_grid("tau", tau_grid, 0.0, np.inf))
     alphas = _validate_grid("alpha", alpha_grid, 0.0, np.pi)
-    if threads < 0:
-        raise ValueError("threads must be nonnegative")
     tol_trace = 1e-12 + scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
     curves: dict[str, list[ConcurrenceCurve]] = {pair: [] for pair in pairs}
     for pair, alpha, reduced in _pair_states(scenario, pairs, alphas, taus):
         report = _validate_batch(reduced, tol_herm=1e-12, tol_trace=tol_trace, psd_slack=1e-9)
         if not report.ok:
             raise NumericalError(
-                f"reduced state failed validation at alpha={alpha}: "
+                f"pair {pair}, alpha={alpha}: reduced state failed validation: "
                 f"hermiticity {report.hermiticity_deviation:.3e}, trace {report.trace_deviation:.3e}, "
                 f"min eigenvalue {report.min_eigenvalue:.3e}"
             )
         deviation = x_pattern_deviation(reduced)
         if deviation > _X_SHAPE_TOL:
-            raise NumericalError(f"reduced state left the X shape: off-pattern magnitude {deviation:.3e}")
+            raise NumericalError(
+                f"pair {pair}, alpha={alpha}: reduced state left the X shape: off-pattern magnitude {deviation:.3e}"
+            )
         curves[pair].append(ConcurrenceCurve(pair, alpha, taus, _concurrence_x_batch(reduced)))
     return curves
 
@@ -231,8 +228,14 @@ def sweep_concurrence(
     tau_grid: np.ndarray,
     threads: int = 1,
 ) -> list[ConcurrenceCurve]:
-    """Concurrence of one atom pair over an (alpha, tau) grid: :func:`sweep_pairs` for one pair."""
-    return sweep_pairs(scenario, (pair,), alpha_grid, tau_grid, threads=threads)[pair]
+    """Concurrence of one atom pair over an (alpha, tau) grid: :func:`sweep_pairs` for one pair.
+
+    ``threads`` must be nonnegative and is otherwise ignored: the sweep runs
+    serially.
+    """
+    if threads < 0:
+        raise ValueError("threads must be nonnegative")
+    return sweep_pairs(scenario, (pair,), alpha_grid, tau_grid)[pair]
 
 
 def _zero_runs(below: np.ndarray) -> list[tuple[int, int]]:

@@ -205,9 +205,11 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _sweep_all(cfg: ScenarioConfig, threads: int):
+    if threads < 0:
+        raise ValueError("threads must be nonnegative")
     scenario = Scenario(cfg.model, cfg.bell_type, cfg.field_a, cfg.field_b)
     pairs = tuple(sorted(cfg.pairs))
-    return pairs, sweep_pairs(scenario, pairs, cfg.alphas, cfg.tau, threads=threads)
+    return pairs, sweep_pairs(scenario, pairs, cfg.alphas, cfg.tau)
 
 
 def cmd_simulate(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> None:

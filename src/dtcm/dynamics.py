@@ -188,20 +188,17 @@ class XCoefficientKey:
 # Each two-atom amplitude is base + cos_w (cos(om tau) - 1) + 1j sin_w sin(om tau),
 # with om the frequency of the ladder family its initial pair selects: both
 # atoms excited (om^2 = 2(2m+3)), one excited (2(2m+1)) or none (2(2m-1)).
-# Frequencies and weights depend on the photon number m alone, so they are
-# tabulated once per process; ``_photon_coefficients`` grows the table to
-# the highest level asked for so far.  Row m holds the three family
-# frequencies, then the base, cos and sin weights of the 16 amplitudes
-# ``[pair_in, flips]``.
+# Frequencies and weights depend on the photon number m alone.
 _FAMILY = np.array([0, 1, 1, 2])  # frequency column of each initial pair state
-_PHOTON_TABLE = np.zeros((0, 3 + 3 * 16))
 
 
-def _coefficient_rows(levels: int) -> np.ndarray:
-    m = np.arange(levels, dtype=float)
-    table = np.zeros((levels, 3 + 3 * 16))
+def _coefficient_rows(m: np.ndarray) -> np.ndarray:
+    """Per photon number: the three family frequencies, then the base, cos and
+    sin weights of the 16 amplitudes ``[pair_in, flips]``."""
+    m = np.asarray(m, dtype=float)
+    table = np.zeros((m.size, 3 + 3 * 16))
     freq = table[:, :3]
-    base, cos_w, sin_w = (table[:, 3 + 16 * j : 3 + 16 * (j + 1)].reshape(levels, 4, 4) for j in range(3))
+    base, cos_w, sin_w = (table[:, 3 + 16 * j : 3 + 16 * (j + 1)].reshape(m.size, 4, 4) for j in range(3))
 
     # both atoms excited: chain |11,m> <-> one flip, m+1 <-> |00,m+2>
     freq[:, 2] = np.sqrt(2.0 * (2.0 * m + 3.0))
@@ -222,23 +219,15 @@ def _coefficient_rows(levels: int) -> np.ndarray:
         sin_w[:, pair_in, other] = absorb
 
     # both atoms in the ground state; an empty cavity leaves them stationary
-    # (row 0 keeps frequency 0 and base 1), and sqrt(m(m-1)) kills the
-    # double-absorption branch below m = 2
+    # (frequency 0 and base 1), and sqrt(m(m-1)) kills the double-absorption
+    # branch below m = 2
     base[:, 0, 0] = 1.0
-    live = m[1:]
-    freq[1:, 0] = np.sqrt(2.0 * (2.0 * live - 1.0))
-    cos_w[1:, 0, 0] = live / (2.0 * live - 1.0)
-    sin_w[1:, 0, 1] = sin_w[1:, 0, 2] = -np.sqrt(live / (2.0 * (2.0 * live - 1.0)))
-    cos_w[1:, 0, 3] = np.sqrt(live * (live - 1.0)) / (2.0 * live - 1.0)
-    return table
-
-
-def _photon_coefficients(levels: int) -> np.ndarray:
-    """The coefficient table with at least ``levels`` rows (photon numbers 0..levels-1)."""
-    global _PHOTON_TABLE
-    table = _PHOTON_TABLE
-    if table.shape[0] < levels:
-        table = _PHOTON_TABLE = _coefficient_rows(levels)
+    live = m >= 1.0
+    n = m[live]
+    freq[live, 0] = np.sqrt(2.0 * (2.0 * n - 1.0))
+    cos_w[live, 0, 0] = n / (2.0 * n - 1.0)
+    sin_w[live, 0, 1] = sin_w[live, 0, 2] = -np.sqrt(n / (2.0 * (2.0 * n - 1.0)))
+    cos_w[live, 0, 3] = np.sqrt(n * (n - 1.0)) / (2.0 * n - 1.0)
     return table
 
 
@@ -248,10 +237,9 @@ def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     Returns a complex array indexed ``[pair_in, flips, photon, time]`` where
     ``pair_in = 2i + k`` and ``flips = 2p + q``.
     """
-    m = np.asarray(m).astype(np.intp)
     tau = np.asarray(tau, dtype=float)
-    n_m = m.size
-    rows = _photon_coefficients(int(m.max()) + 1)[m].T  # (3 + 48, photon)
+    rows = _coefficient_rows(m).T  # (3 + 48, photon)
+    n_m = rows.shape[1]
     angles = rows[:3, :, None] * tau
     cos_m1 = (np.cos(angles) - 1.0)[_FAMILY][:, None]
     sin = np.sin(angles)[_FAMILY][:, None]

@@ -1,5 +1,7 @@
 """Unit tests for regime classification, sweeps and event detection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,8 @@ def test_sweep_validates_inputs():
         sweep_concurrence(sc, "AB", np.array([-0.1]), tau)
     with pytest.raises(ValueError):
         sweep_concurrence(sc, "AB", np.array([0.3]), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="threads must be nonnegative"):
+        sweep_concurrence(sc, "AB", np.array([0.3]), tau, threads=-1)
     djcm = Scenario(Model.DJCM, BellType.PSI, VAC, VAC)
     with pytest.raises(ValueError):
         sweep_concurrence(djcm, "CD", np.array([0.3]), tau)
@@ -229,12 +233,12 @@ def test_sweep_pairs_builds_each_channel_once(monkeypatch):
     assert calls == [thermal, VAC]
 
 
-
 def test_state_validity_builds_one_channel_per_scenario(monkeypatch):
     calls = count_channel_builds(monkeypatch)
     result = verification.suite_state_validity()
     assert result.passed, result.line()
     assert len(calls) == 6
+
 
 def test_sweep_concurrence_is_sweep_pairs_for_one_pair():
     sc = Scenario(Model.DTCM, BellType.PHI, FieldSpec.fock(1), VAC)
@@ -275,22 +279,37 @@ def test_sweep_pairs_matches_stacked_route(model, bell):
                 np.testing.assert_allclose(curve.values, _concurrence_x_batch(stacked), rtol=0.0, atol=1e-15)
 
 
-def test_sweep_pairs_validation_failure_names_its_alpha(monkeypatch):
-    # scale the third alpha's weights so its states trace to 2
+def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
+    # scale the weights of BD's third alpha so its states trace to 2
     real = dynamics._branch_weights
     calls = []
 
     def faulty(model, pair_ab, pair_cd):
         calls.append(pair_ab.alpha)
         w = real(model, pair_ab, pair_cd)
-        return 2.0 * w if len(calls) == 3 else w
+        return 2.0 * w if len(calls) == 5 + 3 else w
 
     monkeypatch.setattr(analysis, "_branch_weights", faulty)
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
     alphas = np.linspace(0.1, 1.3, 5)
-    with pytest.raises(NumericalError, match=f"alpha={alphas[2]}:"):
-        sweep_pairs(sc, ("AB",), alphas, np.linspace(0.0, 3.0, 31))
-    assert len(calls) == 3
+    with pytest.raises(NumericalError, match=re.escape(f"pair BD, alpha={alphas[2]}: reduced state failed validation")):
+        sweep_pairs(sc, ("AB", "BD"), alphas, np.linspace(0.0, 3.0, 31))
+    assert len(calls) == 5 + 3
+
+
+def test_sweep_pairs_x_shape_failure_names_its_pair_and_alpha(monkeypatch):
+    real = analysis.x_pattern_deviation
+    calls = []
+
+    def faulty(states):
+        calls.append(None)
+        return 1.0 if len(calls) == 2 else real(states)
+
+    monkeypatch.setattr(analysis, "x_pattern_deviation", faulty)
+    sc = Scenario(Model.DTCM, BellType.PHI, VAC, VAC)
+    alphas = np.array([0.2, 0.7, 1.1])
+    with pytest.raises(NumericalError, match=re.escape(f"pair CD, alpha={alphas[1]}: reduced state left the X shape")):
+        sweep_pairs(sc, ("CD",), alphas, np.linspace(0.0, 3.0, 31))
 
 
 def test_sweep_pairs_validates_pairs():

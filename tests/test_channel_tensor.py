@@ -93,24 +93,14 @@ def closed_form_x(m, tau):
     return X
 
 
-def test_photon_table_grows_only_to_the_largest_level(monkeypatch):
-    # start from an empty table: hot thermal queries each ask for a few more levels
-    monkeypatch.setattr(dynamics, "_PHOTON_TABLE", np.zeros((0, dynamics._PHOTON_TABLE.shape[1])))
+def test_two_atom_table_matches_closed_form_on_hot_fields():
+    # hot thermal queries each ask for a different number of levels
     taus = np.linspace(0.0, 25.0, 7)
-    largest = 0
     for nbar in np.linspace(12.0, 16.0, 50):
         ms, _ = FieldSpec.thermal(float(nbar)).weights()
-        largest = max(largest, ms.size)
-        X = dynamics._x_block_table(ms, taus)
-        assert dynamics._PHOTON_TABLE.shape[0] == largest
-        np.testing.assert_allclose(X, closed_form_x(ms, taus), rtol=0.0, atol=1e-14)
-    table = dynamics._PHOTON_TABLE
-    m = np.arange(table.shape[0], dtype=float)
-    np.testing.assert_allclose(table[:, 2], np.sqrt(2.0 * (2.0 * m + 3.0)), rtol=1e-15)
-    np.testing.assert_allclose(table[:, 1], np.sqrt(2.0 * (2.0 * m + 1.0)), rtol=1e-15)
-    np.testing.assert_allclose(table[1:, 0], np.sqrt(2.0 * (2.0 * m[1:] - 1.0)), rtol=1e-15)
-    # lower levels read from a grown table are unchanged
-    few = np.array([0, 1, 2, 5])
+        np.testing.assert_allclose(dynamics._x_block_table(ms, taus), closed_form_x(ms, taus), rtol=0.0, atol=1e-14)
+    # photon numbers in any order, empty cavity included
+    few = np.array([5, 0, 2, 1])
     np.testing.assert_allclose(dynamics._x_block_table(few, taus), closed_form_x(few, taus), rtol=0.0, atol=1e-15)
 
 
