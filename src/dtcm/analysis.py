@@ -240,17 +240,9 @@ def sweep_concurrence(
 
 def _zero_runs(below: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True as (start, stop) index pairs, stop exclusive."""
-    runs = []
-    start = None
-    for idx, flag in enumerate(below):
-        if flag and start is None:
-            start = idx
-        elif not flag and start is not None:
-            runs.append((start, idx))
-            start = None
-    if start is not None:
-        runs.append((start, len(below)))
-    return runs
+    # padded with False on both sides, every run opens and closes on a change
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], np.asarray(below, dtype=bool), [False]))))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
 def detect_esd(curve: ConcurrenceCurve, zero_tol: float = 1e-9, min_zero_points: int = 3) -> EsdEvents:

@@ -204,20 +204,18 @@ def _write_text(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
-def _sweep_all(cfg: ScenarioConfig, threads: int):
-    if threads < 0:
-        raise ValueError("threads must be nonnegative")
+def _sweep_all(cfg: ScenarioConfig):
     scenario = Scenario(cfg.model, cfg.bell_type, cfg.field_a, cfg.field_b)
     pairs = tuple(sorted(cfg.pairs))
     return pairs, sweep_pairs(scenario, pairs, cfg.alphas, cfg.tau)
 
 
-def cmd_simulate(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> None:
+def cmd_simulate(cfg: ScenarioConfig, out: Optional[str]) -> None:
     """Write concurrence samples as CSV: tau,alpha,pair,concurrence.
 
     Rows are ordered alpha-major, then pair (lexicographic), then tau.
     """
-    pairs, curves = _sweep_all(cfg, threads)
+    pairs, curves = _sweep_all(cfg)
     # one joined block per curve: no string object per row outlives its curve
     blocks = ["tau,alpha,pair,concurrence"]
     tau_text = [_fmt(t) for t in cfg.tau]
@@ -231,9 +229,9 @@ def cmd_simulate(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> N
     _write_text(out, "\n".join(blocks) + "\n")
 
 
-def cmd_events(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> None:
+def cmd_events(cfg: ScenarioConfig, out: Optional[str]) -> None:
     """Write death/revival/birth events as CSV, empty fields when absent."""
-    pairs, curves = _sweep_all(cfg, threads)
+    pairs, curves = _sweep_all(cfg)
     lines = ["alpha,pair,death_time,revival_time,birth_time"]
     for index, alpha in enumerate(cfg.alphas):
         for pair in pairs:
@@ -250,12 +248,12 @@ def cmd_events(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> Non
     _write_text(out, "\n".join(lines) + "\n")
 
 
-def cmd_plotdata(cfg: ScenarioConfig, out: Optional[str], threads: int = 1) -> None:
+def cmd_plotdata(cfg: ScenarioConfig, out: Optional[str]) -> None:
     """Write a whitespace matrix: first row the tau grid, then one row per
     alpha (the alpha value followed by the concurrences)."""
     if len(cfg.pairs) != 1:
         raise ConfigError("plotdata needs a config with exactly one pair")
-    _, curves = _sweep_all(cfg, threads)
+    _, curves = _sweep_all(cfg)
     rows = [" ".join(_fmt(t) for t in cfg.tau)]
     for curve in curves[cfg.pairs[0]]:
         rows.append(" ".join([_fmt(curve.alpha)] + [_fmt(v) for v in curve.values]))
@@ -321,11 +319,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError("threads must be nonnegative")
         out = args.out if args.out is not None else cfg.output
         if args.command == "simulate":
-            cmd_simulate(cfg, out, args.threads)
+            cmd_simulate(cfg, out)
         elif args.command == "events":
-            cmd_events(cfg, out, args.threads)
+            cmd_events(cfg, out)
         else:
-            cmd_plotdata(cfg, out, args.threads)
+            cmd_plotdata(cfg, out)
         return 0
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # before ValueError: LinAlgError subclasses it but is a numerical failure

@@ -144,7 +144,7 @@ class FieldSpec:
 
     def max_photon(self) -> int:
         """Highest photon number carrying weight."""
-        return self.truncation_level() if self.kind == "thermal" else (self.n if self.kind == "fock" else 0)
+        return self.truncation_level()
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +459,13 @@ def jc_amplitudes(i: int, n: int, tau: float) -> list[tuple[int, int, complex]]:
 _CAVITY_LABELS = {Model.DTCM: ("AC", "BD"), Model.DJCM: ("A", "B")}
 
 
-def _pair_weights(pair_ab: BellPairSpec, pair_cd: BellPairSpec) -> np.ndarray:
-    a_ab = pair_ab.amplitudes()
-    a_cd = pair_cd.amplitudes()
-    return np.array([a_ab[i] * a_cd[k] for i in (0, 1) for k in (0, 1)])
-
-
 def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) -> np.ndarray:
     """W = outer(amp, amp) over cavity a's preparation branches, flattened to match a kernel."""
     if pair_ab.bell_type is not pair_cd.bell_type:
         raise ValueError("both pairs must share the same Bell type")
-    amp = _pair_weights(pair_ab, pair_cd) if model is Model.DTCM else np.array(pair_ab.amplitudes())
+    amp = np.array(pair_ab.amplitudes())
+    if model is Model.DTCM:
+        amp = np.outer(amp, pair_cd.amplitudes()).ravel()  # branches (A,C) of cavity a
     return np.outer(amp, amp).ravel()
 
 

@@ -3,11 +3,13 @@
 Builds the resonant interaction Hamiltonian for one or two atoms sharing a
 cavity mode, exponentiates it exactly through its eigendecomposition and
 reduces the evolved state by plain numerical traces.  Deliberately literal:
-no closed-form amplitudes and no selection rules enter anywhere, so this is
-an independent check of the analytic pipeline.
+the start state is written out from explicit Bell vectors, and no
+closed-form amplitudes, selection rules or preparation weights enter
+anywhere, so this is an independent check of the analytic pipeline.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,6 @@ from .dynamics import (
     _as_tau_grid,
     _assemble_djcm_grid,
     _assemble_dtcm_grid,
-    _pair_weights,
 )
 from .errors import CutoffLeakageError
 
@@ -161,6 +162,14 @@ def _channel_leak(U5: np.ndarray, field: FieldSpec, atom_probs: np.ndarray, n_ma
     return float(leak_t.max())
 
 
+def _bell_vector(spec: BellPairSpec) -> np.ndarray:
+    """The pair's start state over |00>, |01>, |10>, |11>, written from its definition."""
+    c, s = math.cos(spec.alpha), math.sin(spec.alpha)
+    if spec.bell_type is BellType.PSI:
+        return np.array([0.0, s, c, 0.0])  # cos(a)|10> + sin(a)|01>
+    return np.array([s, 0.0, 0.0, c])  # sin(a)|00> + cos(a)|11>
+
+
 def oracle_atomic_grid(
     pair_ab: BellPairSpec,
     pair_cd: BellPairSpec,
@@ -172,10 +181,12 @@ def oracle_atomic_grid(
 ) -> np.ndarray:
     """Reduced atomic state over a time grid, computed without closed forms.
 
-    Evolves each cavity register numerically, traces the photons and combines
-    the two cavities through the initial superposition weights.  Output
-    matches :func:`dtcm.dynamics.assemble_atomic_state` conventions: (T,16,16)
-    over (A,B,C,D) for the two-pair layout, (T,4,4) over (A,B) otherwise.
+    Writes the atoms' start vector out from explicit Bell vectors, splits its
+    qubits into cavity a's register and cavity b's, and applies to the
+    resulting density matrix the two cavity maps obtained by evolving each
+    register numerically and tracing its photons.  Output matches
+    :func:`dtcm.dynamics.assemble_atomic_state` conventions: (T,16,16) over
+    (A,B,C,D) for the two-pair layout, (T,4,4) over (A,B) otherwise.
     """
     n_atoms = 2 if model is Model.DTCM else 1
     H = build_tc_hamiltonian(n_max, n_atoms)
@@ -187,29 +198,25 @@ def oracle_atomic_grid(
     if model is Model.DTCM:
         if pair_ab.bell_type is not pair_cd.bell_type:
             raise ValueError("both pairs must share the same Bell type")
-        amp = _pair_weights(pair_ab, pair_cd)
-        prime = np.array([3, 2, 1, 0]) if pair_ab.bell_type is BellType.PSI else np.arange(4)
+        # psi[register a, register b]: (A,B,C,D) -> (A,C) of cavity a, (B,D) of cavity b
+        psi = np.kron(_bell_vector(pair_ab), _bell_vector(pair_cd)).reshape(2, 2, 2, 2)
+        psi = psi.transpose(0, 2, 1, 3).reshape(4, 4)
     else:
         if pair_cd != pair_ab:
             raise ValueError("the single-pair layout has no (C,D) pair; pass pair_cd equal to pair_ab")
-        a0, a1 = pair_ab.amplitudes()
-        amp = np.array([a0, a1])
-        prime = np.array([1, 0]) if pair_ab.bell_type is BellType.PSI else np.arange(2)
+        psi = _bell_vector(pair_ab).reshape(2, 2)
 
-    # tracing the partner cavity leaves each register's atoms in a diagonal
-    # mixture of the superposition branches
-    probs_a = amp**2
-    probs_b = probs_a[np.argsort(prime)]
-    for fld, probs in ((field_a, probs_a), (field_b, probs_b)):
+    # each register's atom populations, the partner register traced out
+    populations = np.abs(psi) ** 2
+    for fld, probs in ((field_a, populations.sum(axis=1)), (field_b, populations.sum(axis=0))):
         leak = _channel_leak(U5, fld, probs, n_max)
         if leak > _LEAK_TOL:
             raise CutoffLeakageError(f"population {leak:.3e} within one photon of n_max={n_max}")
 
     Ga = _cavity_channel(U5, field_a, n_max)
     Gb = _cavity_channel(U5, field_b, n_max)
-    Gbp = Gb[:, :, :, prime][:, :, :, :, prime]
-    W = np.outer(amp, amp)
-    rho = np.einsum("sz,trcsz,tuwsz->trucw", W, Ga, Gbp)
+    rho0 = np.multiply.outer(psi, psi.conj())  # psi (x) psi*, [ket_a, ket_b, bra_a, bra_b]
+    rho = np.einsum("trcsz,tuwyv,syzv->trucw", Ga, Gb, rho0, optimize=True)
     if model is Model.DJCM:
         return rho.reshape(taus.size, 4, 4)
     rho = rho.reshape(taus.size, 2, 2, 2, 2, 2, 2, 2, 2)

@@ -142,9 +142,13 @@ def _oracle_cases(level: str) -> list[tuple[Scenario, float, np.ndarray, int]]:
             for alpha in alphas:
                 cases.append((Scenario(Model.DTCM, bell, fld, fld), alpha, taus, 6))
     if level == FULL:
+        vacuum, fock1 = FieldSpec.vacuum(), FieldSpec.fock(1)
         for bell in (BellType.PSI, BellType.PHI):
-            for fld in (FieldSpec.vacuum(), FieldSpec.fock(1)):
+            for fld in (vacuum, fock1):
                 cases.append((Scenario(Model.DJCM, bell, fld, fld), np.pi / 8, taus, 6))
+            # unequal fields: the two cavities' channels differ
+            cases.append((Scenario(Model.DTCM, bell, vacuum, fock1), np.pi / 8, taus, 6))
+            cases.append((Scenario(Model.DJCM, bell, fock1, vacuum), np.pi / 8, taus, 6))
     return cases
 
 

@@ -147,6 +147,35 @@ def test_esd_events_pairing_validated():
         EsdEvents(death_time=2.0, revival_time=1.0)
 
 
+def reference_zero_runs(below):
+    runs, start = [], None
+    for idx, flag in enumerate(below):
+        if flag and start is None:
+            start = idx
+        elif not flag and start is not None:
+            runs.append((start, idx))
+            start = None
+    if start is not None:
+        runs.append((start, len(below)))
+    return runs
+
+
+def test_zero_runs_matches_reference_loop():
+    rng = np.random.default_rng(20261018)
+    masks = [rng.random(size) < fill for size in (1, 2, 7, 50, 500) for fill in (0.2, 0.5, 0.9)]
+    masks += [
+        np.zeros(0, dtype=bool),
+        np.ones(9, dtype=bool),
+        np.zeros(9, dtype=bool),
+        np.array([True, True, False, False, True, False]),  # leading run
+        np.array([False, True, False, True, True, True]),  # trailing run
+    ]
+    for below in masks:
+        runs = analysis._zero_runs(below)
+        assert runs == reference_zero_runs(below)
+        assert all(type(i) is int for run in runs for i in run)
+
+
 def test_esb_onset():
     events = detect_esb(curve([0.0, 0.0, 0.0, 0.1, 0.4]))
     assert events.birth_time == 2.0

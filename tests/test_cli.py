@@ -218,9 +218,6 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert "unknown preset" in capsys.readouterr().err
     assert cli.main(["simulate", "--config", cfg, "--threads", "-1"]) == 2
     assert "threads must be nonnegative" in capsys.readouterr().err
-    for command in (cli.cmd_simulate, cli.cmd_events):
-        with pytest.raises(ValueError, match="threads must be nonnegative"):
-            command(cli.parse_config_text(BASE), None, -1)
 
     broken = write_cfg(tmp_path, rewrite(alpha="9.9"), name="broken.cfg")
     assert cli.main(["simulate", "--config", broken]) == 2

@@ -1,5 +1,7 @@
 """Unit tests for the brute-force evolution oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from dtcm.dynamics import (
     x_coeff,
 )
 from dtcm.errors import CutoffLeakageError
-from dtcm import oracle
+from dtcm import analysis, dynamics, oracle, verification
 from dtcm.oracle import (
     build_tc_hamiltonian,
     compare_pipelines,
@@ -220,3 +222,81 @@ def test_cavity_channel_is_the_literal_photon_trace(field, n_atoms):
             expected += p * block[:, :, None, :, None] * block.conj()[:, None, :, None, :]
     G = oracle._cavity_channel(U5, field, n_max)
     np.testing.assert_allclose(G, expected, rtol=0.0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the whole system at once: no per-cavity channel, no preparation weights
+# ---------------------------------------------------------------------------
+
+
+def literal_pair(spec):
+    """The pair's amplitudes [first atom, second atom]."""
+    amps = np.zeros((2, 2))
+    c, s = np.cos(spec.alpha), np.sin(spec.alpha)
+    if spec.bell_type is BellType.PSI:
+        amps[1, 0], amps[0, 1] = c, s
+    else:
+        amps[0, 0], amps[1, 1] = s, c
+    return amps
+
+
+def joint_atomic_grid(pair_ab, pair_cd, field_a, field_b, taus, n_max):
+    """Four atoms and both modes as one pure state per Fock pair, evolved under U_a (x) U_b.
+
+    Each start vector is indexed [(A, C, photon a), (B, D, photon b)]; after
+    evolution both photon numbers are traced out and the Fock pairs summed
+    with their field weights.
+    """
+    n_ph = n_max + 1
+    U = oracle._evolution_grid(build_tc_hamiltonian(n_max, 2), taus)
+    atoms = np.einsum("ab,cd->acbd", literal_pair(pair_ab), literal_pair(pair_cd)).reshape(4, 4)
+    rho = np.zeros((taus.size, 4, 4, 4, 4), dtype=complex)  # [t, ket (A,C), ket (B,D), bra (A,C), bra (B,D)]
+    for m_a, p_a in zip(*field_a.weights()):
+        for m_b, p_b in zip(*field_b.weights()):
+            start = np.zeros((4, n_ph, 4, n_ph))
+            start[:, m_a, :, m_b] = atoms
+            psi = U @ start.reshape(4 * n_ph, 4 * n_ph) @ U.transpose(0, 2, 1)
+            psi = psi.reshape(taus.size, 4, n_ph, 4, n_ph)
+            rho += p_a * p_b * np.einsum("tanbm,tcndm->tabcd", psi, psi.conj())
+    rho = rho.reshape((taus.size,) + (2,) * 8).transpose(0, 1, 3, 2, 4, 5, 7, 6, 8)  # (A,C,B,D) -> (A,B,C,D)
+    return rho.reshape(taus.size, 16, 16)
+
+
+@pytest.mark.parametrize("bell", list(BellType), ids=lambda b: b.value)
+@pytest.mark.parametrize("alphas", [(0.3, 0.3), (0.4, 1.2)], ids=["equal-angles", "unequal-angles"])
+@pytest.mark.parametrize(
+    "field_a, field_b",
+    [
+        (FieldSpec.vacuum(), FieldSpec.fock(1)),
+        (FieldSpec.fock(2), FieldSpec.vacuum()),
+        (FieldSpec.thermal(0.1), FieldSpec.fock(1)),
+    ],
+    ids=["vacuum-fock1", "fock2-vacuum", "thermal0.1-fock1"],
+)
+def test_joint_evolution_matches_oracle_and_closed_forms(bell, alphas, field_a, field_b):
+    pair_ab, pair_cd = BellPairSpec(bell, alphas[0]), BellPairSpec(bell, alphas[1])
+    taus = np.linspace(0.0, 6.0, 13)
+    n_max = max(6, field_a.max_photon() + 3, field_b.max_photon() + 3)
+    joint = joint_atomic_grid(pair_ab, pair_cd, field_a, field_b, taus, n_max)
+    reference = oracle_atomic_grid(pair_ab, pair_cd, field_a, field_b, taus, n_max)
+    np.testing.assert_allclose(reference, joint, rtol=0.0, atol=1e-12)
+    analytic = dynamics._assemble_dtcm_grid(pair_ab, pair_cd, field_a, field_b, taus)
+    np.testing.assert_allclose(analytic, joint, rtol=0.0, atol=1e-12)
+
+
+def test_verify_catches_a_preparation_weight_fault(monkeypatch):
+    # reading every angle as pi/2 - alpha swaps each pair's branch amplitudes
+    original = dynamics._branch_weights
+
+    def swapped(spec):
+        return SimpleNamespace(bell_type=spec.bell_type, amplitudes=lambda: spec.amplitudes()[::-1])
+
+    def mirrored(model, pair_ab, pair_cd):
+        return original(model, swapped(pair_ab), swapped(pair_cd))
+
+    # the sweeps reach the weights through analysis's own reference
+    monkeypatch.setattr(dynamics, "_branch_weights", mirrored)
+    monkeypatch.setattr(analysis, "_branch_weights", mirrored)
+    assert not verification.suite_oracle_agreement(verification.QUICK).passed
+    # the fault keeps every exchange symmetry, so only the independent oracle sees it
+    assert verification.suite_pair_symmetries().passed
