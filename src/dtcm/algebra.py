@@ -12,6 +12,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .errors import NumericalError
+
 CANONICAL_LABELS = ("A", "B", "C", "D")
 
 
@@ -153,3 +155,15 @@ def _validate_batch(
     eigs = np.linalg.eigvalsh((mats + adj) / 2.0)
     min_eig = float(eigs.min().real)
     return ValidationReport(herm_dev, trace_dev, min_eig, tol_herm, tol_trace, psd_slack)
+
+
+def _require_valid(mats: np.ndarray, trace_slack: float, what: str) -> None:
+    """Raise ``NumericalError`` naming ``what`` unless the batch passes validation, the trace
+    bar widened by ``trace_slack`` (the mass a thermal truncation drops)."""
+    report = _validate_batch(mats, tol_herm=1e-12, tol_trace=1e-12 + trace_slack, psd_slack=1e-9)
+    if not report.ok:
+        raise NumericalError(
+            f"{what} failed validation: "
+            f"hermiticity {report.hermiticity_deviation:.3e}, trace {report.trace_deviation:.3e}, "
+            f"min eigenvalue {report.min_eigenvalue:.3e}"
+        )

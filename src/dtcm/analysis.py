@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _validate_batch
+from .algebra import CANONICAL_LABELS, _require_valid
 from .concurrence import _concurrence_x_batch, x_pattern_deviation
 from .dynamics import (
     BellPairSpec,
     BellType,
     FieldSpec,
     Model,
+    _CAVITY_LABELS,
     _apply_weights,
     _as_tau_grid,
     _branch_weights,
@@ -29,7 +30,7 @@ from .errors import NumericalError
 
 PAIR_CHOICES = ("AB", "CD", "AC", "BD")
 
-_PAIR_POSITIONS = {"AB": (0, 1), "CD": (2, 3), "AC": (0, 2), "BD": (1, 3)}
+_PAIR_POSITIONS = {pair: tuple(CANONICAL_LABELS.index(q) for q in pair) for pair in PAIR_CHOICES}
 
 _X_SHAPE_TOL = 1e-10  # these scenarios provably preserve the X shape
 
@@ -163,6 +164,12 @@ def _validate_grid(name: str, values: np.ndarray, minimum: float, maximum: float
     return arr
 
 
+def _model_pairs(model: Model) -> tuple[str, ...]:
+    """The pairs of :data:`PAIR_CHOICES` whose two atoms both sit in the model's cavities."""
+    qubits = "".join(_CAVITY_LABELS[model])
+    return tuple(pair for pair in PAIR_CHOICES if set(pair) <= set(qubits))
+
+
 def _pair_states(scenario: Scenario, pairs: tuple[str, ...], alphas: np.ndarray, taus: np.ndarray):
     """Yield (pair, alpha, reduced states on ``taus``) for every pair, then every alpha.
 
@@ -198,20 +205,14 @@ def sweep_pairs(
         raise ValueError(f"pair must be one of {PAIR_CHOICES}")
     if len(set(pairs)) != len(pairs):
         raise ValueError("pairs must not repeat")
-    if scenario.model is Model.DJCM and any(pair != "AB" for pair in pairs):
+    if not set(pairs) <= set(_model_pairs(scenario.model)):
         raise ValueError("the single-pair layout only provides the AB pair")
     taus, _ = _as_tau_grid(_validate_grid("tau", tau_grid, 0.0, np.inf))
     alphas = _validate_grid("alpha", alpha_grid, 0.0, np.pi)
-    tol_trace = 1e-12 + scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
+    trace_slack = scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
     curves: dict[str, list[ConcurrenceCurve]] = {pair: [] for pair in pairs}
     for pair, alpha, reduced in _pair_states(scenario, pairs, alphas, taus):
-        report = _validate_batch(reduced, tol_herm=1e-12, tol_trace=tol_trace, psd_slack=1e-9)
-        if not report.ok:
-            raise NumericalError(
-                f"pair {pair}, alpha={alpha}: reduced state failed validation: "
-                f"hermiticity {report.hermiticity_deviation:.3e}, trace {report.trace_deviation:.3e}, "
-                f"min eigenvalue {report.min_eigenvalue:.3e}"
-            )
+        _require_valid(reduced, trace_slack, f"pair {pair}, alpha={alpha}: reduced state")
         deviation = x_pattern_deviation(reduced)
         if deviation > _X_SHAPE_TOL:
             raise NumericalError(

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import PAIR_CHOICES, Scenario, detect_esb, detect_esd, sweep_pairs
+from .analysis import PAIR_CHOICES, Scenario, _model_pairs, detect_esb, detect_esd, sweep_pairs
 from .dynamics import BellType, FieldSpec, Model
 from .errors import ConfigError, NumericalError
 from .verification import run_verification
@@ -155,7 +155,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         raise ConfigError(f"pairs: unknown pair names {unknown}; choose from {PAIR_CHOICES}")
     if len(set(pairs)) != len(pairs):
         raise ConfigError("pairs: duplicate pair names")
-    if model is Model.DJCM and any(p != "AB" for p in pairs):
+    if not set(pairs) <= set(_model_pairs(model)):
         raise ConfigError("pairs: the DJCM layout only provides the AB pair")
 
     return ScenarioConfig(
@@ -192,8 +192,11 @@ def load_preset(name: str) -> ScenarioConfig:
     return parse_config_text(candidate.read_text(encoding="utf-8"))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
+def _fmt(values) -> list[str]:
+    """Every number the CLI writes, as ``.12g`` text (None gives an empty field)."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # one conversion to Python floats, not one per value
+    return ["" if v is None else format(v, ".12g") for v in values]
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -218,14 +221,12 @@ def cmd_simulate(cfg: ScenarioConfig, out: Optional[str]) -> None:
     pairs, curves = _sweep_all(cfg)
     # one joined block per curve: no string object per row outlives its curve
     blocks = ["tau,alpha,pair,concurrence"]
-    tau_text = [_fmt(t) for t in cfg.tau]
-    for index, alpha in enumerate(cfg.alphas):
-        alpha_text = _fmt(alpha)
+    tau_text = _fmt(cfg.tau)
+    for index, alpha_text in enumerate(_fmt(cfg.alphas)):
         for pair in pairs:
             middle = f",{alpha_text},{pair},"
-            values = curves[pair][index].values.tolist()
-            # the text _fmt gives; tolist() already made the values Python floats
-            blocks.append("\n".join([t + middle + format(v, ".12g") for t, v in zip(tau_text, values)]))
+            values = _fmt(curves[pair][index].values)
+            blocks.append("\n".join([t + middle + v for t, v in zip(tau_text, values)]))
     _write_text(out, "\n".join(blocks) + "\n")
 
 
@@ -233,18 +234,15 @@ def cmd_events(cfg: ScenarioConfig, out: Optional[str]) -> None:
     """Write death/revival/birth events as CSV, empty fields when absent."""
     pairs, curves = _sweep_all(cfg)
     lines = ["alpha,pair,death_time,revival_time,birth_time"]
-    for index, alpha in enumerate(cfg.alphas):
+    for index, alpha_text in enumerate(_fmt(cfg.alphas)):
         for pair in pairs:
             curve = curves[pair][index]
             esd = detect_esd(curve, zero_tol=_ZERO_TOL)
-            birth = ""
+            birth = None
             if curve.values[0] < _ZERO_TOL:
-                esb = detect_esb(curve, zero_tol=_ZERO_TOL)
-                if esb.birth_time is not None:
-                    birth = _fmt(esb.birth_time)
-            death = _fmt(esd.death_time) if esd.death_time is not None else ""
-            revival = _fmt(esd.revival_time) if esd.revival_time is not None else ""
-            lines.append(f"{_fmt(alpha)},{pair},{death},{revival},{birth}")
+                birth = detect_esb(curve, zero_tol=_ZERO_TOL).birth_time
+            times = ",".join(_fmt([esd.death_time, esd.revival_time, birth]))
+            lines.append(f"{alpha_text},{pair},{times}")
     _write_text(out, "\n".join(lines) + "\n")
 
 
@@ -254,9 +252,9 @@ def cmd_plotdata(cfg: ScenarioConfig, out: Optional[str]) -> None:
     if len(cfg.pairs) != 1:
         raise ConfigError("plotdata needs a config with exactly one pair")
     _, curves = _sweep_all(cfg)
-    rows = [" ".join(_fmt(t) for t in cfg.tau)]
+    rows = [" ".join(_fmt(cfg.tau))]
     for curve in curves[cfg.pairs[0]]:
-        rows.append(" ".join([_fmt(curve.alpha)] + [_fmt(v) for v in curve.values]))
+        rows.append(" ".join(_fmt([curve.alpha]) + _fmt(curve.values)))
     _write_text(out, "\n".join(rows) + "\n")
 
 

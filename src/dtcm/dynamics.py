@@ -22,8 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import DensityMatrix, _partial_trace_array, validate_density
-from .errors import NumericalError
+from .algebra import DensityMatrix, _require_valid
 
 _TauLike = Union[float, np.ndarray]
 
@@ -484,30 +483,27 @@ def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, 
     ``Eb`` from :func:`_channels`), so the state is
     sum_sz W[s, z] Ea[t, :, :, s, z] (x) Eb[t, :, :, s', z'], with W the
     preparation weights and s' the branch bits of cavity b's atoms (flipped
-    for psi, repeated for phi).  Each channel is traced down to the kept
-    qubits first (a cavity with none kept reduces to its trace), then the two
-    are multiplied.  ``_apply_weights(K, _branch_weights(...))`` is the
-    reduced state, its qubits in A<B<C<D order.
+    for psi, repeated for phi).  Every axis is named after its qubit: a ket
+    index by the qubit's letter, a bra index by the same letter where the
+    qubit is traced and by its lower case where it is kept.  Each channel is
+    traced down to its kept qubits, then the product of the two is laid out
+    in A<B<C<D order.  ``_apply_weights(K, _branch_weights(...))`` is the
+    reduced state.
     """
-    labels_a, labels_b = _CAVITY_LABELS[model]
-    n_atoms = len(labels_a)
-    n_branch = 2**n_atoms
-    # cavity b's branch bits run reversed for psi (flipped bits), as-is for phi
-    partner = slice(None, None, -1) if bell_type is BellType.PSI else slice(None)
-    reduced, order = [], ""
-    for E, labels, rows in ((Ea, labels_a, slice(None)), (Eb, labels_b, partner)):
-        kept = [pos for pos, lab in enumerate(labels) if lab in keep]
-        R = _partial_trace_array(np.moveaxis(E, (1, 2), (3, 4)), n_atoms, kept)  # [t, s, z, row, col]
-        reduced.append(np.moveaxis(R[:, rows, rows], (1, 2), (3, 4)))  # [t, row, col, s, z]
-        order += "".join(labels[pos] for pos in kept)
-    Ra, Rb = reduced
-    # [t, row_a, row_b, col_a, col_b, s, z]
-    K = np.multiply(Ra[:, :, None, :, None], Rb[:, None, :, None, :], order="C")
-    n_t, n_kept = Ea.shape[0], len(order)
-    perm = [order.index(lab) for lab in sorted(order)]
-    K = K.reshape((n_t,) + (2,) * (2 * n_kept) + (n_branch**2,))
-    K = K.transpose([0] + [1 + p for p in perm] + [1 + n_kept + p for p in perm] + [1 + 2 * n_kept])
-    return K.reshape(n_t, 2**n_kept, 2**n_kept, n_branch**2)
+    if bell_type is BellType.PSI:
+        Eb = Eb[..., ::-1, ::-1]  # cavity b's branch bits are cavity a's, flipped
+    traced, axes, order = [], [], ""
+    for E, labels in zip((Ea, Eb), _CAVITY_LABELS[model]):
+        kept = "".join(lab for lab in labels if lab in keep)
+        bras = "".join(lab.lower() if lab in kept else lab for lab in labels)
+        qubits = E.reshape(E.shape[:1] + (2,) * (2 * len(labels)) + E.shape[-2:])
+        axes.append(f"t{kept}{kept.lower()}sz")
+        traced.append(np.einsum(f"t{labels}{bras}sz->{axes[-1]}", qubits))
+        order += kept
+    order = "".join(sorted(order))
+    K = np.einsum(f"{axes[0]},{axes[1]}->t{order}{order.lower()}sz", *traced, optimize=True)
+    d = 2 ** len(order)
+    return K.reshape(Ea.shape[0], d, d, Ea.shape[-1] ** 2)
 
 
 def _apply_weights(K: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -515,29 +511,30 @@ def _apply_weights(K: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (K.reshape(-1, w.size) @ w).reshape(K.shape[:-1])
 
 
+def _assemble_grid(
+    model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray
+) -> np.ndarray:
+    """Joint state of every atom the layout holds on a time grid, qubits in A<B<C<D order."""
+    if model not in _CAVITY_LABELS:
+        raise ValueError(f"unknown model {model!r}")
+    qubits = "".join(_CAVITY_LABELS[model])
+    if "C" not in qubits and pair_cd != pair_ab:
+        raise ValueError("the single-pair layout has no (C,D) pair; pass pair_cd equal to pair_ab")
+    w = _branch_weights(model, pair_ab, pair_cd)
+    channels = _channels(model, field_a, field_b, taus)
+    return _apply_weights(_combine(model, pair_ab.bell_type, *channels, qubits), w)
+
+
 def _assemble_dtcm_grid(
-    pair_ab: BellPairSpec,
-    pair_cd: BellPairSpec,
-    field_a: FieldSpec,
-    field_b: FieldSpec,
-    taus: np.ndarray,
+    pair_ab: BellPairSpec, pair_cd: BellPairSpec, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray
 ) -> np.ndarray:
     """Joint four-atom state on a time grid, basis ordered A,B,C,D."""
-    w = _branch_weights(Model.DTCM, pair_ab, pair_cd)
-    channels = _channels(Model.DTCM, field_a, field_b, taus)
-    return _apply_weights(_combine(Model.DTCM, pair_ab.bell_type, *channels, "ABCD"), w)
+    return _assemble_grid(Model.DTCM, pair_ab, pair_cd, field_a, field_b, taus)
 
 
-def _assemble_djcm_grid(
-    pair_ab: BellPairSpec,
-    field_a: FieldSpec,
-    field_b: FieldSpec,
-    taus: np.ndarray,
-) -> np.ndarray:
+def _assemble_djcm_grid(pair_ab: BellPairSpec, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray) -> np.ndarray:
     """Two-atom state on a time grid for the one-atom-per-cavity layout."""
-    w = _branch_weights(Model.DJCM, pair_ab, pair_ab)
-    channels = _channels(Model.DJCM, field_a, field_b, taus)
-    return _apply_weights(_combine(Model.DJCM, pair_ab.bell_type, *channels, "AB"), w)
+    return _assemble_grid(Model.DJCM, pair_ab, pair_ab, field_a, field_b, taus)
 
 
 def assemble_atomic_state(
@@ -556,23 +553,6 @@ def assemble_atomic_state(
     the trace tolerance allows for the mass dropped by thermal truncation.
     """
     taus, _ = _as_tau_grid(float(tau))
-    if model is Model.DTCM:
-        grid = _assemble_dtcm_grid(pair_ab, pair_cd, field_a, field_b, taus)
-        labels = ("A", "B", "C", "D")
-    elif model is Model.DJCM:
-        if pair_cd != pair_ab:
-            raise ValueError("the single-pair layout has no (C,D) pair; pass pair_cd equal to pair_ab")
-        grid = _assemble_djcm_grid(pair_ab, field_a, field_b, taus)
-        labels = ("A", "B")
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    mat = grid[0]
-    tol_trace = 1e-12 + field_a.weight_deficit() + field_b.weight_deficit()
-    report = validate_density(mat, tol_herm=1e-12, tol_trace=tol_trace, psd_slack=1e-9)
-    if not report.ok:
-        raise NumericalError(
-            "assembled state failed validation: "
-            f"hermiticity {report.hermiticity_deviation:.3e}, trace {report.trace_deviation:.3e}, "
-            f"min eigenvalue {report.min_eigenvalue:.3e}"
-        )
-    return DensityMatrix(mat, labels)
+    grid = _assemble_grid(model, pair_ab, pair_cd, field_a, field_b, taus)
+    _require_valid(grid, field_a.weight_deficit() + field_b.weight_deficit(), "assembled state")
+    return DensityMatrix(grid[0], tuple(sorted("".join(_CAVITY_LABELS[model]))))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _PAIR_POSITIONS, Scenario
+from .analysis import _PAIR_POSITIONS, Scenario, _model_pairs
 from .algebra import _partial_trace_array
 from .concurrence import _concurrence_general_batch
 from .dynamics import (
@@ -23,8 +23,7 @@ from .dynamics import (
     FieldSpec,
     Model,
     _as_tau_grid,
-    _assemble_djcm_grid,
-    _assemble_dtcm_grid,
+    _assemble_grid,
 )
 from .errors import CutoffLeakageError
 
@@ -258,22 +257,17 @@ def compare_pipelines(
         raise ValueError(f"n_max={n_max} too small for these fields; need at least {required}")
     taus, _ = _as_tau_grid(tau_grid)
     spec = BellPairSpec(scenario.bell_type, alpha)
-    if scenario.model is Model.DTCM:
-        analytic = _assemble_dtcm_grid(spec, spec, scenario.field_a, scenario.field_b, taus)
-        pairs = ("AB", "CD", "AC", "BD")
-    else:
-        analytic = _assemble_djcm_grid(spec, scenario.field_a, scenario.field_b, taus)
-        pairs = ("AB",)
+    analytic = _assemble_grid(scenario.model, spec, spec, scenario.field_a, scenario.field_b, taus)
     reference = oracle_atomic_grid(spec, spec, scenario.field_a, scenario.field_b, taus, n_max, scenario.model)
     state_dev = float(np.abs(analytic - reference).max())
 
+    # both states order the layout's qubits A<B<C<D, and every layout starts
+    # at A, B, so a pair's canonical positions index either state
+    n_qubits = analytic.shape[-1].bit_length() - 1
     conc_dev = 0.0
-    for pair in pairs:
-        if scenario.model is Model.DTCM:
-            red_a = _partial_trace_array(analytic, 4, _PAIR_POSITIONS[pair])
-            red_o = _partial_trace_array(reference, 4, _PAIR_POSITIONS[pair])
-        else:
-            red_a, red_o = analytic, reference
+    for pair in _model_pairs(scenario.model):
+        red_a = _partial_trace_array(analytic, n_qubits, _PAIR_POSITIONS[pair])
+        red_o = _partial_trace_array(reference, n_qubits, _PAIR_POSITIONS[pair])
         c_a = _concurrence_general_batch(red_a)
         c_o = _concurrence_general_batch(red_o)
         conc_dev = max(conc_dev, float(np.abs(c_a - c_o).max()))

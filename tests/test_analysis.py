@@ -352,6 +352,12 @@ def test_sweep_pairs_validates_pairs():
         sweep_pairs(Scenario(Model.DJCM, BellType.PSI, VAC, VAC), ("AB", "CD"), alphas, tau)
 
 
+def test_model_pairs_follow_the_cavity_layout():
+    assert analysis._model_pairs(Model.DTCM) == ("AB", "CD", "AC", "BD")
+    assert analysis._model_pairs(Model.DJCM) == ("AB",)
+    assert analysis._PAIR_POSITIONS == {"AB": (0, 1), "CD": (2, 3), "AC": (0, 2), "BD": (1, 3)}
+
+
 # ---------------------------------------------------------------------------
 # counting rule vs exact curves
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dtcm import dynamics
 from dtcm.algebra import partial_trace
 from dtcm.concurrence import XFormMatrix, concurrence_x
 from dtcm.dynamics import (
@@ -12,6 +13,7 @@ from dtcm.dynamics import (
     Model,
     assemble_atomic_state,
 )
+from dtcm.errors import NumericalError
 
 
 def pair_vector(spec):
@@ -87,6 +89,22 @@ def test_djcm_requires_identical_pairs():
     b = BellPairSpec(BellType.PSI, 0.6)
     with pytest.raises(ValueError):
         assemble_atomic_state(a, b, FieldSpec.vacuum(), FieldSpec.vacuum(), 1.0, model=Model.DJCM)
+
+
+def test_unknown_model_rejected():
+    # the model's name as a string is not a layout
+    pair = BellPairSpec(BellType.PSI, 0.5)
+    with pytest.raises(ValueError, match="unknown model"):
+        assemble_atomic_state(pair, pair, FieldSpec.vacuum(), FieldSpec.vacuum(), 1.0, model="DTCM")
+
+
+def test_invalid_state_names_the_assembled_state(monkeypatch):
+    # doubled preparation weights give a state of trace 2
+    real = dynamics._branch_weights
+    monkeypatch.setattr(dynamics, "_branch_weights", lambda *args: 2.0 * real(*args))
+    pair = BellPairSpec(BellType.PHI, 0.5)
+    with pytest.raises(NumericalError, match=r"^assembled state failed validation: hermiticity .*, trace 1\.000e\+00, "):
+        assemble_atomic_state(pair, pair, FieldSpec.vacuum(), FieldSpec.vacuum(), 1.0)
 
 
 def test_mixed_bell_types_rejected():

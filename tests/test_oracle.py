@@ -298,5 +298,6 @@ def test_verify_catches_a_preparation_weight_fault(monkeypatch):
     monkeypatch.setattr(dynamics, "_branch_weights", mirrored)
     monkeypatch.setattr(analysis, "_branch_weights", mirrored)
     assert not verification.suite_oracle_agreement(verification.QUICK).passed
+    assert not verification.suite_oracle_agreement_thermal().passed
     # the fault keeps every exchange symmetry, so only the independent oracle sees it
     assert verification.suite_pair_symmetries().passed
