@@ -16,6 +16,10 @@ from .errors import NumericalError
 
 CANONICAL_LABELS = ("A", "B", "C", "D")
 
+_TOL_HERM = 1e-12
+_TOL_TRACE = 1e-12
+_PSD_SLACK = 1e-9
+
 
 def _label_key(label: str) -> int:
     return CANONICAL_LABELS.index(label)
@@ -127,9 +131,9 @@ class ValidationReport:
 
 def validate_density(
     rho: Union[DensityMatrix, np.ndarray],
-    tol_herm: float = 1e-12,
-    tol_trace: float = 1e-12,
-    psd_slack: float = 1e-9,
+    tol_herm: float = _TOL_HERM,
+    tol_trace: float = _TOL_TRACE,
+    psd_slack: float = _PSD_SLACK,
 ) -> ValidationReport:
     """Check Hermiticity, unit trace and positive semidefiniteness.
 
@@ -143,9 +147,9 @@ def validate_density(
 
 def _validate_batch(
     mats: np.ndarray,
-    tol_herm: float = 1e-12,
-    tol_trace: float = 1e-12,
-    psd_slack: float = 1e-9,
+    tol_herm: float = _TOL_HERM,
+    tol_trace: float = _TOL_TRACE,
+    psd_slack: float = _PSD_SLACK,
 ) -> ValidationReport:
     """Worst-case validation over a batch of matrices stacked on leading axes."""
     adj = mats.conj().swapaxes(-1, -2)
@@ -160,7 +164,7 @@ def _validate_batch(
 def _require_valid(mats: np.ndarray, trace_slack: float, what: str) -> None:
     """Raise ``NumericalError`` naming ``what`` unless the batch passes validation, the trace
     bar widened by ``trace_slack`` (the mass a thermal truncation drops)."""
-    report = _validate_batch(mats, tol_herm=1e-12, tol_trace=1e-12 + trace_slack, psd_slack=1e-9)
+    report = _validate_batch(mats, tol_trace=_TOL_TRACE + trace_slack)
     if not report.ok:
         raise NumericalError(
             f"{what} failed validation: "

@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CANONICAL_LABELS, _require_valid
-from .concurrence import _concurrence_x_batch, x_pattern_deviation
+from .concurrence import _X_SHAPE_TOL, _concurrence_x_batch, x_pattern_deviation
 from .dynamics import (
     BellPairSpec,
     BellType,
     FieldSpec,
     Model,
-    _CAVITY_LABELS,
     _apply_weights,
     _as_tau_grid,
     _branch_weights,
+    _cavity_labels,
     _channels,
     _combine,
 )
@@ -31,8 +31,6 @@ from .errors import NumericalError
 PAIR_CHOICES = ("AB", "CD", "AC", "BD")
 
 _PAIR_POSITIONS = {pair: tuple(CANONICAL_LABELS.index(q) for q in pair) for pair in PAIR_CHOICES}
-
-_X_SHAPE_TOL = 1e-10  # these scenarios provably preserve the X shape
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,7 @@ def classify_regime(
     reduces to the excited-atom statistics of the initial superposition.
     """
     BellPairSpec(bell_type, alpha)  # validates the angle
-    if model not in (Model.DTCM, Model.DJCM):
-        raise ValueError(f"unknown model {model!r}")
+    _cavity_labels(model)  # validates the model
     if not (field_a.is_vacuum() and field_b.is_vacuum()):
         return RegimeReport(Regime.STRONG, 1.0, 0.0, True)
     s2 = np.sin(alpha) ** 2
@@ -151,23 +148,46 @@ class EsdEvents:
         return self.death_time is not None
 
 
-def _validate_grid(name: str, values: np.ndarray, minimum: float, maximum: float) -> np.ndarray:
+def _check_grid(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as a nonempty 1-d grid, finite, then strictly increasing (range is the caller's)."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} grid must be a nonempty 1-d array")
+        raise ValueError(f"{name}: expected a nonempty 1-d grid")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} grid contains non-finite values")
-    if np.any(arr < minimum) or np.any(arr > maximum):
-        raise ValueError(f"{name} grid must lie within [{minimum}, {maximum}]")
-    if arr.size > 1 and np.any(np.diff(arr) <= 0.0):
-        raise ValueError(f"{name} grid must be strictly increasing")
+        raise ValueError(f"{name}: values must be finite")
+    if np.any(np.diff(arr) <= 0.0):
+        raise ValueError(f"{name}: values must be strictly increasing")
     return arr
+
+
+def _check_alphas(values: np.ndarray) -> np.ndarray:
+    """An alpha grid: :func:`_check_grid`, then every angle in [0, pi]."""
+    alphas = _check_grid("alpha", values)
+    if np.any(alphas < 0.0) or np.any(alphas > np.pi):
+        raise ValueError("alpha: values must lie in [0, pi]")
+    return alphas
 
 
 def _model_pairs(model: Model) -> tuple[str, ...]:
     """The pairs of :data:`PAIR_CHOICES` whose two atoms both sit in the model's cavities."""
-    qubits = "".join(_CAVITY_LABELS[model])
+    qubits = "".join(_cavity_labels(model))
     return tuple(pair for pair in PAIR_CHOICES if set(pair) <= set(qubits))
+
+
+def _check_pairs(model: Model, pairs: tuple[str, ...]) -> tuple[str, ...]:
+    """``pairs`` as a tuple: at least one, each known, none repeated, all offered by the layout."""
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("pairs: expected at least one pair name")
+    unknown = [p for p in pairs if p not in PAIR_CHOICES]
+    if unknown:
+        raise ValueError(f"pairs: unknown pair names {unknown}; choose from {PAIR_CHOICES}")
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("pairs: duplicate pair names")
+    offered = _model_pairs(model)
+    if not set(pairs) <= set(offered):
+        raise ValueError(f"pairs: the {model.value} layout only provides the {', '.join(offered)} pair")
+    return pairs
 
 
 def _pair_states(scenario: Scenario, pairs: tuple[str, ...], alphas: np.ndarray, taus: np.ndarray):
@@ -198,17 +218,9 @@ def sweep_pairs(
     preparation weights.  Every reduced state along the way is validated and
     checked against the X pattern before the fast-path concurrence is taken.
     """
-    pairs = tuple(pairs)
-    if not pairs:
-        raise ValueError("pairs must name at least one pair")
-    if any(pair not in PAIR_CHOICES for pair in pairs):
-        raise ValueError(f"pair must be one of {PAIR_CHOICES}")
-    if len(set(pairs)) != len(pairs):
-        raise ValueError("pairs must not repeat")
-    if not set(pairs) <= set(_model_pairs(scenario.model)):
-        raise ValueError("the single-pair layout only provides the AB pair")
-    taus, _ = _as_tau_grid(_validate_grid("tau", tau_grid, 0.0, np.inf))
-    alphas = _validate_grid("alpha", alpha_grid, 0.0, np.pi)
+    pairs = _check_pairs(scenario.model, pairs)
+    taus, _ = _as_tau_grid(_check_grid("tau", tau_grid))
+    alphas = _check_alphas(alpha_grid)
     trace_slack = scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
     curves: dict[str, list[ConcurrenceCurve]] = {pair: [] for pair in pairs}
     for pair, alpha, reduced in _pair_states(scenario, pairs, alphas, taus):

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import PAIR_CHOICES, Scenario, _model_pairs, detect_esb, detect_esd, sweep_pairs
-from .dynamics import BellType, FieldSpec, Model
+from .analysis import Scenario, _check_alphas, _check_grid, _check_pairs, detect_esb, detect_esd, sweep_pairs
+from .dynamics import BellType, FieldSpec, Model, _as_tau_grid
 from .errors import ConfigError, NumericalError
 from .verification import run_verification
 
@@ -59,29 +59,19 @@ def _parse_values(key: str, text: str) -> np.ndarray:
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
-                raise ConfigError(f"{key}: grid spec must be start:stop:steps")
+                raise ValueError("grid spec must be start:stop:steps")
             start, stop = float(parts[0]), float(parts[1])
             steps = int(parts[2])
             if str(steps) != parts[2].strip():
-                raise ConfigError(f"{key}: steps must be a plain integer")
+                raise ValueError("steps must be a plain integer")
             if steps < 2:
-                raise ConfigError(f"{key}: a grid needs at least 2 points")
+                raise ValueError("a grid needs at least 2 points")
             if not stop > start:
-                raise ConfigError(f"{key}: grid span must be positive")
-            values = np.linspace(start, stop, steps)
-        elif "," in text:
-            values = np.array([float(part) for part in text.split(",")])
-        else:
-            values = np.array([float(text)])
-    except ConfigError:
-        raise
+                raise ValueError("grid span must be positive")
+            return np.linspace(start, stop, steps)
+        return np.array([float(part) for part in text.split(",")])
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{key}: values must be finite")
-    if values.size > 1 and np.any(np.diff(values) <= 0.0):
-        raise ConfigError(f"{key}: values must be strictly increasing")
-    return values
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _parse_field(key: str, text: str) -> FieldSpec:
@@ -94,16 +84,12 @@ def _parse_field(key: str, text: str) -> FieldSpec:
             return FieldSpec.fock(int(text[len("fock:"):]))
         if text.startswith("thermal:"):
             args = text[len("thermal:"):].split(",")
-            if len(args) == 1:
-                return FieldSpec.thermal(float(args[0]))
-            if len(args) == 2:
-                return FieldSpec.thermal(float(args[0]), float(args[1]))
-            raise ConfigError(f"{key}: too many thermal parameters")
-    except ConfigError:
-        raise
+            if len(args) > 2:
+                raise ValueError("too many thermal parameters")
+            return FieldSpec.thermal(*(float(arg) for arg in args))
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"{key}: expected vacuum, fock:<n> or thermal:<nbar>[,<eps>], got {text!r}")
+        raise ValueError(f"{key}: {exc}") from exc
+    raise ValueError(f"{key}: expected vacuum, fock:<n> or thermal:<nbar>[,<eps>], got {text!r}")
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -135,28 +121,22 @@ def parse_config_text(text: str) -> ScenarioConfig:
         raise ConfigError(f"bell_type must be psi or phi, got {entries['bell_type']!r}")
     bell_type = BellType(entries["bell_type"])
 
-    alphas = _parse_values("alpha", entries["alpha"])
-    if np.any(alphas < 0.0) or np.any(alphas > np.pi):
-        raise ConfigError("alpha: values must lie in [0, pi]")
-    tau = _parse_values("tau", entries["tau"])
-    if tau.size < 2:
-        raise ConfigError("tau: a degenerate grid (single point) is not a sweep")
-    if np.any(tau < 0.0):
-        raise ConfigError("tau: values must be nonnegative")
+    try:  # the values, by the library's own input rules; any ValueError is a config error
+        alphas = _check_alphas(_parse_values("alpha", entries["alpha"]))
+        tau = _check_grid("tau", _parse_values("tau", entries["tau"]))
+        if tau.size < 2:
+            raise ValueError("tau: a degenerate grid (single point) is not a sweep")
+        tau, _ = _as_tau_grid(tau)
 
-    field_a = _parse_field("field_a", entries["field_a"])
-    field_b = _parse_field("field_b", entries["field_b"])
+        field_a = _parse_field("field_a", entries["field_a"])
+        field_b = _parse_field("field_b", entries["field_b"])
 
-    pairs = tuple(part.strip() for part in entries["pairs"].split(","))
-    if not pairs or any(not p for p in pairs):
-        raise ConfigError("pairs: expected a comma list of pair names")
-    unknown = [p for p in pairs if p not in PAIR_CHOICES]
-    if unknown:
-        raise ConfigError(f"pairs: unknown pair names {unknown}; choose from {PAIR_CHOICES}")
-    if len(set(pairs)) != len(pairs):
-        raise ConfigError("pairs: duplicate pair names")
-    if not set(pairs) <= set(_model_pairs(model)):
-        raise ConfigError("pairs: the DJCM layout only provides the AB pair")
+        pairs = tuple(part.strip() for part in entries["pairs"].split(","))
+        if any(not p for p in pairs):
+            raise ValueError("pairs: expected a comma list of pair names")
+        pairs = _check_pairs(model, pairs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     return ScenarioConfig(
         model=model,

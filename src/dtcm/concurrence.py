@@ -32,6 +32,8 @@ for _i in range(4):
 
 _SPECTRUM_TOL = 1e-8  # negative/complex eigenvalue slack before declaring failure
 
+_X_SHAPE_TOL = 1e-10  # largest off-pattern magnitude an X-shaped state may carry
+
 
 @dataclass(frozen=True)
 class XFormMatrix:
@@ -65,7 +67,7 @@ class XFormMatrix:
         object.__setattr__(self, "inner", complex(self.inner))
 
     @classmethod
-    def from_matrix(cls, rho: np.ndarray, tol: float = 1e-10) -> "XFormMatrix":
+    def from_matrix(cls, rho: np.ndarray, tol: float = _X_SHAPE_TOL) -> "XFormMatrix":
         """Extract the X entries, rejecting matrices that are not X-shaped."""
         mat = np.asarray(rho)
         if mat.shape != (4, 4):
@@ -87,7 +89,7 @@ def x_pattern_deviation(rho: np.ndarray) -> float:
     return float(off.max()) if off.size else 0.0
 
 
-def is_x_form(rho: np.ndarray, tol: float = 1e-10) -> bool:
+def is_x_form(rho: np.ndarray, tol: float = _X_SHAPE_TOL) -> bool:
     """True when every entry outside the X pattern is below ``tol`` in magnitude."""
     mat = np.asarray(rho)
     if mat.shape[-2:] != (4, 4):
@@ -97,20 +99,16 @@ def is_x_form(rho: np.ndarray, tol: float = 1e-10) -> bool:
 
 def concurrence_x(x: XFormMatrix) -> float:
     """Concurrence of an X-shaped state from its six independent entries."""
-    p = x.populations
-    inner = abs(x.inner) - np.sqrt(max(p[0], 0.0) * max(p[3], 0.0))
-    outer = abs(x.outer) - np.sqrt(max(p[1], 0.0) * max(p[2], 0.0))
-    return float(np.clip(2.0 * max(0.0, inner, outer), 0.0, 1.0))
+    mat = np.diag(np.array(x.populations, dtype=complex))
+    mat[0, 3], mat[1, 2] = x.outer, x.inner
+    return float(_concurrence_x_batch(mat))
 
 
 def _concurrence_x_batch(mats: np.ndarray) -> np.ndarray:
     """Vectorized X-form concurrence over matrices stacked on leading axes."""
-    p00 = np.clip(mats[..., 0, 0].real, 0.0, None)
-    p11 = np.clip(mats[..., 1, 1].real, 0.0, None)
-    p22 = np.clip(mats[..., 2, 2].real, 0.0, None)
-    p33 = np.clip(mats[..., 3, 3].real, 0.0, None)
-    inner = np.abs(mats[..., 1, 2]) - np.sqrt(p00 * p33)
-    outer = np.abs(mats[..., 0, 3]) - np.sqrt(p11 * p22)
+    p = np.clip(np.diagonal(mats, axis1=-2, axis2=-1).real, 0.0, None)
+    inner = np.abs(mats[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])
+    outer = np.abs(mats[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2])
     return np.clip(2.0 * np.maximum(0.0, np.maximum(inner, outer)), 0.0, 1.0)
 
 

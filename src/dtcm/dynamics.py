@@ -41,6 +41,31 @@ class Model(enum.Enum):
     DJCM = "DJCM"
 
 
+def _check_bits(**bits: int) -> None:
+    for name, b in bits.items():
+        if b not in (0, 1):
+            raise ValueError(f"{name} must be 0 or 1, got {b!r}")
+
+
+def _check_count(name: str, n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer")
+
+
+def _as_tau_grid(tau: _TauLike) -> tuple[np.ndarray, bool]:
+    """Times as a 1-d grid, and whether a scalar was given; every time is finite and nonnegative."""
+    arr = np.asarray(tau, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if arr.ndim != 1:
+        raise ValueError("tau must be a scalar or a 1-d grid")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tau: values must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("tau: values must be nonnegative")
+    return arr, scalar
+
+
 @dataclass(frozen=True)
 class BellPairSpec:
     """One two-atom pair prepared with mixing angle ``alpha``.
@@ -87,8 +112,7 @@ class FieldSpec:
         if self.kind not in ("vacuum", "fock", "thermal"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "fock":
-            if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 0:
-                raise ValueError("Fock photon number must be a nonnegative integer")
+            _check_count("Fock photon number", self.n)
         if self.kind == "thermal":
             if not (math.isfinite(self.nbar) and self.nbar > 0.0):
                 raise ValueError("thermal nbar must be positive")
@@ -173,61 +197,55 @@ class XCoefficientKey:
     tau: float
 
     def __post_init__(self) -> None:
-        for name in ("i", "k", "p", "q"):
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1")
-        if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool) or self.m < 0:
-            raise ValueError("m must be a nonnegative integer")
-        tau = float(self.tau)
-        if not math.isfinite(tau) or tau < 0.0:
-            raise ValueError("tau must be finite and nonnegative")
-        object.__setattr__(self, "tau", tau)
+        _check_bits(i=self.i, k=self.k, p=self.p, q=self.q)
+        _check_count("m", self.m)
+        object.__setattr__(self, "tau", float(self.tau))
+        _as_tau_grid(self.tau)
 
 
 # Each two-atom amplitude is base + cos_w (cos(om tau) - 1) + 1j sin_w sin(om tau),
 # with om the frequency of the ladder family its initial pair selects: both
 # atoms excited (om^2 = 2(2m+3)), one excited (2(2m+1)) or none (2(2m-1)).
 # Frequencies and weights depend on the photon number m alone.
-_FAMILY = np.array([0, 1, 1, 2])  # frequency column of each initial pair state
+_FAMILY = np.array([0, 1, 1, 2])  # frequency row of each initial pair state
 
 
-def _coefficient_rows(m: np.ndarray) -> np.ndarray:
-    """Per photon number: the three family frequencies, then the base, cos and
-    sin weights of the 16 amplitudes ``[pair_in, flips]``."""
+def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The three family frequencies ``[family, photon]``, then the base, cos and
+    sin weights of the 16 amplitudes, each ``[pair_in, flips, photon]``."""
     m = np.asarray(m, dtype=float)
-    table = np.zeros((m.size, 3 + 3 * 16))
-    freq = table[:, :3]
-    base, cos_w, sin_w = (table[:, 3 + 16 * j : 3 + 16 * (j + 1)].reshape(m.size, 4, 4) for j in range(3))
+    freq = np.zeros((3, m.size))
+    base, cos_w, sin_w = np.zeros((3, 4, 4, m.size))
 
     # both atoms excited: chain |11,m> <-> one flip, m+1 <-> |00,m+2>
-    freq[:, 2] = np.sqrt(2.0 * (2.0 * m + 3.0))
-    base[:, 3, 0] = 1.0
-    cos_w[:, 3, 0] = (m + 1.0) / (2.0 * m + 3.0)
-    sin_w[:, 3, 1] = sin_w[:, 3, 2] = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 3.0)))
-    cos_w[:, 3, 3] = np.sqrt((m + 1.0) * (m + 2.0)) / (2.0 * m + 3.0)
+    freq[2] = np.sqrt(2.0 * (2.0 * m + 3.0))
+    base[3, 0] = 1.0
+    cos_w[3, 0] = (m + 1.0) / (2.0 * m + 3.0)
+    sin_w[3, 1] = sin_w[3, 2] = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 3.0)))
+    cos_w[3, 3] = np.sqrt((m + 1.0) * (m + 2.0)) / (2.0 * m + 3.0)
 
     # one excitation in the pair: the excited atom gives up its photon, the
     # ground atom takes one from the field
-    freq[:, 1] = np.sqrt(2.0 * (2.0 * m + 1.0))
+    freq[1] = np.sqrt(2.0 * (2.0 * m + 1.0))
     emit = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 1.0)))
     absorb = -np.sqrt(m / (2.0 * (2.0 * m + 1.0)))
     for pair_in, own, other in ((1, 1, 2), (2, 2, 1)):
-        base[:, pair_in, 0] = 1.0
-        cos_w[:, pair_in, 0] = cos_w[:, pair_in, 3] = 0.5
-        sin_w[:, pair_in, own] = emit
-        sin_w[:, pair_in, other] = absorb
+        base[pair_in, 0] = 1.0
+        cos_w[pair_in, 0] = cos_w[pair_in, 3] = 0.5
+        sin_w[pair_in, own] = emit
+        sin_w[pair_in, other] = absorb
 
     # both atoms in the ground state; an empty cavity leaves them stationary
     # (frequency 0 and base 1), and sqrt(m(m-1)) kills the double-absorption
     # branch below m = 2
-    base[:, 0, 0] = 1.0
+    base[0, 0] = 1.0
     live = m >= 1.0
     n = m[live]
-    freq[live, 0] = np.sqrt(2.0 * (2.0 * n - 1.0))
-    cos_w[live, 0, 0] = n / (2.0 * n - 1.0)
-    sin_w[live, 0, 1] = sin_w[live, 0, 2] = -np.sqrt(n / (2.0 * (2.0 * n - 1.0)))
-    cos_w[live, 0, 3] = np.sqrt(n * (n - 1.0)) / (2.0 * n - 1.0)
-    return table
+    freq[0, live] = np.sqrt(2.0 * (2.0 * n - 1.0))
+    cos_w[0, 0, live] = n / (2.0 * n - 1.0)
+    sin_w[0, 1, live] = sin_w[0, 2, live] = -np.sqrt(n / (2.0 * (2.0 * n - 1.0)))
+    cos_w[0, 3, live] = np.sqrt(n * (n - 1.0)) / (2.0 * n - 1.0)
+    return freq, base, cos_w, sin_w
 
 
 def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -237,17 +255,15 @@ def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     ``pair_in = 2i + k`` and ``flips = 2p + q``.
     """
     tau = np.asarray(tau, dtype=float)
-    rows = _coefficient_rows(m).T  # (3 + 48, photon)
-    n_m = rows.shape[1]
-    angles = rows[:3, :, None] * tau
+    freq, base, cos_w, sin_w = _coefficients(m)
+    angles = freq[:, :, None] * tau
     cos_m1 = (np.cos(angles) - 1.0)[_FAMILY][:, None]
     sin = np.sin(angles)[_FAMILY][:, None]
-    base, cos_w, sin_w = rows[3:].reshape(3, 4, 4, n_m, 1)
-    X = np.empty((4, 4, n_m, tau.size), dtype=complex)
+    X = np.empty(base.shape + (tau.size,), dtype=complex)
     real = X.real
-    np.multiply(cos_w, cos_m1, out=real)
-    real += base
-    np.multiply(sin_w, sin, out=X.imag)
+    np.multiply(cos_w[..., None], cos_m1, out=real)
+    real += base[..., None]
+    np.multiply(sin_w[..., None], sin, out=X.imag)
     return X
 
 
@@ -276,23 +292,6 @@ def x_coeff(key: XCoefficientKey) -> complex:
     """Closed-form transition amplitude for one (pair, flips, photon, time) index."""
     X = _x_block_table(np.array([key.m]), np.array([key.tau]))
     return complex(X[2 * key.i + key.k, 2 * key.p + key.q, 0, 0])
-
-
-def _check_bits(**bits: int) -> None:
-    for name, b in bits.items():
-        if b not in (0, 1):
-            raise ValueError(f"{name} must be 0 or 1, got {b!r}")
-
-
-def _as_tau_grid(tau: _TauLike) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(tau, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.ndim != 1:
-        raise ValueError("tau must be a scalar or a 1-d grid")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("tau values must be finite and nonnegative")
-    return arr, scalar
 
 
 def _build_delta_terms(n_atoms: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
@@ -440,8 +439,7 @@ def jc_amplitudes(i: int, n: int, tau: float) -> list[tuple[int, int, complex]]:
     empty cavity has only its stationary branch.
     """
     _check_bits(i=i)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_count("n", n)
     taus, _ = _as_tau_grid(float(tau))
     stay, flip = _y_block_table(np.array([n]), taus)[i, :, 0, 0]
     branches = [(i, n, complex(stay))]
@@ -454,8 +452,14 @@ def jc_amplitudes(i: int, n: int, tau: float) -> list[tuple[int, int, complex]]:
 # Combining the two cavities into the atomic state.
 # ---------------------------------------------------------------------------
 
-# the qubits each cavity holds, in the cavity's own tensor order
 _CAVITY_LABELS = {Model.DTCM: ("AC", "BD"), Model.DJCM: ("A", "B")}
+
+
+def _cavity_labels(model: Model) -> tuple[str, str]:
+    """The layout of ``model``: the qubits each cavity holds, in the cavity's own tensor order."""
+    if not isinstance(model, Model):
+        raise ValueError(f"unknown model {model!r}")
+    return _CAVITY_LABELS[model]
 
 
 def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) -> np.ndarray:
@@ -470,7 +474,7 @@ def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) 
 
 def _channels(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both cavities' channel tensors on ``taus``; equal fields share one build (``Eb is Ea``)."""
-    n_atoms = len(_CAVITY_LABELS[model][0])
+    n_atoms = len(_cavity_labels(model)[0])
     Ea = _channel_tensor(field_a, taus, n_atoms)
     Eb = Ea if field_b == field_a else _channel_tensor(field_b, taus, n_atoms)
     return Ea, Eb
@@ -493,7 +497,7 @@ def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, 
     if bell_type is BellType.PSI:
         Eb = Eb[..., ::-1, ::-1]  # cavity b's branch bits are cavity a's, flipped
     traced, axes, order = [], [], ""
-    for E, labels in zip((Ea, Eb), _CAVITY_LABELS[model]):
+    for E, labels in zip((Ea, Eb), _cavity_labels(model)):
         kept = "".join(lab for lab in labels if lab in keep)
         bras = "".join(lab.lower() if lab in kept else lab for lab in labels)
         qubits = E.reshape(E.shape[:1] + (2,) * (2 * len(labels)) + E.shape[-2:])
@@ -515,9 +519,7 @@ def _assemble_grid(
     model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray
 ) -> np.ndarray:
     """Joint state of every atom the layout holds on a time grid, qubits in A<B<C<D order."""
-    if model not in _CAVITY_LABELS:
-        raise ValueError(f"unknown model {model!r}")
-    qubits = "".join(_CAVITY_LABELS[model])
+    qubits = "".join(_cavity_labels(model))
     if "C" not in qubits and pair_cd != pair_ab:
         raise ValueError("the single-pair layout has no (C,D) pair; pass pair_cd equal to pair_ab")
     w = _branch_weights(model, pair_ab, pair_cd)
@@ -555,4 +557,4 @@ def assemble_atomic_state(
     taus, _ = _as_tau_grid(float(tau))
     grid = _assemble_grid(model, pair_ab, pair_cd, field_a, field_b, taus)
     _require_valid(grid, field_a.weight_deficit() + field_b.weight_deficit(), "assembled state")
-    return DensityMatrix(grid[0], tuple(sorted("".join(_CAVITY_LABELS[model]))))
+    return DensityMatrix(grid[0], tuple(sorted("".join(_cavity_labels(model)))))

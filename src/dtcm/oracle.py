@@ -155,8 +155,7 @@ def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
 def _channel_leak(U5: np.ndarray, field: FieldSpec, atom_probs: np.ndarray, n_max: int) -> float:
     """Worst-case population of the top two photon levels over the time grid."""
     ms, ps = field.weights()
-    top = [n_max] if n_max < 1 else [n_max - 1, n_max]
-    U_top = U5[:, :, top][:, :, :, :, ms]
+    U_top = U5[:, :, n_max - 1 :][:, :, :, :, ms]
     leak_t = np.einsum("tapsm,tapsm,m,s->t", U_top, U_top.conj(), ps, atom_probs).real
     return float(leak_t.max())
 
@@ -187,6 +186,8 @@ def oracle_atomic_grid(
     :func:`dtcm.dynamics.assemble_atomic_state` conventions: (T,16,16) over
     (A,B,C,D) for the two-pair layout, (T,4,4) over (A,B) otherwise.
     """
+    if model not in (Model.DTCM, Model.DJCM):
+        raise ValueError(f"unknown model {model!r}")
     n_atoms = 2 if model is Model.DTCM else 1
     H = build_tc_hamiltonian(n_max, n_atoms)
     U = _evolution_grid(H, taus)

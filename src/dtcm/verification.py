@@ -17,9 +17,9 @@ import numpy as np
 from . import dynamics
 from .algebra import _validate_batch
 from .analysis import PAIR_CHOICES, Scenario, _pair_states, sweep_pairs
-from .concurrence import _concurrence_general_batch, _concurrence_x_batch, x_pattern_deviation
+from .concurrence import _X_SHAPE_TOL, _concurrence_general_batch, _concurrence_x_batch, x_pattern_deviation
 from .dynamics import BellType, FieldSpec, Model, jc_amplitudes
-from .oracle import compare_pipelines
+from .oracle import _required_cutoff, compare_pipelines
 
 QUICK = "quick"
 FULL = "full"
@@ -175,7 +175,7 @@ def suite_oracle_agreement_thermal() -> SuiteResult:
         count = 0
         for nbar in (0.1, 1.0):
             fld = FieldSpec.thermal(nbar)
-            n_max = fld.max_photon() + 3
+            n_max = _required_cutoff(fld)
             for bell in (BellType.PSI, BellType.PHI):
                 scenario = Scenario(Model.DTCM, bell, fld, fld)
                 # not pi/4, where equal branch amplitudes hide an angle read as pi/2 - alpha
@@ -220,8 +220,8 @@ def suite_pair_symmetries() -> SuiteResult:
 def suite_state_validity() -> SuiteResult:
     """Reduced states across representative sweeps must be physical.
 
-    Hermiticity and trace at 1e-12, eigenvalue floor at -1e-9, X-pattern
-    residue at 1e-10 and agreement of the two concurrence routes at 1e-9.
+    Hermiticity, trace and eigenvalue floor at the validation bars, X-pattern
+    residue at the X-shape bar and agreement of the two concurrence routes at 1e-9.
     The thermal member uses a tail mass small enough not to disturb the
     trace bar.  The reported deviation is the worst bar-normalized ratio.
     """
@@ -243,10 +243,10 @@ def suite_state_validity() -> SuiteResult:
                 c_general = _concurrence_general_batch(reduced)
                 worst = max(
                     worst,
-                    report.hermiticity_deviation / 1e-12,
-                    report.trace_deviation / 1e-12,
-                    max(0.0, -report.min_eigenvalue) / 1e-9,
-                    x_pattern_deviation(reduced) / 1e-10,
+                    report.hermiticity_deviation / report.tol_herm,
+                    report.trace_deviation / report.tol_trace,
+                    max(0.0, -report.min_eigenvalue) / report.psd_slack,
+                    x_pattern_deviation(reduced) / _X_SHAPE_TOL,
                     float(np.abs(c_fast - c_general).max()) / 1e-9,
                 )
                 states += reduced.shape[0]

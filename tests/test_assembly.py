@@ -5,6 +5,7 @@ import pytest
 
 from dtcm import dynamics
 from dtcm.algebra import partial_trace
+from dtcm.analysis import Scenario, classify_regime, sweep_concurrence, sweep_pairs
 from dtcm.concurrence import XFormMatrix, concurrence_x
 from dtcm.dynamics import (
     BellPairSpec,
@@ -14,6 +15,7 @@ from dtcm.dynamics import (
     assemble_atomic_state,
 )
 from dtcm.errors import NumericalError
+from dtcm.oracle import compare_pipelines, oracle_atomic_grid
 
 
 def pair_vector(spec):
@@ -96,6 +98,29 @@ def test_unknown_model_rejected():
     pair = BellPairSpec(BellType.PSI, 0.5)
     with pytest.raises(ValueError, match="unknown model"):
         assemble_atomic_state(pair, pair, FieldSpec.vacuum(), FieldSpec.vacuum(), 1.0, model="DTCM")
+
+
+VAC = FieldSpec.vacuum()
+PSI_PAIR = BellPairSpec(BellType.PSI, 0.5)
+TAUS = np.linspace(0.0, 1.0, 3)
+NAMED_ONLY = Scenario("DTCM", BellType.PSI, VAC, VAC)  # the model's name, not the Model
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sweep_pairs(NAMED_ONLY, ("AB",), np.array([0.5]), TAUS),
+        lambda: sweep_concurrence(NAMED_ONLY, "AB", np.array([0.5]), TAUS),
+        lambda: compare_pipelines(NAMED_ONLY, 0.5, TAUS),
+        lambda: classify_regime(BellType.PSI, 0.5, "DTCM", VAC, VAC),
+        lambda: assemble_atomic_state(PSI_PAIR, PSI_PAIR, VAC, VAC, 1.0, model="DTCM"),
+        lambda: oracle_atomic_grid(PSI_PAIR, PSI_PAIR, VAC, VAC, TAUS, 6, model="DTCM"),
+    ],
+    ids=["sweep_pairs", "sweep_concurrence", "compare_pipelines", "classify_regime", "assemble_atomic_state", "oracle_atomic_grid"],
+)
+def test_unknown_model_is_a_value_error_everywhere(call):
+    with pytest.raises(ValueError, match=r"^unknown model 'DTCM'$"):
+        call()
 
 
 def test_invalid_state_names_the_assembled_state(monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dtcm import cli, dynamics
-from dtcm.dynamics import BellType, Model
+from dtcm.analysis import Scenario, sweep_pairs
+from dtcm.dynamics import BellType, FieldSpec, Model
 from dtcm.errors import ConfigError
 
 BASE = """\
@@ -84,6 +85,32 @@ def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError) as err:
         cli.parse_config_text(text)
     assert fragment in str(err.value)
+
+
+TAU = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "overrides, model, pairs, alphas, taus",
+    [
+        (dict(pairs="AB,XY"), Model.DTCM, ("AB", "XY"), [0.2, 0.6], TAU),
+        (dict(pairs="AB,AB"), Model.DTCM, ("AB", "AB"), [0.2, 0.6], TAU),
+        (dict(model="DJCM", pairs="CD"), Model.DJCM, ("CD",), [0.2, 0.6], TAU),
+        (dict(alpha="3.2"), Model.DTCM, ("AB", "AC"), [3.2], TAU),
+        (dict(alpha="nan"), Model.DTCM, ("AB", "AC"), [np.nan], TAU),
+        (dict(alpha="0.5,0.2"), Model.DTCM, ("AB", "AC"), [0.5, 0.2], TAU),
+        (dict(tau="-1:1:5"), Model.DTCM, ("AB", "AC"), [0.2, 0.6], np.linspace(-1.0, 1.0, 5)),
+    ],
+    ids=["unknown-pair", "repeated-pair", "djcm-cd", "alpha-range", "alpha-nan", "alpha-decreasing", "tau-negative"],
+)
+def test_library_rejects_with_the_config_message(overrides, model, pairs, alphas, taus):
+    # one rule, one message: the config error is the library's ValueError text
+    with pytest.raises(ConfigError) as from_config:
+        cli.parse_config_text(rewrite(**overrides))
+    scenario = Scenario(model, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum())
+    with pytest.raises(ValueError) as from_library:
+        sweep_pairs(scenario, pairs, np.array(alphas), taus)
+    assert str(from_library.value) == str(from_config.value)
 
 
 def test_config_round_trip():
