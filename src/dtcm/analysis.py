@@ -23,12 +23,15 @@ from .dynamics import (
     _as_tau_grid,
     _branch_weights,
     _cavity_labels,
+    _check_alpha,
     _channels,
     _combine,
 )
 from .errors import NumericalError
 
 PAIR_CHOICES = ("AB", "CD", "AC", "BD")
+
+_ZERO_TOL = 1e-9  # concurrence below this counts as zero for event detection
 
 _PAIR_POSITIONS = {pair: tuple(CANONICAL_LABELS.index(q) for q in pair) for pair in PAIR_CHOICES}
 
@@ -161,10 +164,10 @@ def _check_grid(name: str, values: np.ndarray) -> np.ndarray:
 
 
 def _check_alphas(values: np.ndarray) -> np.ndarray:
-    """An alpha grid: :func:`_check_grid`, then every angle in [0, pi]."""
+    """An alpha grid: :func:`_check_grid`, then the angle rule of :class:`BellPairSpec` on both ends."""
     alphas = _check_grid("alpha", values)
-    if np.any(alphas < 0.0) or np.any(alphas > np.pi):
-        raise ValueError("alpha: values must lie in [0, pi]")
+    for end in (alphas[0], alphas[-1]):  # the grid increases, so its ends bound every angle
+        _check_alpha(float(end))
     return alphas
 
 
@@ -239,15 +242,8 @@ def sweep_concurrence(
     pair: str,
     alpha_grid: np.ndarray,
     tau_grid: np.ndarray,
-    threads: int = 1,
 ) -> list[ConcurrenceCurve]:
-    """Concurrence of one atom pair over an (alpha, tau) grid: :func:`sweep_pairs` for one pair.
-
-    ``threads`` must be nonnegative and is otherwise ignored: the sweep runs
-    serially.
-    """
-    if threads < 0:
-        raise ValueError("threads must be nonnegative")
+    """Concurrence of one atom pair over an (alpha, tau) grid: :func:`sweep_pairs` for one pair."""
     return sweep_pairs(scenario, (pair,), alpha_grid, tau_grid)[pair]
 
 
@@ -258,7 +254,7 @@ def _zero_runs(below: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
-def detect_esd(curve: ConcurrenceCurve, zero_tol: float = 1e-9, min_zero_points: int = 3) -> EsdEvents:
+def detect_esd(curve: ConcurrenceCurve, zero_tol: float = _ZERO_TOL, min_zero_points: int = 3) -> EsdEvents:
     """Locate entanglement sudden death on a sampled curve.
 
     Death requires at least ``min_zero_points`` consecutive samples below
@@ -292,7 +288,7 @@ def detect_esd(curve: ConcurrenceCurve, zero_tol: float = 1e-9, min_zero_points:
     )
 
 
-def detect_esb(curve: ConcurrenceCurve, zero_tol: float = 1e-9) -> EsdEvents:
+def detect_esb(curve: ConcurrenceCurve, zero_tol: float = _ZERO_TOL) -> EsdEvents:
     """Locate entanglement sudden birth for a curve that starts at zero.
 
     The birth time is the onset sample: the last grid point of the initial

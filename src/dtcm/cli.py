@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import Scenario, _check_alphas, _check_grid, _check_pairs, detect_esb, detect_esd, sweep_pairs
+from .analysis import _ZERO_TOL, Scenario, _check_alphas, _check_grid, _check_pairs, detect_esb, detect_esd, sweep_pairs
 from .dynamics import BellType, FieldSpec, Model, _as_tau_grid
 from .errors import ConfigError, NumericalError
 from .verification import run_verification
@@ -30,16 +30,10 @@ from .verification import run_verification
 _REQUIRED_KEYS = ("model", "bell_type", "alpha", "field_a", "field_b", "tau", "pairs")
 _KNOWN_KEYS = _REQUIRED_KEYS + ("output",)
 
-_ZERO_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """A parsed scenario: model, preparation, grids, pairs and output path.
-
-    ``raw`` keeps the normalized key/value strings so a config can be
-    serialized back out verbatim (grids stay in their compact spec form).
-    """
+    """A parsed scenario: model, preparation, grids, pairs and output path."""
 
     model: Model
     bell_type: BellType
@@ -49,7 +43,6 @@ class ScenarioConfig:
     field_b: FieldSpec
     pairs: tuple[str, ...]
     output: Optional[str]
-    raw: dict[str, str]
 
 
 def _parse_values(key: str, text: str) -> np.ndarray:
@@ -147,14 +140,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         field_b=field_b,
         pairs=pairs,
         output=entries.get("output"),
-        raw=dict(entries),
     )
-
-
-def config_to_text(cfg: ScenarioConfig) -> str:
-    """Serialize a config back to the flat file form it was parsed from."""
-    lines = [f"{key} = {cfg.raw[key]}" for key in _KNOWN_KEYS if key in cfg.raw]
-    return "\n".join(lines) + "\n"
 
 
 def available_presets() -> list[str]:
@@ -217,10 +203,10 @@ def cmd_events(cfg: ScenarioConfig, out: Optional[str]) -> None:
     for index, alpha_text in enumerate(_fmt(cfg.alphas)):
         for pair in pairs:
             curve = curves[pair][index]
-            esd = detect_esd(curve, zero_tol=_ZERO_TOL)
+            esd = detect_esd(curve)
             birth = None
-            if curve.values[0] < _ZERO_TOL:
-                birth = detect_esb(curve, zero_tol=_ZERO_TOL).birth_time
+            if curve.values[0] < _ZERO_TOL:  # starts dead: look for a birth
+                birth = detect_esb(curve).birth_time
             times = ",".join(_fmt([esd.death_time, esd.revival_time, birth]))
             lines.append(f"{alpha_text},{pair},{times}")
     _write_text(out, "\n".join(lines) + "\n")

@@ -35,6 +35,14 @@ _SPECTRUM_TOL = 1e-8  # negative/complex eigenvalue slack before declaring failu
 _X_SHAPE_TOL = 1e-10  # largest off-pattern magnitude an X-shaped state may carry
 
 
+def _single_matrix(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as one 4x4 array; stacks are for the batch routes."""
+    mat = np.asarray(rho)
+    if mat.shape != (4, 4):
+        raise ValueError("expected a 4x4 matrix")
+    return mat
+
+
 @dataclass(frozen=True)
 class XFormMatrix:
     """The six independent entries of an X-shaped two-qubit density matrix.
@@ -69,9 +77,7 @@ class XFormMatrix:
     @classmethod
     def from_matrix(cls, rho: np.ndarray, tol: float = _X_SHAPE_TOL) -> "XFormMatrix":
         """Extract the X entries, rejecting matrices that are not X-shaped."""
-        mat = np.asarray(rho)
-        if mat.shape != (4, 4):
-            raise ValueError("expected a 4x4 matrix")
+        mat = _single_matrix(rho)
         deviation = x_pattern_deviation(mat)
         if deviation > tol:
             raise ValueError(f"matrix is not X-shaped: off-pattern magnitude {deviation:.3e}")
@@ -123,10 +129,7 @@ def concurrence_general(rho: np.ndarray) -> float:
     digits there).  Raises on inputs that are non-Hermitian or carry negative
     population beyond tolerance.
     """
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    return float(_concurrence_general_batch(mat[None])[0])
+    return float(_concurrence_general_batch(_single_matrix(rho)[None])[0])
 
 
 def _concurrence_general_batch(mats: np.ndarray) -> np.ndarray:

@@ -66,6 +66,15 @@ def _as_tau_grid(tau: _TauLike) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
+def _check_alpha(alpha: float) -> float:
+    """A mixing angle: finite, then in [0, pi]."""
+    if not math.isfinite(alpha):
+        raise ValueError("alpha: values must be finite")
+    if not 0.0 <= alpha <= math.pi:
+        raise ValueError("alpha: values must lie in [0, pi]")
+    return alpha
+
+
 @dataclass(frozen=True)
 class BellPairSpec:
     """One two-atom pair prepared with mixing angle ``alpha``.
@@ -81,10 +90,7 @@ class BellPairSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.bell_type, BellType):
             raise ValueError("bell_type must be a BellType")
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha) or not 0.0 <= alpha <= math.pi:
-            raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _check_alpha(float(self.alpha)))
 
     def amplitudes(self) -> tuple[float, float]:
         """Branch amplitudes (a0, a1) for the first atom's bit being 0 or 1."""
@@ -294,47 +300,28 @@ def x_coeff(key: XCoefficientKey) -> complex:
     return complex(X[2 * key.i + key.k, 2 * key.p + key.q, 0, 0])
 
 
-def _build_delta_terms(n_atoms: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
-    """Flip combinations allowed for each evolved operator |ket><bra| of ``n_atoms`` atoms.
+def _gather_indices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The selection-rule terms of ``n_atoms`` atoms as index arrays for one gathered product.
 
     Each flip moves one photon (an excited atom emits, a ground atom
-    absorbs); the bra flips must change the photon number by the same amount
-    as the ket flips, otherwise the field trace kills the term.  Entries are
-    (ket_in, bra_in, ket_flips, bra_flips, row, col), each a bit string read
-    as a binary number with the first atom most significant.
-    """
-
-    def index(bits) -> int:
-        return sum(b << (n_atoms - 1 - pos) for pos, b in enumerate(bits))
-
-    def shift(bits, flips) -> int:
-        return sum((1 - 2 * b) * f for b, f in zip(bits, flips))
-
-    states = list(product((0, 1), repeat=n_atoms))
-    terms = []
-    for ket, bra, ket_flips, bra_flips in product(states, repeat=4):
-        if shift(ket, ket_flips) == shift(bra, bra_flips):
-            row = index([b ^ f for b, f in zip(ket, ket_flips)])
-            col = index([b ^ f for b, f in zip(bra, bra_flips)])
-            terms.append((index(ket), index(bra), index(ket_flips), index(bra_flips), row, col))
-    return tuple(terms)
-
-
-_DELTA_TERMS = {n_atoms: _build_delta_terms(n_atoms) for n_atoms in (1, 2)}
-
-
-def _gather_indices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The selection-rule terms as index arrays for one gathered product.
-
-    Returns the ket amplitude row ``ket_in * dim + ket_flips`` and the bra
-    row ``bra_in * dim + bra_flips`` of a ``(dim * dim, photon, time)`` view
-    of the amplitude table, and each term's flat position in the
-    ``(row, col, ket_in, bra_in)`` block of the channel tensor.  The flips
-    follow from (ket_in, row) and (bra_in, col), so no two terms share a
-    position.
+    absorbs), so flips f on atoms s take exc(s ^ f) - exc(s) photons from
+    the field.  A ket row (s, f) and a bra row (z, g) form a term only where
+    both take the same number, otherwise the field trace kills it.  Bit
+    strings are read as binary numbers, the first atom most significant.
+    Returns the ket row ``s * dim + f`` and the bra row ``z * dim + g`` of a
+    ``(dim * dim, photon, time)`` view of the amplitude table, and each
+    term's flat position in the ``(row, col, ket_in, bra_in)`` block of the
+    channel tensor, with row = s ^ f and col = z ^ g.  The flips follow from
+    (ket_in, row) and (bra_in, col), so no two terms share a position.
     """
     dim = 2**n_atoms
-    ket_in, bra_in, ket_flips, bra_flips, row, col = np.array(_DELTA_TERMS[n_atoms]).T
+    exc = [bin(s).count("1") for s in range(dim)]
+    terms = [
+        (s, z, f, g, s ^ f, z ^ g)
+        for s, z, f, g in product(range(dim), repeat=4)
+        if exc[s ^ f] - exc[s] == exc[z ^ g] - exc[z]
+    ]
+    ket_in, bra_in, ket_flips, bra_flips, row, col = np.array(terms).T
     dst = np.ravel_multi_index((row, col, ket_in, bra_in), (dim,) * 4)
     return ket_in * dim + ket_flips, bra_in * dim + bra_flips, dst
 

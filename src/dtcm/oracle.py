@@ -233,9 +233,6 @@ class PipelineComparison:
     n_max: int
     n_tau: int
 
-    def within(self, tol: float) -> bool:
-        return self.max_state_deviation <= tol and self.max_concurrence_deviation <= tol
-
 
 def _required_cutoff(field: FieldSpec) -> int:
     return field.max_photon() + 3

@@ -2,9 +2,9 @@
 
 Each suite exercises one structural guarantee of the pipeline: amplitude
 normalization, agreement of the channel tensors with independent routes
-(transcribed closed forms, single-atom ladder branches), agreement with the
-brute-force oracle, pair-exchange symmetries of the assembled state, and
-wholesale validity of reduced states over representative sweeps.
+(transcribed closed forms, the oracle's traced one-atom channel), agreement
+with the brute-force oracle, pair-exchange symmetries of the assembled
+state, and wholesale validity of reduced states over representative sweeps.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from . import dynamics
 from .algebra import _validate_batch
 from .analysis import PAIR_CHOICES, Scenario, _pair_states, sweep_pairs
 from .concurrence import _X_SHAPE_TOL, _concurrence_general_batch, _concurrence_x_batch, x_pattern_deviation
-from .dynamics import BellType, FieldSpec, Model, jc_amplitudes
-from .oracle import _required_cutoff, compare_pipelines
+from .dynamics import BellType, FieldSpec, Model
+from .oracle import _cavity_channel, _evolution_grid, _required_cutoff, build_tc_hamiltonian, compare_pipelines
 
 QUICK = "quick"
 FULL = "full"
@@ -78,30 +78,12 @@ def suite_x_normalization() -> SuiteResult:
     return _timed("x-normalization", 1e-12, worker)
 
 
-def _one_atom_channel(fld: FieldSpec, taus: np.ndarray) -> np.ndarray:
-    """One-atom channel E[t, row, col, ket_in, bra_in] from the ladder branches.
-
-    Tracing the field pairs a ket branch with a bra branch only where both
-    leave the same photon number; each pair adds amp_ket * conj(amp_bra).
-    """
-    ms, ps = fld.weights()
-    E = np.zeros((taus.size, 2, 2, 2, 2), dtype=complex)
-    for t, tau in enumerate(taus):
-        for m, p in zip(ms, ps):
-            branches = [jc_amplitudes(i, int(m), float(tau)) for i in (0, 1)]
-            for i, j in product((0, 1), repeat=2):
-                for row, n_ket, a_ket in branches[i]:
-                    for col, n_bra, a_bra in branches[j]:
-                        if n_ket == n_bra:
-                            E[t, row, col, i, j] += p * a_ket * np.conj(a_bra)
-    return E
-
-
 def suite_explicit_maps() -> SuiteResult:
     """The channel tensors the pipeline uses must match independent routes.
 
     Two atoms per cavity: the transcribed closed forms.  One atom per
-    cavity: products of the single-atom ladder branches.
+    cavity: the oracle's channel, traced numerically from the evolution
+    under the truncated one-atom Hamiltonian, so it reads no amplitude table.
     """
 
     def worker():
@@ -112,18 +94,19 @@ def suite_explicit_maps() -> SuiteResult:
             FieldSpec.thermal(1.0),
         ]
         taus = np.linspace(0.0, 25.0, 50)
-        one_atom_taus = taus[::5]
         dev = 0.0
         for fld in fields:
             E = dynamics._channel_tensor(fld, taus, 2)
             for i, k, j, l in product((0, 1), repeat=4):
                 explicit = dynamics.pair_map_explicit(i, k, j, l, fld, taus)
                 dev = max(dev, float(np.abs(E[:, :, :, 2 * i + k, 2 * j + l] - explicit).max()))
-            E1 = dynamics._channel_tensor(fld, one_atom_taus, 1)
-            dev = max(dev, float(np.abs(E1 - _one_atom_channel(fld, one_atom_taus)).max()))
+            H = build_tc_hamiltonian(_required_cutoff(fld), 1)
+            U5 = _evolution_grid(H, taus).reshape(taus.size, 2, H.n_max + 1, 2, H.n_max + 1)
+            E1 = dynamics._channel_tensor(fld, taus, 1)
+            dev = max(dev, float(np.abs(E1 - _cavity_channel(U5, fld, H.n_max)).max()))
         return dev, (
             f"16 operators x {len(fields)} fields x {taus.size} times, "
-            f"one-atom channel x {len(fields)} fields x {one_atom_taus.size} times"
+            f"one-atom channel x {len(fields)} fields x {taus.size} times"
         )
 
     return _timed("explicit-maps", 1e-12, worker)

@@ -206,18 +206,6 @@ def test_sweep_returns_labeled_curves():
         assert np.all(c.values >= 0.0) and np.all(c.values <= 1.0)
 
 
-def test_sweep_threads_match_serial():
-    sc = Scenario(Model.DTCM, BellType.PHI, FieldSpec.fock(1), FieldSpec.fock(1))
-    alphas = np.linspace(0.1, 1.4, 5)
-    tau = np.linspace(0.0, 4.0, 41)
-    serial = sweep_concurrence(sc, "AB", alphas, tau, threads=1)
-    threaded = sweep_concurrence(sc, "AB", alphas, tau, threads=2)
-    auto = sweep_concurrence(sc, "AB", alphas, tau, threads=0)
-    for a, b, c in zip(serial, threaded, auto):
-        np.testing.assert_allclose(a.values, b.values, atol=0.0)
-        np.testing.assert_allclose(a.values, c.values, atol=0.0)
-
-
 def test_sweep_validates_inputs():
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
     tau = np.linspace(0.0, 1.0, 5)
@@ -229,8 +217,6 @@ def test_sweep_validates_inputs():
         sweep_concurrence(sc, "AB", np.array([-0.1]), tau)
     with pytest.raises(ValueError):
         sweep_concurrence(sc, "AB", np.array([0.3]), np.array([1.0, 0.5]))
-    with pytest.raises(ValueError, match="threads must be nonnegative"):
-        sweep_concurrence(sc, "AB", np.array([0.3]), tau, threads=-1)
     djcm = Scenario(Model.DJCM, BellType.PSI, VAC, VAC)
     with pytest.raises(ValueError):
         sweep_concurrence(djcm, "CD", np.array([0.3]), tau)

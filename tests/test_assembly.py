@@ -123,6 +123,26 @@ def test_unknown_model_is_a_value_error_everywhere(call):
         call()
 
 
+@pytest.mark.parametrize(
+    ("alpha", "message"),
+    [(3.2, "alpha: values must lie in [0, pi]"), (np.nan, "alpha: values must be finite")],
+    ids=["out-of-range", "nan"],
+)
+def test_bad_angle_is_one_message_everywhere(alpha, message):
+    scenario = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
+    calls = [
+        lambda: BellPairSpec(BellType.PSI, alpha),
+        lambda: classify_regime(BellType.PSI, alpha, Model.DTCM, VAC, VAC),
+        lambda: assemble_atomic_state(BellPairSpec(BellType.PSI, alpha), PSI_PAIR, VAC, VAC, 1.0),
+        lambda: compare_pipelines(scenario, alpha, TAUS),
+        lambda: sweep_pairs(scenario, ("AB",), np.array([alpha]), TAUS),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 def test_invalid_state_names_the_assembled_state(monkeypatch):
     # doubled preparation weights give a state of trace 2
     real = dynamics._branch_weights

@@ -1,6 +1,7 @@
 """The per-cavity channel tensor against a plain per-term sum, its memory use, and the self-check on it."""
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,14 +14,23 @@ FIELD_IDS = ["vacuum", "fock2", "thermal1", "thermal3"]
 
 
 def per_term_reference(field, taus, n_atoms):
-    """Each selection-rule term summed over the photon distribution on its own."""
+    """Each selection-rule term summed over the photon distribution on its own.
+
+    The rule written out: |ket_in> -> |row> and |bra_in> -> |col> survive the
+    field trace only where both take the same number of photons from the field.
+    """
     ms, ps = field.weights()
     table = dynamics._x_block_table if n_atoms == 2 else dynamics._y_block_table
     amps = table(ms, taus)
     dim = 2**n_atoms
+
+    def excitations(state):
+        return bin(state).count("1")
+
     E = np.zeros((taus.size,) + (dim,) * 4, dtype=complex)
-    for ket_in, bra_in, ket_flips, bra_flips, row, col in dynamics._DELTA_TERMS[n_atoms]:
-        E[:, row, col, ket_in, bra_in] += ps @ (amps[ket_in, ket_flips] * np.conj(amps[bra_in, bra_flips]))
+    for ket_in, bra_in, row, col in product(range(dim), repeat=4):
+        if excitations(row) - excitations(ket_in) == excitations(col) - excitations(bra_in):
+            E[:, row, col, ket_in, bra_in] = ps @ (amps[ket_in, ket_in ^ row] * np.conj(amps[bra_in, bra_in ^ col]))
     return E
 
 
@@ -62,6 +72,21 @@ def test_explicit_maps_suite_checks_the_one_atom_channel(monkeypatch):
     # scramble where the one-atom terms land; the two-atom path is untouched
     ket, bra, dst = dynamics._GATHER[1]
     monkeypatch.setattr(dynamics, "_GATHER", {**dynamics._GATHER, 1: (ket, bra, dst[::-1].copy())})
+    result = verification.suite_explicit_maps()
+    assert not result.passed
+    assert result.max_deviation > 1e-3
+
+
+def test_explicit_maps_suite_catches_a_one_atom_amplitude_fault(monkeypatch):
+    # the one-atom reference must not read the amplitude table it checks
+    table = dynamics._y_block_table
+
+    def faulty(m, tau):
+        Y = table(m, tau)
+        Y[:, 1] *= 0.9  # every flip amplitude
+        return Y
+
+    monkeypatch.setattr(dynamics, "_y_block_table", faulty)
     result = verification.suite_explicit_maps()
     assert not result.passed
     assert result.max_deviation > 1e-3

@@ -113,15 +113,6 @@ def test_library_rejects_with_the_config_message(overrides, model, pairs, alphas
     assert str(from_library.value) == str(from_config.value)
 
 
-def test_config_round_trip():
-    cfg = cli.parse_config_text(rewrite(output="run.csv", field_b="thermal:0.5"))
-    text = cli.config_to_text(cfg)
-    again = cli.parse_config_text(text)
-    assert again.raw == cfg.raw
-    assert text.splitlines()[0] == "model = DTCM"  # canonical key order
-    assert text.endswith("\n")
-
-
 def test_presets_enumerate_and_parse():
     names = cli.available_presets()
     assert names == sorted(names) and len(names) == 11

@@ -146,7 +146,8 @@ def test_compare_pipelines_requires_headroom():
 def test_compare_pipelines_vacuum_smoke():
     sc = Scenario(Model.DTCM, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum())
     result = compare_pipelines(sc, 0.9, np.linspace(0.0, 3.0, 7), n_max=4)
-    assert result.within(1e-10)
+    assert result.max_state_deviation <= 1e-10
+    assert result.max_concurrence_deviation <= 1e-10
     assert result.n_max == 4 and result.n_tau == 7
 
 
