@@ -6,7 +6,6 @@ stored read-only.  Backed by numpy throughout.
 """
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -61,31 +60,26 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _ptrace_subscripts(n_qubits: int, keep_positions: Sequence[int]) -> str:
-    """einsum subscripts tracing out all slots not listed in ``keep_positions``.
+def _trace_subscripts(labels: str, keep: str) -> tuple[str, str]:
+    """einsum subscripts of a state over qubits ``labels`` and of its reduction to ``keep``.
 
-    Traced slots reuse the same index letter on ket and bra side; kept slots
-    get fresh bra letters and survive into the output.  A leading ellipsis
-    carries an optional batch dimension.
+    Each axis is named after its qubit: a ket index by the qubit's letter, a
+    bra index by the same letter where the qubit is traced and by its lower
+    case where it is kept.  The reduced state holds the kept qubits in the
+    order ``keep`` gives them.
     """
-    letters = string.ascii_lowercase
-    ket = list(letters[:n_qubits])
-    bra = list(ket)
-    nxt = n_qubits
-    for pos in keep_positions:
-        bra[pos] = letters[nxt]
-        nxt += 1
-    out = "".join(ket[p] for p in keep_positions) + "".join(bra[p] for p in keep_positions)
-    return f"...{''.join(ket)}{''.join(bra)}->...{out}"
+    state = labels + "".join(lab.lower() if lab in keep else lab for lab in labels)
+    return state, keep + keep.lower()
 
 
 def _partial_trace_array(mats: np.ndarray, n_qubits: int, keep_positions: Sequence[int]) -> np.ndarray:
     """Partial trace on a (batch of) 2^n x 2^n matrices, kept slots in given order."""
     batch = mats.shape[:-2]
     tensor = mats.reshape(batch + (2,) * (2 * n_qubits))
-    reduced = np.einsum(_ptrace_subscripts(n_qubits, keep_positions), tensor)
+    labels = "".join(CANONICAL_LABELS[:n_qubits])
+    state, reduced = _trace_subscripts(labels, "".join(labels[p] for p in keep_positions))
     d = 2 ** len(keep_positions)
-    return reduced.reshape(batch + (d, d))
+    return np.einsum(f"...{state}->...{reduced}", tensor).reshape(batch + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:

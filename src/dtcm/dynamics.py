@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import DensityMatrix, _require_valid
+from .algebra import DensityMatrix, _require_valid, _trace_subscripts
 
 _TauLike = Union[float, np.ndarray]
 
@@ -474,9 +474,8 @@ def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, 
     ``Eb`` from :func:`_channels`), so the state is
     sum_sz W[s, z] Ea[t, :, :, s, z] (x) Eb[t, :, :, s', z'], with W the
     preparation weights and s' the branch bits of cavity b's atoms (flipped
-    for psi, repeated for phi).  Every axis is named after its qubit: a ket
-    index by the qubit's letter, a bra index by the same letter where the
-    qubit is traced and by its lower case where it is kept.  Each channel is
+    for psi, repeated for phi).  Every axis is named after its qubit, as
+    :func:`dtcm.algebra._trace_subscripts` names them.  Each channel is
     traced down to its kept qubits, then the product of the two is laid out
     in A<B<C<D order.  ``_apply_weights(K, _branch_weights(...))`` is the
     reduced state.
@@ -486,10 +485,10 @@ def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, 
     traced, axes, order = [], [], ""
     for E, labels in zip((Ea, Eb), _cavity_labels(model)):
         kept = "".join(lab for lab in labels if lab in keep)
-        bras = "".join(lab.lower() if lab in kept else lab for lab in labels)
+        state, reduced = _trace_subscripts(labels, kept)
         qubits = E.reshape(E.shape[:1] + (2,) * (2 * len(labels)) + E.shape[-2:])
-        axes.append(f"t{kept}{kept.lower()}sz")
-        traced.append(np.einsum(f"t{labels}{bras}sz->{axes[-1]}", qubits))
+        axes.append(f"t{reduced}sz")
+        traced.append(np.einsum(f"t{state}sz->{axes[-1]}", qubits))
         order += kept
     order = "".join(sorted(order))
     K = np.einsum(f"{axes[0]},{axes[1]}->t{order}{order.lower()}sz", *traced, optimize=True)

@@ -1,20 +1,22 @@
 """Brute-force reference dynamics on a truncated Fock space.
 
 Builds the resonant interaction Hamiltonian for one or two atoms sharing a
-cavity mode, exponentiates it exactly through its eigendecomposition and
-reduces the evolved state by plain numerical traces.  Deliberately literal:
-the start state is written out from explicit Bell vectors, and no
-closed-form amplitudes, selection rules or preparation weights enter
-anywhere, so this is an independent check of the analytic pipeline.
+cavity mode as its operator sum, exponentiates it exactly through its
+eigendecomposition and reduces the evolved state by plain numerical traces.
+Deliberately literal: the start state is written out from explicit Bell
+vectors, and no closed-form amplitudes, selection rules or preparation
+weights enter anywhere, so this is an independent check of the analytic
+pipeline.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .analysis import _PAIR_POSITIONS, Scenario, _model_pairs
+from .analysis import _PAIR_POSITIONS, Scenario, _model_pairs, _pair_states
 from .algebra import _partial_trace_array
 from .concurrence import _concurrence_general_batch
 from .dynamics import (
@@ -41,7 +43,6 @@ class TruncatedHamiltonian:
     matrix: np.ndarray
     n_max: int
     n_atoms: int
-    coupling: float
     basis: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
@@ -49,35 +50,25 @@ class TruncatedHamiltonian:
         return self.matrix.shape[0]
 
 
-def build_tc_hamiltonian(n_max: int, n_atoms: int = 2, coupling: float = 1.0) -> TruncatedHamiltonian:
-    """Resonant interaction Hamiltonian g * sum_i (a sigma_i^+ + a^dag sigma_i^-)."""
+def build_tc_hamiltonian(n_max: int, n_atoms: int = 2) -> TruncatedHamiltonian:
+    """Resonant interaction Hamiltonian sum_i (a sigma_i^+ + a^dag sigma_i^-).
+
+    The coupling is 1: every time in the package is the scaled time tau = g t.
+    """
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError("n_max must be an integer >= 1")
     if n_atoms not in (1, 2):
         raise ValueError("n_atoms must be 1 or 2")
-    n_ph = n_max + 1
-    dim = 2**n_atoms * n_ph
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma^-: |1> -> |0>
+    create = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), -1)  # a^dag: |m> -> sqrt(m+1) |m+1>
+    dim = 2**n_atoms * (n_max + 1)
     H = np.zeros((dim, dim))
-
-    def idx(bits: int, m: int) -> int:
-        return bits * n_ph + m
-
-    for bits in range(2**n_atoms):
-        for m in range(n_ph):
-            for atom in range(n_atoms):
-                mask = 1 << (n_atoms - 1 - atom)
-                if bits & mask:
-                    if m + 1 <= n_max:  # a^dag sigma^-: the atom emits into the mode
-                        H[idx(bits ^ mask, m + 1), idx(bits, m)] += coupling * np.sqrt(m + 1.0)
-                else:
-                    if m >= 1:  # a sigma^+: the atom absorbs from the mode
-                        H[idx(bits ^ mask, m - 1), idx(bits, m)] += coupling * np.sqrt(float(m))
-    basis = tuple(
-        (tuple((bits >> (n_atoms - 1 - atom)) & 1 for atom in range(n_atoms)), m)
-        for bits in range(2**n_atoms)
-        for m in range(n_ph)
-    )
-    return TruncatedHamiltonian(H, int(n_max), int(n_atoms), float(coupling), basis)
+    for atom in range(n_atoms):
+        sigma = np.kron(np.kron(np.eye(2**atom), lower), np.eye(2 ** (n_atoms - 1 - atom)))
+        term = np.kron(sigma, create)  # a^dag sigma_i^-: the atom emits into the mode
+        H += term + term.T  # its adjoint a sigma_i^+: the atom absorbs from the mode
+    basis = tuple((bits, m) for bits in product((0, 1), repeat=n_atoms) for m in range(n_max + 1))
+    return TruncatedHamiltonian(H, int(n_max), int(n_atoms), basis)
 
 
 def _evolution_grid(H: TruncatedHamiltonian, taus: np.ndarray) -> np.ndarray:
@@ -93,42 +84,24 @@ def evolution_operator(H: TruncatedHamiltonian, tau: float) -> np.ndarray:
     return _evolution_grid(H, taus)[0]
 
 
-def _photon_numbers(H: TruncatedHamiltonian) -> np.ndarray:
-    return np.array([m for _, m in H.basis])
-
-
-def _top_level_population(rho: np.ndarray, H: TruncatedHamiltonian) -> float:
-    """Population within one photon of the cutoff, summed over registers."""
-    photons = _photon_numbers(H)
-    near_top = photons >= H.n_max - 1
-    diag = np.diag(rho).real
-    if rho.shape[0] == H.dim:
-        return float(diag[near_top].sum())
-    # two registers: flag a basis state when either cavity index is near the top
-    flags = near_top[:, None] | near_top[None, :]
-    return float(diag[flags.reshape(-1)].sum())
+def _check_leak(leak: float, n_max: int) -> None:
+    if leak > _LEAK_TOL:
+        raise CutoffLeakageError(f"population {leak:.3e} within one photon of n_max={n_max}")
 
 
 def oracle_evolve(initial: np.ndarray, H: TruncatedHamiltonian, tau: float) -> np.ndarray:
-    """Evolve a full-system density matrix by literal conjugation.
+    """Evolve a one-cavity density matrix (dim matching ``H``) by literal conjugation.
 
-    ``initial`` may live on one cavity register (dim matching ``H``) or on
-    two independent copies (squared dim, evolved under U x U).  Population
-    within one photon of the cutoff raises: results there are not trustable.
-    Size the truncation so the top two levels stay empty.
+    Population within one photon of the cutoff raises: results there are not
+    trustable.  Size the truncation so the top two levels stay empty.
     """
     mat = np.asarray(initial, dtype=complex)
+    if mat.shape != (H.dim, H.dim):
+        raise ValueError(f"state shape {mat.shape} does not fit the register's dim {H.dim}")
     U = evolution_operator(H, tau)
-    if mat.shape == (H.dim, H.dim):
-        evolved = U @ mat @ U.conj().T
-    elif mat.shape == (H.dim**2, H.dim**2):
-        U2 = np.kron(U, U)
-        evolved = U2 @ mat @ U2.conj().T
-    else:
-        raise ValueError(f"state dim {mat.shape} fits neither one register ({H.dim}) nor two ({H.dim ** 2})")
-    leak = _top_level_population(evolved, H)
-    if leak > _LEAK_TOL:
-        raise CutoffLeakageError(f"population {leak:.3e} within one photon of n_max={H.n_max}")
+    evolved = U @ mat @ U.conj().T
+    populations = np.diag(evolved).real.reshape(2**H.n_atoms, H.n_max + 1)  # [atoms, photon]
+    _check_leak(float(populations[:, H.n_max - 1 :].sum()), H.n_max)
     return evolved
 
 
@@ -188,6 +161,7 @@ def oracle_atomic_grid(
     """
     if model not in (Model.DTCM, Model.DJCM):
         raise ValueError(f"unknown model {model!r}")
+    taus, _ = _as_tau_grid(taus)
     n_atoms = 2 if model is Model.DTCM else 1
     H = build_tc_hamiltonian(n_max, n_atoms)
     U = _evolution_grid(H, taus)
@@ -209,9 +183,7 @@ def oracle_atomic_grid(
     # each register's atom populations, the partner register traced out
     populations = np.abs(psi) ** 2
     for fld, probs in ((field_a, populations.sum(axis=1)), (field_b, populations.sum(axis=0))):
-        leak = _channel_leak(U5, fld, probs, n_max)
-        if leak > _LEAK_TOL:
-            raise CutoffLeakageError(f"population {leak:.3e} within one photon of n_max={n_max}")
+        _check_leak(_channel_leak(U5, fld, probs, n_max), n_max)
 
     Ga = _cavity_channel(U5, field_a, n_max)
     Gb = _cavity_channel(U5, field_b, n_max)
@@ -246,9 +218,12 @@ def compare_pipelines(
 ) -> PipelineComparison:
     """Run the analytic assembly and the brute-force oracle on the same grid.
 
-    Reports the largest entrywise difference of the reduced states and the
-    largest difference of pairwise concurrences (computed by the general
-    route on both sides, so no X-shape assumption enters the comparison).
+    Reports the largest entrywise difference of the joint atomic states and
+    the largest difference of pairwise concurrences.  The analytic pair
+    states are the ones the sweeps produce (each cavity channel traced down
+    to the pair before the product), so the comparison covers that combine
+    step too; concurrences are computed by the general route on both sides,
+    so no X-shape assumption enters the comparison.
     """
     required = max(_required_cutoff(scenario.field_a), _required_cutoff(scenario.field_b))
     if n_max < required:
@@ -259,12 +234,11 @@ def compare_pipelines(
     reference = oracle_atomic_grid(spec, spec, scenario.field_a, scenario.field_b, taus, n_max, scenario.model)
     state_dev = float(np.abs(analytic - reference).max())
 
-    # both states order the layout's qubits A<B<C<D, and every layout starts
-    # at A, B, so a pair's canonical positions index either state
-    n_qubits = analytic.shape[-1].bit_length() - 1
+    # the oracle orders the layout's qubits A<B<C<D, and every layout starts
+    # at A, B, so a pair's canonical positions index its state
+    n_qubits = reference.shape[-1].bit_length() - 1
     conc_dev = 0.0
-    for pair in _model_pairs(scenario.model):
-        red_a = _partial_trace_array(analytic, n_qubits, _PAIR_POSITIONS[pair])
+    for pair, _, red_a in _pair_states(scenario, _model_pairs(scenario.model), [alpha], taus):
         red_o = _partial_trace_array(reference, n_qubits, _PAIR_POSITIONS[pair])
         c_a = _concurrence_general_batch(red_a)
         c_o = _concurrence_general_batch(red_o)

@@ -135,39 +135,36 @@ def _oracle_cases(level: str) -> list[tuple[Scenario, float, np.ndarray, int]]:
     return cases
 
 
-def suite_oracle_agreement(level: str = QUICK) -> SuiteResult:
-    """Analytic states and concurrences must match the brute-force route."""
+def _oracle_suite(
+    name: str, tolerance: float, cases: list[tuple[Scenario, float, np.ndarray, int]], what: str
+) -> SuiteResult:
+    """Worst state or concurrence deviation of :func:`compare_pipelines` over ``cases``."""
 
     def worker():
         dev = 0.0
-        cases = _oracle_cases(level)
         for scenario, alpha, taus, n_max in cases:
             report = compare_pipelines(scenario, alpha, taus, n_max=n_max)
             dev = max(dev, report.max_state_deviation, report.max_concurrence_deviation)
-        return dev, f"{len(cases)} scenario/alpha combinations"
+        return dev, f"{len(cases)} {what}"
 
-    return _timed("oracle-agreement", 1e-8, worker)
+    return _timed(name, tolerance, worker)
+
+
+def suite_oracle_agreement(level: str = QUICK) -> SuiteResult:
+    """Analytic states and concurrences must match the brute-force route."""
+    return _oracle_suite("oracle-agreement", 1e-8, _oracle_cases(level), "scenario/alpha combinations")
 
 
 def suite_oracle_agreement_thermal() -> SuiteResult:
     """Same oracle comparison on truncated thermal fields (looser tolerance)."""
-
-    def worker():
-        taus = np.linspace(0.0, 10.0, 20)
-        dev = 0.0
-        count = 0
-        for nbar in (0.1, 1.0):
-            fld = FieldSpec.thermal(nbar)
-            n_max = _required_cutoff(fld)
-            for bell in (BellType.PSI, BellType.PHI):
-                scenario = Scenario(Model.DTCM, bell, fld, fld)
-                # not pi/4, where equal branch amplitudes hide an angle read as pi/2 - alpha
-                report = compare_pipelines(scenario, np.pi / 8, taus, n_max=n_max)
-                dev = max(dev, report.max_state_deviation, report.max_concurrence_deviation)
-                count += 1
-        return dev, f"{count} thermal scenarios"
-
-    return _timed("oracle-agreement-thermal", 1e-6, worker)
+    taus = np.linspace(0.0, 10.0, 20)
+    cases = []
+    for nbar in (0.1, 1.0):
+        fld = FieldSpec.thermal(nbar)
+        for bell in (BellType.PSI, BellType.PHI):
+            # not pi/4, where equal branch amplitudes hide an angle read as pi/2 - alpha
+            cases.append((Scenario(Model.DTCM, bell, fld, fld), np.pi / 8, taus, _required_cutoff(fld)))
+    return _oracle_suite("oracle-agreement-thermal", 1e-6, cases, "thermal scenarios")
 
 
 def suite_pair_symmetries() -> SuiteResult:
