@@ -104,9 +104,18 @@ def classify_regime(
     return RegimeReport(Regime.STRONG if strong else Regime.WEAK, p_at_least, p_below, strong)
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values`` as a read-only float array; a writeable input is copied, never frozen in place."""
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ConcurrenceCurve:
-    """Sampled concurrence of one atom pair at fixed alpha."""
+    """Sampled concurrence of one atom pair at fixed alpha, held read-only."""
 
     pair: str
     alpha: float
@@ -114,12 +123,12 @@ class ConcurrenceCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        tau = np.asarray(self.tau, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        tau = _read_only(self.tau)
+        values = _read_only(self.values)
         if tau.ndim != 1 or tau.shape != values.shape:
             raise ValueError("tau and values must be 1-d arrays of equal length")
-        tau.setflags(write=False)
-        values.setflags(write=False)
+        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(values))):
+            raise ValueError("tau and values must be finite")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "values", values)
 
@@ -222,7 +231,7 @@ def sweep_pairs(
     checked against the X pattern before the fast-path concurrence is taken.
     """
     pairs = _check_pairs(scenario.model, pairs)
-    taus, _ = _as_tau_grid(_check_grid("tau", tau_grid))
+    taus = _read_only(_as_tau_grid(_check_grid("tau", tau_grid))[0])  # one copy, shared by every curve
     alphas = _check_alphas(alpha_grid)
     trace_slack = scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
     curves: dict[str, list[ConcurrenceCurve]] = {pair: [] for pair in pairs}
@@ -254,6 +263,11 @@ def _zero_runs(below: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
+def _check_zero_tol(zero_tol: float) -> None:
+    if not (np.isfinite(zero_tol) and zero_tol > 0.0):
+        raise ValueError("zero_tol must be finite and positive")
+
+
 def detect_esd(curve: ConcurrenceCurve, zero_tol: float = _ZERO_TOL, min_zero_points: int = 3) -> EsdEvents:
     """Locate entanglement sudden death on a sampled curve.
 
@@ -265,14 +279,14 @@ def detect_esd(curve: ConcurrenceCurve, zero_tol: float = _ZERO_TOL, min_zero_po
     """
     if min_zero_points < 1:
         raise ValueError("min_zero_points must be at least 1")
+    _check_zero_tol(zero_tol)
     values, taus = curve.values, curve.tau
     below = values < zero_tol
     death = revival = None
     touches: list[float] = []
     for start, stop in _zero_runs(below):
-        has_before = bool(np.any(values[:start] >= zero_tol))
-        has_after = stop < values.size  # the run is maximal, so the next sample is above
-        if not (has_before and has_after):
+        # the run is maximal, so the samples on either side of it are above
+        if not (start > 0 and stop < values.size):
             continue
         if stop - start >= min_zero_points:
             if death is None:
@@ -295,6 +309,7 @@ def detect_esb(curve: ConcurrenceCurve, zero_tol: float = _ZERO_TOL) -> EsdEvent
     dead stretch, so a curve entangled from the second sample onward is born
     at ``tau[0]``.  Returns an empty event set when the curve never rises.
     """
+    _check_zero_tol(zero_tol)
     values, taus = curve.values, curve.tau
     alive = np.nonzero(values >= zero_tol)[0]
     if alive.size == 0:

@@ -289,7 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             cmd_plotdata(cfg, out)
         return 0
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, MemoryError) as exc:
         # before ValueError: LinAlgError subclasses it but is a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

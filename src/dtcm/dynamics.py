@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
 
 import numpy as np
@@ -300,36 +299,25 @@ def x_coeff(key: XCoefficientKey) -> complex:
     return complex(X[2 * key.i + key.k, 2 * key.p + key.q, 0, 0])
 
 
-def _gather_indices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The selection-rule terms of ``n_atoms`` atoms as index arrays for one gathered product.
+def _selection_rule(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flips ``row ^ ket_in`` of each (row, ket_in), and the mask of terms the field trace keeps.
 
     Each flip moves one photon (an excited atom emits, a ground atom
-    absorbs), so flips f on atoms s take exc(s ^ f) - exc(s) photons from
-    the field.  A ket row (s, f) and a bra row (z, g) form a term only where
-    both take the same number, otherwise the field trace kills it.  Bit
-    strings are read as binary numbers, the first atom most significant.
-    Returns the ket row ``s * dim + f`` and the bra row ``z * dim + g`` of a
-    ``(dim * dim, photon, time)`` view of the amplitude table, and each
-    term's flat position in the ``(row, col, ket_in, bra_in)`` block of the
-    channel tensor, with row = s ^ f and col = z ^ g.  The flips follow from
-    (ket_in, row) and (bra_in, col), so no two terms share a position.
+    absorbs), so |ket_in> -> |row> takes exc(row) - exc(ket_in) photons from
+    the field.  ``same[(row, ket_in), (col, bra_in)]`` is true where both
+    transitions take the same number; the field trace kills every other term.
+    Bit strings are read as binary numbers, the first atom most significant.
     """
-    dim = 2**n_atoms
-    exc = [bin(s).count("1") for s in range(dim)]
-    terms = [
-        (s, z, f, g, s ^ f, z ^ g)
-        for s, z, f, g in product(range(dim), repeat=4)
-        if exc[s ^ f] - exc[s] == exc[z ^ g] - exc[z]
-    ]
-    ket_in, bra_in, ket_flips, bra_flips, row, col = np.array(terms).T
-    dst = np.ravel_multi_index((row, col, ket_in, bra_in), (dim,) * 4)
-    return ket_in * dim + ket_flips, bra_in * dim + bra_flips, dst
+    states = np.arange(2**n_atoms)
+    exc = np.array([bin(s).count("1") for s in states])
+    taken = (exc[:, None] - exc[None, :]).ravel()
+    return states[:, None] ^ states, taken[:, None] == taken[None, :]
 
 
-_GATHER = {n_atoms: _gather_indices(n_atoms) for n_atoms in (1, 2)}
+_SELECTION = {n_atoms: _selection_rule(n_atoms) for n_atoms in (1, 2)}
 
-# complex cells per gathered product (terms x photons x taus in one chunk);
-# bounds a channel build's working memory whatever the grid length
+# complex cells per chunk of taus, in the gathered amplitudes and in their
+# product alike; bounds a channel build's working memory whatever the grid length
 _CHUNK_CELLS = 2**16
 
 # The ten transcribed closed forms for the evolved pair operators; the other
@@ -370,24 +358,26 @@ def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndar
     """Every evolved operator |ket><bra| of one cavity's atoms, as E[t, row, col, ket_in, bra_in].
 
     ``n_atoms`` is 1 (one atom per cavity) or 2 (two atoms sharing the mode).
-    Every allowed flip term is gathered from the amplitude table and summed
-    over the field's photon distribution in one product per chunk of taus;
-    a chunk holds at most ``_CHUNK_CELLS`` cells of that product, or a
-    single tau where one tau alone needs more.
+    Tracing the field gives, per tau, the photon-weighted Gram product
+    G = (K p) K^dagger of the amplitudes K[(row, ket_in), photon], kept
+    where the selection rule holds.  A chunk of taus holds at most
+    ``_CHUNK_CELLS`` cells of K and of G each, or a single tau where one tau
+    alone needs more.
     """
     ms, ps = field.weights()
     table = _x_block_table if n_atoms == 2 else _y_block_table
-    ket, bra, dst = _GATHER[n_atoms]
+    flips, same = _SELECTION[n_atoms]
     dim = 2**n_atoms
-    E = np.zeros((taus.size, dim**4), dtype=complex)
-    chunk = max(1, _CHUNK_CELLS // (dst.size * ms.size))
+    E = np.empty((taus.size, dim, dim, dim, dim), dtype=complex)
+    chunk = max(1, _CHUNK_CELLS // (dim * dim * max(ms.size, dim * dim)))
     for start in range(0, taus.size, chunk):
         span = slice(start, start + chunk)
-        amps = table(ms, taus[span]).reshape(dim * dim, ms.size, -1)
-        terms = amps[ket]
-        terms *= np.conj(amps)[bra]
-        E[span, dst] = (ps @ terms).T
-    return E.reshape(taus.size, dim, dim, dim, dim)
+        amps = table(ms, taus[span])[np.arange(dim), flips]  # [row, ket_in, photon, t]
+        K = amps.reshape(dim * dim, ms.size, -1).transpose(2, 0, 1)
+        G = (K * ps) @ K.conj().transpose(0, 2, 1)
+        G *= same
+        E[span] = G.reshape(-1, dim, dim, dim, dim).transpose(0, 1, 3, 2, 4)
+    return E
 
 
 def pair_map(i: int, k: int, j: int, l: int, field: FieldSpec, tau: _TauLike) -> np.ndarray:

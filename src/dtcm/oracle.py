@@ -55,7 +55,7 @@ def build_tc_hamiltonian(n_max: int, n_atoms: int = 2) -> TruncatedHamiltonian:
 
     The coupling is 1: every time in the package is the scaled time tau = g t.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
         raise ValueError("n_max must be an integer >= 1")
     if n_atoms not in (1, 2):
         raise ValueError("n_atoms must be 1 or 2")
@@ -105,6 +105,14 @@ def oracle_evolve(initial: np.ndarray, H: TruncatedHamiltonian, tau: float) -> n
     return evolved
 
 
+def _field_levels(field: FieldSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The field's photon numbers and probabilities, once they fit in Fock(0..n_max)."""
+    ms, ps = field.weights()
+    if int(ms.max()) > n_max:
+        raise ValueError("field occupies levels beyond the cutoff")
+    return ms, ps
+
+
 def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
     """Numerically traced per-cavity map G[t, ket_out, bra_out, ket_in, bra_in].
 
@@ -114,9 +122,7 @@ def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
     by (photon out, photon in) block of U, its columns scaled by the square
     roots of the photon probabilities.
     """
-    ms, ps = field.weights()
-    if int(ms.max()) > n_max:
-        raise ValueError("field occupies levels beyond the cutoff")
+    ms, ps = _field_levels(field, n_max)
     n_t, dim, n_ph = U5.shape[:3]
     G = np.empty((n_t, dim, dim, dim, dim), dtype=complex)  # [t, a, b, s, z]
     for t in range(n_t):
@@ -127,7 +133,7 @@ def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
 
 def _channel_leak(U5: np.ndarray, field: FieldSpec, atom_probs: np.ndarray, n_max: int) -> float:
     """Worst-case population of the top two photon levels over the time grid."""
-    ms, ps = field.weights()
+    ms, ps = _field_levels(field, n_max)
     U_top = U5[:, :, n_max - 1 :][:, :, :, :, ms]
     leak_t = np.einsum("tapsm,tapsm,m,s->t", U_top, U_top.conj(), ps, atom_probs).real
     return float(leak_t.max())
@@ -139,6 +145,13 @@ def _bell_vector(spec: BellPairSpec) -> np.ndarray:
     if spec.bell_type is BellType.PSI:
         return np.array([0.0, s, c, 0.0])  # cos(a)|10> + sin(a)|01>
     return np.array([s, 0.0, 0.0, c])  # sin(a)|00> + cos(a)|11>
+
+
+def _atoms_per_cavity(model: Model) -> int:
+    """How many atoms share each cavity in ``model``'s layout."""
+    if not isinstance(model, Model):
+        raise ValueError(f"unknown model {model!r}")
+    return 2 if model is Model.DTCM else 1
 
 
 def oracle_atomic_grid(
@@ -159,10 +172,8 @@ def oracle_atomic_grid(
     :func:`dtcm.dynamics.assemble_atomic_state` conventions: (T,16,16) over
     (A,B,C,D) for the two-pair layout, (T,4,4) over (A,B) otherwise.
     """
-    if model not in (Model.DTCM, Model.DJCM):
-        raise ValueError(f"unknown model {model!r}")
+    n_atoms = _atoms_per_cavity(model)
     taus, _ = _as_tau_grid(taus)
-    n_atoms = 2 if model is Model.DTCM else 1
     H = build_tc_hamiltonian(n_max, n_atoms)
     U = _evolution_grid(H, taus)
     n_ph = n_max + 1
@@ -206,8 +217,19 @@ class PipelineComparison:
     n_tau: int
 
 
-def _required_cutoff(field: FieldSpec) -> int:
-    return field.max_photon() + 3
+def _required_cutoff(field: FieldSpec, n_atoms: int) -> int:
+    """Smallest n_max at which ``n_atoms`` atoms sharing the field's cavity run leak-free.
+
+    Every level the field holds must be able to take all ``n_atoms`` quanta,
+    and at most ``_LEAK_TOL`` of the field may reach the top two levels,
+    which the leak checks watch: the field's mass at or above level
+    n_max - 1 - n_atoms must be negligible.
+    """
+    ms, ps = field.weights()
+    above = np.cumsum(ps[::-1])[::-1]  # mass at or above each level
+    # the levels are contiguous, so the negligible ones are the top ones
+    settled = int(ms.max()) + 1 - int(np.count_nonzero(above <= _LEAK_TOL))
+    return max(int(ms.max()) + n_atoms, settled + n_atoms + 1)
 
 
 def compare_pipelines(
@@ -225,7 +247,8 @@ def compare_pipelines(
     step too; concurrences are computed by the general route on both sides,
     so no X-shape assumption enters the comparison.
     """
-    required = max(_required_cutoff(scenario.field_a), _required_cutoff(scenario.field_b))
+    n_atoms = _atoms_per_cavity(scenario.model)
+    required = max(_required_cutoff(scenario.field_a, n_atoms), _required_cutoff(scenario.field_b, n_atoms))
     if n_max < required:
         raise ValueError(f"n_max={n_max} too small for these fields; need at least {required}")
     taus, _ = _as_tau_grid(tau_grid)

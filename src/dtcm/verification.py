@@ -100,7 +100,7 @@ def suite_explicit_maps() -> SuiteResult:
             for i, k, j, l in product((0, 1), repeat=4):
                 explicit = dynamics.pair_map_explicit(i, k, j, l, fld, taus)
                 dev = max(dev, float(np.abs(E[:, :, :, 2 * i + k, 2 * j + l] - explicit).max()))
-            H = build_tc_hamiltonian(_required_cutoff(fld), 1)
+            H = build_tc_hamiltonian(_required_cutoff(fld, 1), 1)
             U5 = _evolution_grid(H, taus).reshape(taus.size, 2, H.n_max + 1, 2, H.n_max + 1)
             E1 = dynamics._channel_tensor(fld, taus, 1)
             dev = max(dev, float(np.abs(E1 - _cavity_channel(U5, fld, H.n_max)).max()))
@@ -163,7 +163,7 @@ def suite_oracle_agreement_thermal() -> SuiteResult:
         fld = FieldSpec.thermal(nbar)
         for bell in (BellType.PSI, BellType.PHI):
             # not pi/4, where equal branch amplitudes hide an angle read as pi/2 - alpha
-            cases.append((Scenario(Model.DTCM, bell, fld, fld), np.pi / 8, taus, _required_cutoff(fld)))
+            cases.append((Scenario(Model.DTCM, bell, fld, fld), np.pi / 8, taus, _required_cutoff(fld, 2)))
     return _oracle_suite("oracle-agreement-thermal", 1e-6, cases, "thermal scenarios")
 
 

@@ -134,6 +134,43 @@ def test_esd_zero_tolerance():
         detect_esd(c, min_zero_points=0)
 
 
+@pytest.mark.parametrize("zero_tol", [np.nan, 0.0, -1e-9, np.inf], ids=str)
+def test_event_detection_rejects_a_bad_zero_tolerance(zero_tol):
+    # each of these used to report "no events" on a curve with a dead window
+    c = curve([0.5, 0.0, 0.0, 0.0, 0.5])
+    assert detect_esd(c).esd_found
+    with pytest.raises(ValueError, match="^zero_tol must be finite and positive$"):
+        detect_esd(c, zero_tol=zero_tol)
+    with pytest.raises(ValueError, match="^zero_tol must be finite and positive$"):
+        detect_esb(c, zero_tol=zero_tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+def test_curve_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="^tau and values must be finite$"):
+        curve([0.5, bad, 0.5])
+    with pytest.raises(ValueError, match="^tau and values must be finite$"):
+        curve([0.5, 0.1, 0.5], tau=[0.0, bad, 2.0])
+
+
+def test_curves_never_freeze_the_callers_arrays():
+    taus, alphas = np.linspace(0.0, 5.0, 11), np.array([0.3, 0.9])
+    scenario = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
+    curves = sweep_pairs(scenario, ("AB", "BD"), alphas, taus)
+    taus[0] = 0.5
+    alphas[0] = 0.1
+    # one read-only copy of the grid, shared by every curve of the sweep
+    grids = {id(c.tau) for cs in curves.values() for c in cs}
+    assert len(grids) == 1 and curves["AB"][0].tau[0] == 0.0
+    t, v = np.arange(4.0), np.zeros(4)
+    c = ConcurrenceCurve("AB", 0.3, t, v)
+    t[0] = v[0] = 1.0
+    assert c.tau[0] == 0.0 and c.values[0] == 0.0
+    for held in (curves["AB"][0].tau, curves["BD"][1].values, c.tau, c.values):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 2.0
+
+
 def test_esd_reports_first_window():
     c = curve([0.4, 0.0, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.1])
     events = detect_esd(c)

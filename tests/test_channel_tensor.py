@@ -69,9 +69,9 @@ def test_hot_thermal_build_has_bounded_memory():
 
 
 def test_explicit_maps_suite_checks_the_one_atom_channel(monkeypatch):
-    # scramble where the one-atom terms land; the two-atom path is untouched
-    ket, bra, dst = dynamics._GATHER[1]
-    monkeypatch.setattr(dynamics, "_GATHER", {**dynamics._GATHER, 1: (ket, bra, dst[::-1].copy())})
+    # scramble which one-atom terms survive; the two-atom path is untouched
+    flips, same = dynamics._SELECTION[1]
+    monkeypatch.setattr(dynamics, "_SELECTION", {**dynamics._SELECTION, 1: (flips, same[::-1].copy())})
     result = verification.suite_explicit_maps()
     assert not result.passed
     assert result.max_deviation > 1e-3

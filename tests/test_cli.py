@@ -254,6 +254,18 @@ def test_linalg_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_memory_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a field too hot to tabulate is a numerical failure, not a failed verify (exit 1)
+    cfg = write_cfg(tmp_path, rewrite(field_a="thermal:5"))
+
+    def out_of_memory(m, tau):
+        raise MemoryError("Unable to allocate 8.23 GiB for the amplitude table")
+
+    monkeypatch.setattr(dynamics, "_x_block_table", out_of_memory)
+    assert cli.main(["simulate", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "numerical failure: Unable to allocate 8.23 GiB for the amplitude table\n"
+
+
 def test_verify_quick_passes(capsys):
     assert cli.main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out

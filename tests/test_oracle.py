@@ -163,6 +163,52 @@ def test_compare_pipelines_requires_headroom():
         compare_pipelines(sc, 0.5, np.linspace(0.0, 2.0, 5), n_max=6)
 
 
+def test_compare_pipelines_headroom_counts_the_atoms(monkeypatch):
+    def no_evolution(H, taus):
+        raise AssertionError("evolved before the headroom check")
+
+    monkeypatch.setattr(oracle, "_evolution_grid", no_evolution)
+    # two atoms can add two photons to fock:1, so n_max=4 would leak
+    sc = Scenario(Model.DTCM, BellType.PSI, FieldSpec.fock(1), FieldSpec.fock(1))
+    with pytest.raises(ValueError, match="need at least 5"):
+        compare_pipelines(sc, 0.4, np.linspace(0.0, 10.0, 20), n_max=4)
+
+
+@pytest.mark.parametrize(
+    ("field", "cutoffs"),
+    [
+        (FieldSpec.vacuum(), {Model.DTCM: 4, Model.DJCM: 3}),
+        (FieldSpec.fock(1), {Model.DTCM: 5, Model.DJCM: 4}),
+        (FieldSpec.fock(3), {Model.DTCM: 7, Model.DJCM: 6}),
+        (FieldSpec.thermal(0.1), {Model.DTCM: 11, Model.DJCM: 10}),
+        (FieldSpec.thermal(1.0), {Model.DTCM: 35, Model.DJCM: 34}),
+    ],
+    ids=["vacuum", "fock1", "fock3", "thermal0.1", "thermal1"],
+)
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_compare_pipelines_runs_leak_free_at_the_required_cutoff(model, field, cutoffs):
+    n_max = cutoffs[model]
+    for bell in BellType:
+        report = compare_pipelines(Scenario(model, bell, field, field), 0.4, np.linspace(0.0, 10.0, 20), n_max=n_max)
+        assert max(report.max_state_deviation, report.max_concurrence_deviation) <= 1e-12
+    assert oracle._required_cutoff(field, oracle._atoms_per_cavity(model)) == n_max
+
+
+@pytest.mark.parametrize(
+    ("field_a", "n_max"), [(FieldSpec.fock(8), 6), (FieldSpec.thermal(1.0), 20)], ids=["fock8", "thermal1"]
+)
+def test_oracle_grid_rejects_a_field_beyond_the_cutoff(field_a, n_max):
+    pair = BellPairSpec(BellType.PSI, 0.5)
+    with pytest.raises(ValueError, match="^field occupies levels beyond the cutoff$"):
+        oracle_atomic_grid(pair, pair, field_a, FieldSpec.vacuum(), np.linspace(0.0, 1.0, 3), n_max)
+
+
+@pytest.mark.parametrize("n_max", (True, False, 0, 2.0), ids=str)
+def test_hamiltonian_rejects_a_non_integer_cutoff(n_max):
+    with pytest.raises(ValueError, match=r"^n_max must be an integer >= 1$"):
+        build_tc_hamiltonian(n_max)
+
+
 def test_compare_pipelines_vacuum_smoke():
     sc = Scenario(Model.DTCM, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum())
     result = compare_pipelines(sc, 0.9, np.linspace(0.0, 3.0, 7), n_max=4)
@@ -177,7 +223,8 @@ def test_compare_pipelines_vacuum_smoke():
 
 
 def oracle_concurrence(model, pair_ab, pair_cd, field_a, field_b, taus, pair):
-    n_max = max(6, oracle._required_cutoff(field_a), oracle._required_cutoff(field_b))
+    n_atoms = oracle._atoms_per_cavity(model)
+    n_max = max(6, oracle._required_cutoff(field_a, n_atoms), oracle._required_cutoff(field_b, n_atoms))
     grid = oracle_atomic_grid(pair_ab, pair_cd, field_a, field_b, np.asarray(taus), n_max, model)
     labels = ("A", "B", "C", "D") if model is Model.DTCM else ("A", "B")
     return np.array([concurrence_general(partial_trace(DensityMatrix(m, labels), pair).matrix) for m in grid])
@@ -230,7 +277,7 @@ def test_single_state_with_unequal_pair_angles_matches_oracle(bell):
 )
 def test_cavity_channel_is_the_literal_photon_trace(field, n_atoms):
     # the per-time Gram product against the plain sum over output and input photons
-    n_max = oracle._required_cutoff(field)
+    n_max = oracle._required_cutoff(field, n_atoms)
     H = build_tc_hamiltonian(n_max, n_atoms)
     taus = np.linspace(0.0, 6.0, 7)
     dim = 2**n_atoms
@@ -297,7 +344,7 @@ def joint_atomic_grid(pair_ab, pair_cd, field_a, field_b, taus, n_max):
 def test_joint_evolution_matches_oracle_and_closed_forms(bell, alphas, field_a, field_b):
     pair_ab, pair_cd = BellPairSpec(bell, alphas[0]), BellPairSpec(bell, alphas[1])
     taus = np.linspace(0.0, 6.0, 13)
-    n_max = max(6, oracle._required_cutoff(field_a), oracle._required_cutoff(field_b))
+    n_max = max(6, oracle._required_cutoff(field_a, 2), oracle._required_cutoff(field_b, 2))
     joint = joint_atomic_grid(pair_ab, pair_cd, field_a, field_b, taus, n_max)
     reference = oracle_atomic_grid(pair_ab, pair_cd, field_a, field_b, taus, n_max)
     np.testing.assert_allclose(reference, joint, rtol=0.0, atol=1e-12)
