@@ -155,13 +155,17 @@ def _validate_batch(
     return ValidationReport(herm_dev, trace_dev, min_eig, tol_herm, tol_trace, psd_slack)
 
 
-def _require_valid(mats: np.ndarray, trace_slack: float, what: str) -> None:
-    """Raise ``NumericalError`` naming ``what`` unless the batch passes validation, the trace
-    bar widened by ``trace_slack`` (the mass a thermal truncation drops)."""
-    report = _validate_batch(mats, tol_trace=_TOL_TRACE + trace_slack)
+def _require_ok(report: ValidationReport, what: str) -> None:
+    """Raise ``NumericalError`` naming ``what`` and its three margins unless ``report`` passes."""
     if not report.ok:
         raise NumericalError(
             f"{what} failed validation: "
             f"hermiticity {report.hermiticity_deviation:.3e}, trace {report.trace_deviation:.3e}, "
             f"min eigenvalue {report.min_eigenvalue:.3e}"
         )
+
+
+def _require_valid(mats: np.ndarray, trace_slack: float, what: str) -> None:
+    """Raise ``NumericalError`` naming ``what`` unless the batch passes validation, the trace
+    bar widened by ``trace_slack`` (the mass a thermal truncation drops)."""
+    _require_ok(_validate_batch(mats, tol_trace=_TOL_TRACE + trace_slack), what)

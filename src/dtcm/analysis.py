@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CANONICAL_LABELS, _require_valid
-from .concurrence import _X_SHAPE_TOL, _concurrence_x_batch, x_pattern_deviation
+from .algebra import _PSD_SLACK, _TOL_HERM, _TOL_TRACE, CANONICAL_LABELS, ValidationReport, _require_ok, _require_valid
+from .concurrence import _X_PATTERN, _X_SHAPE_TOL, _concurrence_x_batch, _x_concurrence, x_pattern_deviation
 from .dynamics import (
     BellPairSpec,
     BellType,
@@ -34,6 +34,14 @@ PAIR_CHOICES = ("AB", "CD", "AC", "BD")
 _ZERO_TOL = 1e-9  # concurrence below this counts as zero for event detection
 
 _PAIR_POSITIONS = {pair: tuple(CANONICAL_LABELS.index(q) for q in pair) for pair in PAIR_CHOICES}
+
+# The X slice of a flattened 4x4 pair state, in this order: the four
+# populations, the outer and inner coherences <00|rho|11> and <01|rho|10>,
+# then their mirrors <11|rho|00> and <10|rho|01>.
+_X_ENTRIES = np.array([0, 5, 10, 15, 3, 6, 12, 9])
+
+# the off-pattern entries of a flattened 4x4 state, as (row i < column j, mirror) pairs
+_OFF_MIRRORS = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i + 1, 4) if not _X_PATTERN[i, j])
 
 
 @dataclass(frozen=True)
@@ -202,19 +210,76 @@ def _check_pairs(model: Model, pairs: tuple[str, ...]) -> tuple[str, ...]:
     return pairs
 
 
-def _pair_states(scenario: Scenario, pairs: tuple[str, ...], alphas: np.ndarray, taus: np.ndarray):
-    """Yield (pair, alpha, reduced states on ``taus``) for every pair, then every alpha.
+def _pair_kernels(scenario: Scenario, pairs: tuple[str, ...], taus: np.ndarray):
+    """Yield (pair, alpha-free kernel K[t, 4, 4, branch]) for every pair.
 
-    The two cavity channels are built once and shared by every pair; each
-    pair's kernel lives only while its alphas are produced.
+    The two cavity channels are built once and shared by every pair.
     """
     channels = _channels(scenario.model, scenario.field_a, scenario.field_b, taus)
     for pair in pairs:
-        kernel = _combine(scenario.model, scenario.bell_type, *channels, pair)
-        for alpha in alphas:
-            spec = BellPairSpec(scenario.bell_type, float(alpha))
-            yield pair, float(alpha), _apply_weights(kernel, _branch_weights(scenario.model, spec, spec))
+        yield pair, _combine(scenario.model, scenario.bell_type, *channels, pair)
+
+
+def _scenario_weights(scenario: Scenario, alpha: float) -> np.ndarray:
+    """The branch weights of ``scenario`` with both pairs prepared at ``alpha``."""
+    spec = BellPairSpec(scenario.bell_type, alpha)
+    return _branch_weights(scenario.model, spec, spec)
+
+
+def _pair_states(scenario: Scenario, pairs: tuple[str, ...], alphas: np.ndarray, taus: np.ndarray):
+    """Yield (pair, alpha, full reduced states on ``taus``) for every pair, then every alpha.
+
+    Each pair's kernel lives only while its alphas are produced.
+    """
+    for pair, kernel in _pair_kernels(scenario, pairs, taus):
+        for alpha in map(float, alphas):
+            yield pair, alpha, _apply_weights(kernel, _scenario_weights(scenario, alpha))
         del kernel  # free it before the next pair's kernel is built
+
+
+def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """A pair kernel cut to its X entries, with bounds on what the cut drops.
+
+    Returns ``KX[t, 8, branch]`` (the entries of :data:`_X_ENTRIES`), the
+    off-pattern bound max_t max_e sum_b |K[t, e, b]| and the off-pattern
+    Hermiticity residue max_t max_(e, e') sum_b |K[t, e, b] - conj(K[t, e', b])|
+    over mirrored entries.  The preparation weights are real with
+    |w_b| <= 1, so these bound the off-pattern magnitude and residue of the
+    state at every alpha.  Each off-pattern entry is read as one [t, branch]
+    view, so the off-pattern part is never copied whole.
+    """
+    flat = kernel.reshape(kernel.shape[0], 16, kernel.shape[-1])
+    off_bound = off_residue = 0.0
+    for upper, lower in _OFF_MIRRORS:
+        for entry in (upper, lower):
+            off_bound = max(off_bound, float(np.abs(flat[:, entry]).sum(axis=-1).max()))
+        off_residue = max(off_residue, float(np.abs(flat[:, upper] - flat[:, lower].conj()).sum(axis=-1).max()))
+    return flat.take(_X_ENTRIES, axis=1), off_bound, off_residue  # C-contiguous, so each alpha reshapes it for free
+
+
+def _x_margins(X: np.ndarray, off_bound: float, off_residue: float, tol_trace: float) -> ValidationReport:
+    """The validity margins of X-sliced states ``X[t, 8]`` in closed form.
+
+    Hermiticity comes from the populations, the mirrored coherences and the
+    kernel's off-pattern residue; the trace from the populations.  The
+    Hermitian part splits into the 2x2 blocks {00, 11} and {01, 10}, whose
+    smaller eigenvalue is (a+d)/2 - hypot((a-d)/2, |c|); Weyl's bound
+    sqrt(8) off_bound on the off-pattern part is subtracted, so the reported
+    minimum never exceeds the true one.  The bars are those of
+    :func:`dtcm.algebra._validate_batch`.
+    """
+    pops, coherences, mirrored = X[:, :4], X[:, 4:6], X[:, 6:].conj()
+    herm_dev = max(float((2.0 * np.abs(pops.imag)).max()), float(np.abs(coherences - mirrored).max()), off_residue)
+    trace_dev = float(np.abs(np.einsum("ti->t", pops) - 1.0).max())  # summed as the full trace's einsum sums it
+    a, d = pops.real[:, :2], pops.real[:, 3:1:-1]  # columns (p00, p11) and (p01, p10)
+    block_min = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs((coherences + mirrored) / 2.0))
+    min_eig = float(block_min.min()) - np.sqrt(8.0) * off_bound
+    return ValidationReport(herm_dev, trace_dev, min_eig, _TOL_HERM, tol_trace, _PSD_SLACK)
+
+
+def _x_slice_concurrence(X: np.ndarray) -> np.ndarray:
+    """Concurrence of X-sliced states ``X[t, 8]``."""
+    return _x_concurrence(X[:, :4].real, X[:, 4], X[:, 5])
 
 
 def sweep_pairs(
@@ -225,24 +290,40 @@ def sweep_pairs(
 ) -> dict[str, list[ConcurrenceCurve]]:
     """Concurrence of several atom pairs over one (alpha, tau) grid, one curve per pair and alpha.
 
-    The cavity channels are built once for all pairs; each pair's kernel is
-    built once, and each alpha is then one contraction with that alpha's
-    preparation weights.  Every reduced state along the way is validated and
-    checked against the X pattern before the fast-path concurrence is taken.
+    The cavity channels are built once for all pairs.  Each pair's kernel is
+    built once and cut to the 8 entries an X state populates
+    (:func:`_x_kernel`); each alpha is then one contraction of that slice
+    with the alpha's preparation weights, validated in closed form
+    (:func:`_x_margins`) before the X-form concurrence is taken.  A kernel
+    whose off-pattern bound exceeds the X-shape bar keeps the per-state
+    route instead: full 4x4 states, the general validation and the X-pattern
+    check.  Alphas are taken in order and the first invalid state raises.
     """
     pairs = _check_pairs(scenario.model, pairs)
     taus = _read_only(_as_tau_grid(_check_grid("tau", tau_grid))[0])  # one copy, shared by every curve
     alphas = _check_alphas(alpha_grid)
     trace_slack = scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
     curves: dict[str, list[ConcurrenceCurve]] = {pair: [] for pair in pairs}
-    for pair, alpha, reduced in _pair_states(scenario, pairs, alphas, taus):
-        _require_valid(reduced, trace_slack, f"pair {pair}, alpha={alpha}: reduced state")
-        deviation = x_pattern_deviation(reduced)
-        if deviation > _X_SHAPE_TOL:
-            raise NumericalError(
-                f"pair {pair}, alpha={alpha}: reduced state left the X shape: off-pattern magnitude {deviation:.3e}"
-            )
-        curves[pair].append(ConcurrenceCurve(pair, alpha, taus, _concurrence_x_batch(reduced)))
+    for pair, kernel in _pair_kernels(scenario, pairs, taus):
+        KX, off_bound, off_residue = _x_kernel(kernel)
+        full = kernel if off_bound > _X_SHAPE_TOL else None  # the per-state route needs every entry
+        del kernel
+        for alpha in alphas.tolist():
+            w = _scenario_weights(scenario, alpha)
+            what = f"pair {pair}, alpha={alpha}: reduced state"
+            if full is None:
+                X = _apply_weights(KX, w)
+                _require_ok(_x_margins(X, off_bound, off_residue, _TOL_TRACE + trace_slack), what)
+                values = _x_slice_concurrence(X)
+            else:
+                reduced = _apply_weights(full, w)
+                _require_valid(reduced, trace_slack, what)
+                deviation = x_pattern_deviation(reduced)
+                if deviation > _X_SHAPE_TOL:
+                    raise NumericalError(f"{what} left the X shape: off-pattern magnitude {deviation:.3e}")
+                values = _concurrence_x_batch(reduced)
+            curves[pair].append(ConcurrenceCurve(pair, alpha, taus, values))
+        del KX, full  # free them before the next pair's kernel is built
     return curves
 
 

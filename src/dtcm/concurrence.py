@@ -105,17 +105,24 @@ def is_x_form(rho: np.ndarray, tol: float = _X_SHAPE_TOL) -> bool:
 
 def concurrence_x(x: XFormMatrix) -> float:
     """Concurrence of an X-shaped state from its six independent entries."""
-    mat = np.diag(np.array(x.populations, dtype=complex))
-    mat[0, 3], mat[1, 2] = x.outer, x.inner
-    return float(_concurrence_x_batch(mat))
+    return float(_x_concurrence(np.array(x.populations), x.outer, x.inner))
+
+
+def _x_concurrence(populations: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """X-form concurrence 2 max(0, |rho_12| - sqrt(p0 p3), |rho_03| - sqrt(p1 p2)), vectorized.
+
+    ``populations`` holds the real diagonal on its last axis (|00>, |01>,
+    |10>, |11>); ``outer`` is <00|rho|11> and ``inner`` <01|rho|10>.
+    """
+    p = np.clip(populations, 0.0, None)
+    inner_term = np.abs(inner) - np.sqrt(p[..., 0] * p[..., 3])
+    outer_term = np.abs(outer) - np.sqrt(p[..., 1] * p[..., 2])
+    return np.clip(2.0 * np.maximum(0.0, np.maximum(inner_term, outer_term)), 0.0, 1.0)
 
 
 def _concurrence_x_batch(mats: np.ndarray) -> np.ndarray:
     """Vectorized X-form concurrence over matrices stacked on leading axes."""
-    p = np.clip(np.diagonal(mats, axis1=-2, axis2=-1).real, 0.0, None)
-    inner = np.abs(mats[..., 1, 2]) - np.sqrt(p[..., 0] * p[..., 3])
-    outer = np.abs(mats[..., 0, 3]) - np.sqrt(p[..., 1] * p[..., 2])
-    return np.clip(2.0 * np.maximum(0.0, np.maximum(inner, outer)), 0.0, 1.0)
+    return _x_concurrence(np.diagonal(mats, axis1=-2, axis2=-1).real, mats[..., 0, 3], mats[..., 1, 2])
 
 
 def concurrence_general(rho: np.ndarray) -> float:

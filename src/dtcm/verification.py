@@ -16,7 +16,16 @@ import numpy as np
 
 from . import dynamics
 from .algebra import _validate_batch
-from .analysis import PAIR_CHOICES, Scenario, _pair_states, sweep_pairs
+from .analysis import (
+    PAIR_CHOICES,
+    Scenario,
+    _pair_kernels,
+    _scenario_weights,
+    _x_kernel,
+    _x_margins,
+    _x_slice_concurrence,
+    sweep_pairs,
+)
 from .concurrence import _X_SHAPE_TOL, _concurrence_general_batch, _concurrence_x_batch, x_pattern_deviation
 from .dynamics import BellType, FieldSpec, Model
 from .oracle import _cavity_channel, _evolution_grid, _required_cutoff, build_tc_hamiltonian, compare_pipelines
@@ -198,12 +207,17 @@ def suite_pair_symmetries() -> SuiteResult:
 
 
 def suite_state_validity() -> SuiteResult:
-    """Reduced states across representative sweeps must be physical.
+    """Reduced states across representative sweeps must be physical, and the sweep's X route must agree.
 
-    Hermiticity, trace and eigenvalue floor at the validation bars, X-pattern
-    residue at the X-shape bar and agreement of the two concurrence routes at 1e-9.
-    The thermal member uses a tail mass small enough not to disturb the
-    trace bar.  The reported deviation is the worst bar-normalized ratio.
+    Full states: Hermiticity, trace and eigenvalue floor at the validation
+    bars, X-pattern residue (and the kernel's off-pattern bound) at the
+    X-shape bar, and agreement of the X-form and general concurrence at 1e-9.
+    The X route on the same kernels: its concurrence against the general
+    one at 1e-9, its closed-form Hermiticity and trace against the full
+    states' at 1e-15, and its closed-form minimum eigenvalue at most 1e-15
+    above the full states' ``eigvalsh`` minimum.  The thermal member uses a
+    tail mass small enough not to disturb the trace bar.  The reported
+    deviation is the worst bar-normalized ratio.
     """
 
     def worker():
@@ -216,20 +230,30 @@ def suite_state_validity() -> SuiteResult:
         worst = 0.0
         states = 0
         for scenario in scenarios:
-            # the states sweep_pairs produces, from one channel build per scenario
-            for _, _, reduced in _pair_states(scenario, PAIR_CHOICES, alphas, taus):
-                report = _validate_batch(reduced)
-                c_fast = _concurrence_x_batch(reduced)
-                c_general = _concurrence_general_batch(reduced)
-                worst = max(
-                    worst,
-                    report.hermiticity_deviation / report.tol_herm,
-                    report.trace_deviation / report.tol_trace,
-                    max(0.0, -report.min_eigenvalue) / report.psd_slack,
-                    x_pattern_deviation(reduced) / _X_SHAPE_TOL,
-                    float(np.abs(c_fast - c_general).max()) / 1e-9,
-                )
-                states += reduced.shape[0]
+            # the kernels sweep_pairs slices, from one channel build per scenario
+            for _, kernel in _pair_kernels(scenario, PAIR_CHOICES, taus):
+                KX, off_bound, off_residue = _x_kernel(kernel)
+                for alpha in alphas.tolist():
+                    w = _scenario_weights(scenario, alpha)
+                    reduced = dynamics._apply_weights(kernel, w)
+                    X = dynamics._apply_weights(KX, w)
+                    report = _validate_batch(reduced)
+                    closed = _x_margins(X, off_bound, off_residue, report.tol_trace)
+                    c_general = _concurrence_general_batch(reduced)
+                    worst = max(
+                        worst,
+                        report.hermiticity_deviation / report.tol_herm,
+                        report.trace_deviation / report.tol_trace,
+                        max(0.0, -report.min_eigenvalue) / report.psd_slack,
+                        max(x_pattern_deviation(reduced), off_bound) / _X_SHAPE_TOL,
+                        float(np.abs(_concurrence_x_batch(reduced) - c_general).max()) / 1e-9,
+                        float(np.abs(_x_slice_concurrence(X) - c_general).max()) / 1e-9,
+                        abs(closed.hermiticity_deviation - report.hermiticity_deviation) / 1e-15,
+                        abs(closed.trace_deviation - report.trace_deviation) / 1e-15,
+                        max(0.0, closed.min_eigenvalue - report.min_eigenvalue) / 1e-15,
+                    )
+                    states += reduced.shape[0]
+                del kernel, KX
         return worst, f"{states} reduced states, worst bar-normalized ratio"
 
     return _timed("state-validity", 1.0, worker)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dtcm import analysis, dynamics, verification
+from dtcm.algebra import _validate_batch
 from dtcm.analysis import (
     ConcurrenceCurve,
     EsdEvents,
@@ -331,6 +332,35 @@ def test_sweep_pairs_matches_stacked_route(model, bell):
                 np.testing.assert_allclose(curve.values, _concurrence_x_batch(stacked), rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("model", (Model.DTCM, Model.DJCM))
+@pytest.mark.parametrize("bell", (BellType.PSI, BellType.PHI))
+def test_closed_form_margins_match_the_full_states(model, bell):
+    fields = (VAC, FieldSpec.fock(1), FieldSpec.thermal(1.0, 1e-13), FieldSpec.thermal(2.0))
+    alphas = np.linspace(0.0, np.pi / 2, 5)
+    tau = np.linspace(0.0, 12.0, 61)
+    for field_a in fields:
+        for field_b in fields:
+            sc = Scenario(model, bell, field_a, field_b)
+            for pair, kernel in analysis._pair_kernels(sc, analysis._model_pairs(model), tau):
+                KX, off_bound, off_residue = analysis._x_kernel(kernel)
+                assert off_bound == 0.0 and off_residue == 0.0
+                for alpha in alphas.tolist():
+                    w = analysis._scenario_weights(sc, alpha)
+                    full = _validate_batch(dynamics._apply_weights(kernel, w))
+                    closed = analysis._x_margins(dynamics._apply_weights(KX, w), off_bound, off_residue, full.tol_trace)
+                    assert closed.hermiticity_deviation == full.hermiticity_deviation
+                    assert closed.trace_deviation == full.trace_deviation
+                    assert closed.min_eigenvalue <= full.min_eigenvalue + 1e-15, (pair, alpha)
+
+
+def test_closed_form_minimum_subtracts_the_off_pattern_bound():
+    # an X state with both blocks at eigenvalues {0, 1/2}, then an off-pattern bound
+    X = np.array([[0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25]], dtype=complex)
+    assert analysis._x_margins(X, 0.0, 0.0, 1e-12).min_eigenvalue == 0.0
+    report = analysis._x_margins(X, 1e-3, 0.0, 1e-12)
+    assert report.min_eigenvalue == -np.sqrt(8.0) * 1e-3 and not report.psd_ok
+
+
 def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
     # scale the weights of BD's third alpha so its states trace to 2
     real = dynamics._branch_weights
@@ -350,18 +380,27 @@ def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
 
 
 def test_sweep_pairs_x_shape_failure_names_its_pair_and_alpha(monkeypatch):
-    real = analysis.x_pattern_deviation
-    calls = []
+    # a Hermitian off-pattern entry on CD's first branch, whose weight sin^4(alpha)
+    # keeps it under the X-shape bar at alpha=0.2 and lifts it over at alpha=0.7
+    real = analysis._combine
 
-    def faulty(states):
-        calls.append(None)
-        return 1.0 if len(calls) == 2 else real(states)
+    def faulty(model, bell_type, Ea, Eb, keep):
+        kernel = real(model, bell_type, Ea, Eb, keep)
+        if keep == "CD":
+            kernel[:, 0, 1, 0] += 1e-9
+            kernel[:, 1, 0, 0] += 1e-9
+        return kernel
 
-    monkeypatch.setattr(analysis, "x_pattern_deviation", faulty)
     sc = Scenario(Model.DTCM, BellType.PHI, VAC, VAC)
+    tau = np.linspace(0.0, 3.0, 31)
+    clean = sweep_pairs(sc, ("CD",), np.array([0.2]), tau)["CD"][0]
+    monkeypatch.setattr(analysis, "_combine", faulty)
+    # the kernel's bound sends CD down the per-state route, which accepts alpha=0.2
+    fallback = sweep_pairs(sc, ("CD",), np.array([0.2]), tau)["CD"][0]
+    np.testing.assert_allclose(fallback.values, clean.values, atol=1e-11)
     alphas = np.array([0.2, 0.7, 1.1])
     with pytest.raises(NumericalError, match=re.escape(f"pair CD, alpha={alphas[1]}: reduced state left the X shape")):
-        sweep_pairs(sc, ("CD",), alphas, np.linspace(0.0, 3.0, 31))
+        sweep_pairs(sc, ("CD",), alphas, tau)
 
 
 def test_sweep_pairs_validates_pairs():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dtcm import cli, dynamics
+from dtcm import analysis, cli, dynamics
 from dtcm.analysis import Scenario, sweep_pairs
 from dtcm.dynamics import BellType, FieldSpec, Model
 from dtcm.errors import ConfigError
@@ -293,3 +293,11 @@ def test_verify_catches_injected_fault(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     norm_lines = [line for line in out.splitlines() if line.startswith("x-normalization")]
     assert norm_lines and "FAIL" in norm_lines[0]
+
+
+def test_verify_catches_swapped_x_coherences(capsys, monkeypatch):
+    # the sweep's X slice with its outer and inner coherence columns (and mirrors) swapped
+    monkeypatch.setattr(analysis, "_X_ENTRIES", np.array([0, 5, 10, 15, 6, 3, 9, 12]))
+    assert cli.main(["verify", "--level", "quick"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("state-validity")]
+    assert lines and "FAIL" in lines[0]
