@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _PSD_SLACK, _TOL_HERM, _TOL_TRACE, CANONICAL_LABELS, ValidationReport, _require_ok, _require_valid
-from .concurrence import _X_PATTERN, _X_SHAPE_TOL, _concurrence_x_batch, _x_concurrence, x_pattern_deviation
+from .algebra import _PSD_SLACK, _TOL_HERM, _TOL_TRACE, CANONICAL_LABELS, ValidationReport, _require_ok
+from .concurrence import _X_PATTERN, _X_SHAPE_TOL, _x_concurrence
 from .dynamics import (
     BellPairSpec,
     BellType,
@@ -226,17 +226,6 @@ def _scenario_weights(scenario: Scenario, alpha: float) -> np.ndarray:
     return _branch_weights(scenario.model, spec, spec)
 
 
-def _pair_states(scenario: Scenario, pairs: tuple[str, ...], alphas: np.ndarray, taus: np.ndarray):
-    """Yield (pair, alpha, full reduced states on ``taus``) for every pair, then every alpha.
-
-    Each pair's kernel lives only while its alphas are produced.
-    """
-    for pair, kernel in _pair_kernels(scenario, pairs, taus):
-        for alpha in map(float, alphas):
-            yield pair, alpha, _apply_weights(kernel, _scenario_weights(scenario, alpha))
-        del kernel  # free it before the next pair's kernel is built
-
-
 def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
     """A pair kernel cut to its X entries, with bounds on what the cut drops.
 
@@ -249,11 +238,12 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
     view, so the off-pattern part is never copied whole.
     """
     flat = kernel.reshape(kernel.shape[0], 16, kernel.shape[-1])
-    off_bound = off_residue = 0.0
+    bounds, residues = [], []
     for upper, lower in _OFF_MIRRORS:
-        for entry in (upper, lower):
-            off_bound = max(off_bound, float(np.abs(flat[:, entry]).sum(axis=-1).max()))
-        off_residue = max(off_residue, float(np.abs(flat[:, upper] - flat[:, lower].conj()).sum(axis=-1).max()))
+        bounds += [np.abs(flat[:, entry]).sum(axis=-1).max() for entry in (upper, lower)]
+        residues.append(np.abs(flat[:, upper] - flat[:, lower].conj()).sum(axis=-1).max())
+    # np.max, unlike the builtin max, carries a NaN through to the result
+    off_bound, off_residue = float(np.max(bounds)), float(np.max(residues))
     return flat.take(_X_ENTRIES, axis=1), off_bound, off_residue  # C-contiguous, so each alpha reshapes it for free
 
 
@@ -295,9 +285,9 @@ def sweep_pairs(
     (:func:`_x_kernel`); each alpha is then one contraction of that slice
     with the alpha's preparation weights, validated in closed form
     (:func:`_x_margins`) before the X-form concurrence is taken.  A kernel
-    whose off-pattern bound exceeds the X-shape bar keeps the per-state
-    route instead: full 4x4 states, the general validation and the X-pattern
-    check.  Alphas are taken in order and the first invalid state raises.
+    whose off-pattern bound is not within the X-shape bar (NaN included)
+    raises before any of its pair's curves are made.  Alphas are taken in
+    order and the first invalid state raises.
     """
     pairs = _check_pairs(scenario.model, pairs)
     taus = _read_only(_as_tau_grid(_check_grid("tau", tau_grid))[0])  # one copy, shared by every curve
@@ -306,24 +296,15 @@ def sweep_pairs(
     curves: dict[str, list[ConcurrenceCurve]] = {pair: [] for pair in pairs}
     for pair, kernel in _pair_kernels(scenario, pairs, taus):
         KX, off_bound, off_residue = _x_kernel(kernel)
-        full = kernel if off_bound > _X_SHAPE_TOL else None  # the per-state route needs every entry
         del kernel
+        if not off_bound <= _X_SHAPE_TOL:
+            raise NumericalError(f"pair {pair}: reduced state left the X shape: off-pattern bound {off_bound:.3e}")
         for alpha in alphas.tolist():
-            w = _scenario_weights(scenario, alpha)
-            what = f"pair {pair}, alpha={alpha}: reduced state"
-            if full is None:
-                X = _apply_weights(KX, w)
-                _require_ok(_x_margins(X, off_bound, off_residue, _TOL_TRACE + trace_slack), what)
-                values = _x_slice_concurrence(X)
-            else:
-                reduced = _apply_weights(full, w)
-                _require_valid(reduced, trace_slack, what)
-                deviation = x_pattern_deviation(reduced)
-                if deviation > _X_SHAPE_TOL:
-                    raise NumericalError(f"{what} left the X shape: off-pattern magnitude {deviation:.3e}")
-                values = _concurrence_x_batch(reduced)
-            curves[pair].append(ConcurrenceCurve(pair, alpha, taus, values))
-        del KX, full  # free them before the next pair's kernel is built
+            X = _apply_weights(KX, _scenario_weights(scenario, alpha))
+            report = _x_margins(X, off_bound, off_residue, _TOL_TRACE + trace_slack)
+            _require_ok(report, f"pair {pair}, alpha={alpha}: reduced state")
+            curves[pair].append(ConcurrenceCurve(pair, alpha, taus, _x_slice_concurrence(X)))
+        del KX  # free it before the next pair's kernel is built
     return curves
 
 

@@ -60,6 +60,9 @@ class XFormMatrix:
         pops = tuple(float(p) for p in self.populations)
         if len(pops) != 4:
             raise ValueError("populations must hold four entries")
+        coherences = (complex(self.outer), complex(self.inner))
+        if not np.all(np.isfinite(pops + coherences)):
+            raise ValueError("populations and coherences must be finite")
         slack = 1e-9
         if min(pops) < -slack:
             raise ValueError(f"negative population {min(pops)}")
@@ -71,15 +74,15 @@ class XFormMatrix:
         if abs(self.inner) ** 2 > pops[1] * pops[2] + slack:
             raise ValueError("inner coherence exceeds its population bound")
         object.__setattr__(self, "populations", pops)
-        object.__setattr__(self, "outer", complex(self.outer))
-        object.__setattr__(self, "inner", complex(self.inner))
+        object.__setattr__(self, "outer", coherences[0])
+        object.__setattr__(self, "inner", coherences[1])
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray, tol: float = _X_SHAPE_TOL) -> "XFormMatrix":
         """Extract the X entries, rejecting matrices that are not X-shaped."""
         mat = _single_matrix(rho)
         deviation = x_pattern_deviation(mat)
-        if deviation > tol:
+        if not deviation <= tol:  # a NaN deviation is not X-shaped either
             raise ValueError(f"matrix is not X-shaped: off-pattern magnitude {deviation:.3e}")
         return cls(
             populations=tuple(mat[i, i].real for i in range(4)),

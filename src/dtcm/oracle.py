@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .analysis import _PAIR_POSITIONS, Scenario, _model_pairs, _pair_states
+from .analysis import _PAIR_POSITIONS, Scenario, _model_pairs, sweep_pairs
 from .algebra import _partial_trace_array
 from .concurrence import _concurrence_general_batch
 from .dynamics import (
@@ -50,13 +50,18 @@ class TruncatedHamiltonian:
         return self.matrix.shape[0]
 
 
+def _check_n_max(n_max: int) -> None:
+    """A photon cutoff is an integer (not a bool) of at least 1."""
+    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
+        raise ValueError("n_max must be an integer >= 1")
+
+
 def build_tc_hamiltonian(n_max: int, n_atoms: int = 2) -> TruncatedHamiltonian:
     """Resonant interaction Hamiltonian sum_i (a sigma_i^+ + a^dag sigma_i^-).
 
     The coupling is 1: every time in the package is the scaled time tau = g t.
     """
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
-        raise ValueError("n_max must be an integer >= 1")
+    _check_n_max(n_max)
     if n_atoms not in (1, 2):
         raise ValueError("n_atoms must be 1 or 2")
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma^-: |1> -> |0>
@@ -241,18 +246,21 @@ def compare_pipelines(
     """Run the analytic assembly and the brute-force oracle on the same grid.
 
     Reports the largest entrywise difference of the joint atomic states and
-    the largest difference of pairwise concurrences.  The analytic pair
-    states are the ones the sweeps produce (each cavity channel traced down
-    to the pair before the product), so the comparison covers that combine
-    step too; concurrences are computed by the general route on both sides,
-    so no X-shape assumption enters the comparison.
+    the largest difference of pairwise concurrences.  The analytic
+    concurrences are the curves :func:`dtcm.analysis.sweep_pairs` returns for
+    every pair the layout offers, so the comparison covers the sweep's
+    combine step and X route; the oracle side uses the general route.  The
+    sweep's grid rule applies: ``tau_grid`` must be strictly increasing, and
+    a bad grid fails before any eigensolve.
     """
     n_atoms = _atoms_per_cavity(scenario.model)
+    _check_n_max(n_max)
     required = max(_required_cutoff(scenario.field_a, n_atoms), _required_cutoff(scenario.field_b, n_atoms))
     if n_max < required:
         raise ValueError(f"n_max={n_max} too small for these fields; need at least {required}")
-    taus, _ = _as_tau_grid(tau_grid)
     spec = BellPairSpec(scenario.bell_type, alpha)
+    curves = sweep_pairs(scenario, _model_pairs(scenario.model), [alpha], tau_grid)
+    taus, _ = _as_tau_grid(tau_grid)
     analytic = _assemble_grid(scenario.model, spec, spec, scenario.field_a, scenario.field_b, taus)
     reference = oracle_atomic_grid(spec, spec, scenario.field_a, scenario.field_b, taus, n_max, scenario.model)
     state_dev = float(np.abs(analytic - reference).max())
@@ -261,9 +269,7 @@ def compare_pipelines(
     # at A, B, so a pair's canonical positions index its state
     n_qubits = reference.shape[-1].bit_length() - 1
     conc_dev = 0.0
-    for pair, _, red_a in _pair_states(scenario, _model_pairs(scenario.model), [alpha], taus):
-        red_o = _partial_trace_array(reference, n_qubits, _PAIR_POSITIONS[pair])
-        c_a = _concurrence_general_batch(red_a)
-        c_o = _concurrence_general_batch(red_o)
-        conc_dev = max(conc_dev, float(np.abs(c_a - c_o).max()))
+    for pair, (curve,) in curves.items():
+        c_o = _concurrence_general_batch(_partial_trace_array(reference, n_qubits, _PAIR_POSITIONS[pair]))
+        conc_dev = max(conc_dev, float(np.abs(curve.values - c_o).max()))
     return PipelineComparison(state_dev, conc_dev, int(n_max), int(taus.size))

@@ -325,10 +325,8 @@ def test_sweep_pairs_matches_stacked_route(model, bell):
     for field_b in (thermal, FieldSpec.fock(1)):
         sc = Scenario(model, bell, thermal, field_b)
         curves = sweep_pairs(sc, pairs, alphas, tau)
-        flat = {(pair, alpha): state for pair, alpha, state in analysis._pair_states(sc, pairs, alphas, tau)}
         for pair in pairs:
-            for alpha, curve, stacked in zip(alphas, curves[pair], stacked_route(sc, pair, alphas, tau)):
-                np.testing.assert_allclose(flat[(pair, float(alpha))], stacked, rtol=0.0, atol=1e-15)
+            for curve, stacked in zip(curves[pair], stacked_route(sc, pair, alphas, tau)):
                 np.testing.assert_allclose(curve.values, _concurrence_x_batch(stacked), rtol=0.0, atol=1e-15)
 
 
@@ -379,28 +377,46 @@ def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
     assert len(calls) == 5 + 3
 
 
-def test_sweep_pairs_x_shape_failure_names_its_pair_and_alpha(monkeypatch):
-    # a Hermitian off-pattern entry on CD's first branch, whose weight sin^4(alpha)
-    # keeps it under the X-shape bar at alpha=0.2 and lifts it over at alpha=0.7
+@pytest.mark.parametrize(("value", "bound"), [(1e-9, "1.000e-09"), (np.nan, "nan")], ids=["1e-9", "nan"])
+def test_sweep_pairs_x_shape_failure_names_its_pair(monkeypatch, value, bound):
+    # a Hermitian off-pattern entry on CD's first branch: at 1e-9 its weight
+    # sin^4(alpha) keeps the state under the X-shape bar at alpha=0.2, but the
+    # kernel's bound is over it, so the pair raises before any alpha is weighted
     real = analysis._combine
 
     def faulty(model, bell_type, Ea, Eb, keep):
         kernel = real(model, bell_type, Ea, Eb, keep)
         if keep == "CD":
-            kernel[:, 0, 1, 0] += 1e-9
-            kernel[:, 1, 0, 0] += 1e-9
+            kernel[:, 0, 1, 0] += value
+            kernel[:, 1, 0, 0] += value
         return kernel
 
+    weights = dynamics._branch_weights
+    calls = []
+
+    def counted(model, pair_ab, pair_cd):
+        calls.append(pair_ab.alpha)
+        return weights(model, pair_ab, pair_cd)
+
+    monkeypatch.setattr(analysis, "_combine", faulty)
+    monkeypatch.setattr(analysis, "_branch_weights", counted)
     sc = Scenario(Model.DTCM, BellType.PHI, VAC, VAC)
     tau = np.linspace(0.0, 3.0, 31)
-    clean = sweep_pairs(sc, ("CD",), np.array([0.2]), tau)["CD"][0]
-    monkeypatch.setattr(analysis, "_combine", faulty)
-    # the kernel's bound sends CD down the per-state route, which accepts alpha=0.2
-    fallback = sweep_pairs(sc, ("CD",), np.array([0.2]), tau)["CD"][0]
-    np.testing.assert_allclose(fallback.values, clean.values, atol=1e-11)
-    alphas = np.array([0.2, 0.7, 1.1])
-    with pytest.raises(NumericalError, match=re.escape(f"pair CD, alpha={alphas[1]}: reduced state left the X shape")):
-        sweep_pairs(sc, ("CD",), alphas, tau)
+    message = f"pair CD: reduced state left the X shape: off-pattern bound {bound}"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        sweep_pairs(sc, ("CD",), np.array([0.2]), tau)
+    assert not calls
+    # AB's curves are made, then CD raises before any of its alphas
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        sweep_pairs(sc, ("AB", "CD"), np.array([0.2, 0.7]), tau)
+    assert calls == [0.2, 0.7]
+
+
+def test_x_kernel_carries_nan_to_bound_and_residue():
+    kernel = np.zeros((3, 4, 4, 16), dtype=complex)
+    kernel[1, 0, 2, 5] = np.nan
+    _, off_bound, off_residue = analysis._x_kernel(kernel)
+    assert np.isnan(off_bound) and np.isnan(off_residue)
 
 
 def test_sweep_pairs_validates_pairs():

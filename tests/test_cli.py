@@ -266,6 +266,24 @@ def test_memory_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "numerical failure: Unable to allocate 8.23 GiB for the amplitude table\n"
 
 
+def test_x_shape_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a NaN off-pattern entry in AC's kernel: the bound fails closed, and no CSV is written
+    cfg = write_cfg(tmp_path, BASE)
+    real = analysis._combine
+
+    def faulty(model, bell_type, Ea, Eb, keep):
+        kernel = real(model, bell_type, Ea, Eb, keep)
+        if keep == "AC":
+            kernel[:, 0, 1] = np.nan
+        return kernel
+
+    monkeypatch.setattr(analysis, "_combine", faulty)
+    out = tmp_path / "curves.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: pair AC: reduced state left the X shape: off-pattern bound nan\n"
+    assert not out.exists()
+
+
 def test_verify_quick_passes(capsys):
     assert cli.main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out

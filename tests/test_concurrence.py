@@ -64,6 +64,26 @@ def test_xform_validation():
         XFormMatrix((-0.1, 0.6, 0.25, 0.25), outer=0.0, inner=0.0)  # negative population
 
 
+@pytest.mark.parametrize(
+    ("populations", "outer", "inner"),
+    [
+        ((np.nan, 0.0, 0.0, 0.0), 0.0, 0.0),
+        ((1.0, 0.0, 0.0, np.inf), 0.0, 0.0),
+        ((0.5, 0.0, 0.0, 0.5), complex(np.nan, 0.0), 0.0),
+        ((0.5, 0.0, 0.0, 0.5), 0.0, complex(0.0, np.inf)),
+    ],
+    ids=["nan-population", "inf-population", "nan-outer", "inf-inner"],
+)
+def test_xform_rejects_non_finite_entries(populations, outer, inner):
+    with pytest.raises(ValueError, match="^populations and coherences must be finite$"):
+        XFormMatrix(populations, outer=outer, inner=inner)
+
+
+def test_from_matrix_rejects_a_nan_matrix():
+    with pytest.raises(ValueError, match="^matrix is not X-shaped: off-pattern magnitude nan$"):
+        XFormMatrix.from_matrix(np.full((4, 4), np.nan))
+
+
 def test_from_matrix_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -7,7 +7,7 @@ import pytest
 
 from dtcm.algebra import DensityMatrix, partial_trace
 from dtcm.analysis import PAIR_CHOICES, Scenario, sweep_concurrence
-from dtcm.concurrence import concurrence_general
+from dtcm.concurrence import _x_concurrence, concurrence_general
 from dtcm.dynamics import (
     BellPairSpec,
     BellType,
@@ -207,6 +207,44 @@ def test_oracle_grid_rejects_a_field_beyond_the_cutoff(field_a, n_max):
 def test_hamiltonian_rejects_a_non_integer_cutoff(n_max):
     with pytest.raises(ValueError, match=r"^n_max must be an integer >= 1$"):
         build_tc_hamiltonian(n_max)
+
+
+@pytest.mark.parametrize("n_max", ("6", None, True, 6.5), ids=repr)
+def test_compare_pipelines_checks_the_cutoff_before_using_it(monkeypatch, n_max):
+    def no_assembly(*args):
+        raise AssertionError("assembled before the cutoff check")
+
+    monkeypatch.setattr(oracle, "sweep_pairs", no_assembly)
+    monkeypatch.setattr(oracle, "_assemble_grid", no_assembly)
+    sc = Scenario(Model.DTCM, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum())
+    with pytest.raises(ValueError, match=r"^n_max must be an integer >= 1$"):
+        compare_pipelines(sc, 0.4, np.linspace(0.0, 1.0, 5), n_max=n_max)
+
+
+def test_compare_pipelines_rejects_a_bad_grid_before_any_eigensolve(monkeypatch):
+    def no_evolution(H, taus):
+        raise AssertionError("evolved before the grid check")
+
+    monkeypatch.setattr(oracle, "_evolution_grid", no_evolution)
+    sc = Scenario(Model.DTCM, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum())
+    with pytest.raises(ValueError, match=r"^tau: values must be strictly increasing$"):
+        compare_pipelines(sc, 0.4, np.array([0.0, 2.0, 1.0]), n_max=6)
+
+
+@pytest.mark.parametrize(
+    ("name", "fault"),
+    [
+        # the X slice with its outer and inner coherence columns (and mirrors) swapped:
+        # the sweep's closed-form validation rejects the states
+        ("_X_ENTRIES", np.array([0, 5, 10, 15, 6, 3, 9, 12])),
+        # valid states whose concurrence reads the two coherences swapped: a disagreement
+        ("_x_slice_concurrence", lambda X: _x_concurrence(X[:, :4].real, X[:, 5], X[:, 4])),
+    ],
+    ids=["x-entries", "x-concurrence"],
+)
+def test_oracle_agreement_checks_the_sweeps_x_route(monkeypatch, name, fault):
+    monkeypatch.setattr(analysis, name, fault)
+    assert not verification.suite_oracle_agreement(verification.QUICK).passed
 
 
 def test_compare_pipelines_vacuum_smoke():
