@@ -259,7 +259,8 @@ def _x_margins(X: np.ndarray, off_bound: float, off_residue: float, tol_trace: f
     :func:`dtcm.algebra._validate_batch`.
     """
     pops, coherences, mirrored = X[:, :4], X[:, 4:6], X[:, 6:].conj()
-    herm_dev = max(float((2.0 * np.abs(pops.imag)).max()), float(np.abs(coherences - mirrored).max()), off_residue)
+    # np.max carries a NaN from any of the three, where the builtin max keeps only a leading one
+    herm_dev = float(np.max([(2.0 * np.abs(pops.imag)).max(), np.abs(coherences - mirrored).max(), off_residue]))
     trace_dev = float(np.abs(np.einsum("ti->t", pops) - 1.0).max())  # summed as the full trace's einsum sums it
     a, d = pops.real[:, :2], pops.real[:, 3:1:-1]  # columns (p00, p11) and (p01, p10)
     block_min = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs((coherences + mirrored) / 2.0))

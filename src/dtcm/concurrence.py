@@ -153,7 +153,7 @@ def _concurrence_general_batch(mats: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(herm)
     if float(w.min()) < -_SPECTRUM_TOL:
         raise NumericalError(f"negative population beyond tolerance: {w.min():.3e}")
-    root = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    root = (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ V.conj().swapaxes(-1, -2)
     K = root @ _YY @ root.conj()
     sigma = np.linalg.svd(K, compute_uv=False)  # descending
     c = sigma[..., 0] - sigma[..., 1] - sigma[..., 2] - sigma[..., 3]

@@ -53,6 +53,8 @@ def _check_count(name: str, n: int) -> None:
 
 def _as_tau_grid(tau: _TauLike) -> tuple[np.ndarray, bool]:
     """Times as a 1-d grid, and whether a scalar was given; every time is finite and nonnegative."""
+    if isinstance(tau, float) and math.isfinite(tau) and tau >= 0.0:
+        return np.array([tau]), True  # a valid single time needs no array checks
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -215,12 +217,14 @@ class XCoefficientKey:
 _FAMILY = np.array([0, 1, 1, 2])  # frequency row of each initial pair state
 
 
-def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The three family frequencies ``[family, photon]``, then the base, cos and
-    sin weights of the 16 amplitudes, each ``[pair_in, flips, photon]``."""
-    m = np.asarray(m, dtype=float)
-    freq = np.zeros((3, m.size))
-    base, cos_w, sin_w = np.zeros((3, 4, 4, m.size))
+def _coefficient_rows(m: np.ndarray) -> np.ndarray:
+    """The coefficients of photon numbers ``m`` (floats), as rows ``[51, photon]``:
+    the three family frequencies, then the base, cos and sin weights of the 16
+    amplitudes, each flattened from ``[pair_in, flips]``.  Every expression is
+    elementwise in m, so a level's column does not depend on its neighbours."""
+    rows = np.zeros((51, m.size))
+    freq = rows[:3]
+    base, cos_w, sin_w = rows[3:].reshape(3, 4, 4, m.size)
 
     # both atoms excited: chain |11,m> <-> one flip, m+1 <-> |00,m+2>
     freq[2] = np.sqrt(2.0 * (2.0 * m + 3.0))
@@ -250,7 +254,32 @@ def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     cos_w[0, 0, live] = n / (2.0 * n - 1.0)
     sin_w[0, 1, live] = sin_w[0, 2, live] = -np.sqrt(n / (2.0 * (2.0 * n - 1.0)))
     cos_w[0, 3, live] = np.sqrt(n * (n - 1.0)) / (2.0 * n - 1.0)
-    return freq, base, cos_w, sin_w
+    return rows
+
+
+# The rows of photon levels 0 .. top-1, shared by every call in the process.
+# Built on first use and grown to exactly the highest level asked for (51
+# floats a level); read-only, so no caller can change what later calls read.
+_COEFFICIENT_TABLE = np.zeros((51, 0))
+_COEFFICIENT_TABLE.setflags(write=False)
+
+
+def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The three family frequencies ``[family, photon]``, then the base, cos and
+    sin weights of the 16 amplitudes, each ``[pair_in, flips, photon]``; read
+    from the process-wide table, never as writable views of it."""
+    global _COEFFICIENT_TABLE
+    m = np.asarray(m)
+    if m.ndim != 1 or (m.size and (m.dtype.kind not in "iu" or m.min() < 0)):
+        raise ValueError("photon numbers must be a 1-d array of nonnegative integers")
+    top = int(m.max()) + 1 if m.size else 0
+    if top > _COEFFICIENT_TABLE.shape[1]:
+        table = _coefficient_rows(np.arange(top, dtype=float))
+        table.setflags(write=False)
+        _COEFFICIENT_TABLE = table
+    rows = _COEFFICIENT_TABLE[:, m.astype(np.intp, copy=False)]  # an empty m may be float
+    weights = rows[3:].reshape(3, 4, 4, m.size)
+    return rows[:3], weights[0], weights[1], weights[2]
 
 
 def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -443,10 +472,11 @@ def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) 
     """W = outer(amp, amp) over cavity a's preparation branches, flattened to match a kernel."""
     if pair_ab.bell_type is not pair_cd.bell_type:
         raise ValueError("both pairs must share the same Bell type")
-    amp = np.array(pair_ab.amplitudes())
+    amp = pair_ab.amplitudes()
     if model is Model.DTCM:
-        amp = np.outer(amp, pair_cd.amplitudes()).ravel()  # branches (A,C) of cavity a
-    return np.outer(amp, amp).ravel()
+        amp = [a * c for a in amp for c in pair_cd.amplitudes()]  # branches (A,C) of cavity a
+    amp = np.array(amp)
+    return (amp[:, None] * amp).ravel()
 
 
 def _channels(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,22 +496,26 @@ def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, 
     preparation weights and s' the branch bits of cavity b's atoms (flipped
     for psi, repeated for phi).  Every axis is named after its qubit, as
     :func:`dtcm.algebra._trace_subscripts` names them.  Each channel is
-    traced down to its kept qubits, then the product of the two is laid out
-    in A<B<C<D order.  ``_apply_weights(K, _branch_weights(...))`` is the
-    reduced state.
+    traced down to its kept qubits, then the two are multiplied elementwise,
+    broadcast over each other's qubits, into A<B<C<D order.
+    ``_apply_weights(K, _branch_weights(...))`` is the reduced state.
     """
     if bell_type is BellType.PSI:
         Eb = Eb[..., ::-1, ::-1]  # cavity b's branch bits are cavity a's, flipped
-    traced, axes, order = [], [], ""
+    traced, order = [], ""
     for E, labels in zip((Ea, Eb), _cavity_labels(model)):
         kept = "".join(lab for lab in labels if lab in keep)
         state, reduced = _trace_subscripts(labels, kept)
         qubits = E.reshape(E.shape[:1] + (2,) * (2 * len(labels)) + E.shape[-2:])
-        axes.append(f"t{reduced}sz")
-        traced.append(np.einsum(f"t{state}sz->{axes[-1]}", qubits))
+        traced.append((reduced, np.einsum(f"t{state}sz->t{reduced}sz", qubits)))
         order += kept
     order = "".join(sorted(order))
-    K = np.einsum(f"{axes[0]},{axes[1]}->t{order}{order.lower()}sz", *traced, optimize=True)
+    # each cavity's axes already run in the joint order, so unit axes line the two factors up
+    a, b = (
+        x.reshape(x.shape[:1] + tuple(2 if q in reduced else 1 for q in order + order.lower()) + x.shape[-2:])
+        for reduced, x in traced
+    )
+    K = np.multiply(a, b, order="C")
     d = 2 ** len(order)
     return K.reshape(Ea.shape[0], d, d, Ea.shape[-1] ** 2)
 

@@ -359,6 +359,13 @@ def test_closed_form_minimum_subtracts_the_off_pattern_bound():
     assert report.min_eigenvalue == -np.sqrt(8.0) * 1e-3 and not report.psd_ok
 
 
+def test_closed_form_hermiticity_carries_a_nan_inner_coherence():
+    # a NaN in the second of the three Hermiticity terms must not be dropped
+    X = np.array([[0.25, 0.25, 0.25, 0.25, 0.25, np.nan, 0.25, 0.25]], dtype=complex)
+    report = analysis._x_margins(X, 0.0, 0.0, 1e-12)
+    assert np.isnan(report.hermiticity_deviation) and not report.hermitian_ok
+
+
 def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
     # scale the weights of BD's third alpha so its states trace to 2
     real = dynamics._branch_weights

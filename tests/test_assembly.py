@@ -1,10 +1,12 @@
 """Unit tests for the assembled multi-atom density matrices."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from dtcm import dynamics
-from dtcm.algebra import partial_trace
+from dtcm.algebra import _trace_subscripts, partial_trace
 from dtcm.analysis import Scenario, classify_regime, sweep_concurrence, sweep_pairs
 from dtcm.concurrence import XFormMatrix, concurrence_x
 from dtcm.dynamics import (
@@ -196,3 +198,35 @@ def test_hot_thermal_weights_stay_finite(nbar):
     pair = BellPairSpec(BellType.PSI, 0.6)
     rho = assemble_atomic_state(pair, pair, field, field, 1.3)
     assert np.isfinite(rho.matrix).all()
+
+
+def einsum_combine(model, bell_type, Ea, Eb, keep):
+    """The kernel as one optimized einsum over the traced channels, the way it was first written."""
+    if bell_type is BellType.PSI:
+        Eb = Eb[..., ::-1, ::-1]
+    traced, axes, order = [], [], ""
+    for E, labels in zip((Ea, Eb), dynamics._cavity_labels(model)):
+        kept = "".join(lab for lab in labels if lab in keep)
+        state, reduced = _trace_subscripts(labels, kept)
+        qubits = E.reshape(E.shape[:1] + (2,) * (2 * len(labels)) + E.shape[-2:])
+        axes.append(f"t{reduced}sz")
+        traced.append(np.einsum(f"t{state}sz->{axes[-1]}", qubits))
+        order += kept
+    order = "".join(sorted(order))
+    K = np.einsum(f"{axes[0]},{axes[1]}->t{order}{order.lower()}sz", *traced, optimize=True)
+    d = 2 ** len(order)
+    return K.reshape(Ea.shape[0], d, d, Ea.shape[-1] ** 2)
+
+
+@pytest.mark.parametrize("n_tau", (1, 251))
+@pytest.mark.parametrize("bell", (BellType.PSI, BellType.PHI))
+@pytest.mark.parametrize("model", (Model.DTCM, Model.DJCM))
+def test_combine_is_bitwise_the_optimized_einsum(model, bell, n_tau):
+    taus = np.linspace(0.0, 25.0, n_tau) + 1.3
+    Ea, Eb = dynamics._channels(model, FieldSpec.thermal(1.0), FieldSpec.fock(1), taus)
+    qubits = "".join(sorted("".join(dynamics._cavity_labels(model))))
+    for size in range(1, len(qubits) + 1):
+        for keep in map("".join, combinations(qubits, size)):
+            K = dynamics._combine(model, bell, Ea, Eb, keep)
+            assert K.flags.c_contiguous
+            assert K.tobytes() == einsum_combine(model, bell, Ea, Eb, keep).tobytes(), keep

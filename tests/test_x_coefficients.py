@@ -109,3 +109,49 @@ def test_key_validation():
         XCoefficientKey(0, 0, 0, 0, 0, -0.5)
     with pytest.raises(ValueError):
         XCoefficientKey(0, 0, 0, 0, 0, np.nan)
+
+
+def test_coefficient_table_rows_match_a_direct_build(monkeypatch):
+    # start from an empty table, then grow it out of order, past a hot thermal
+    # field's levels, and read a level that is already there
+    empty = np.zeros((51, 0))
+    empty.setflags(write=False)
+    monkeypatch.setattr(dynamics, "_COEFFICIENT_TABLE", empty)
+    hot, _ = dynamics.FieldSpec.thermal(16.0).weights()
+    for ms in (np.array([5, 0, 2, 1]), hot, np.array([3])):
+        direct = dynamics._coefficient_rows(np.arange(ms.max() + 1, dtype=float))[:, ms]
+        freq, base, cos_w, sin_w = dynamics._coefficients(ms)
+        read = np.concatenate([freq, base.reshape(16, -1), cos_w.reshape(16, -1), sin_w.reshape(16, -1)])
+        assert read.tobytes() == direct.tobytes()
+    assert dynamics._COEFFICIENT_TABLE.shape == (51, hot.max() + 1)
+
+
+def test_coefficient_table_cannot_be_changed_through_a_result():
+    ms, taus = np.array([0, 1, 4]), np.array([0.7, 2.3])
+    before = [a.copy() for a in dynamics._coefficients(ms)]
+    table = dynamics._x_block_table(ms, taus).copy()
+    for a in dynamics._coefficients(ms):
+        try:
+            a[...] = 7.0
+        except ValueError:  # a read-only result is fine too
+            pass
+    assert not dynamics._COEFFICIENT_TABLE.flags.writeable
+    for a, b in zip(dynamics._coefficients(ms), before):
+        assert a.tobytes() == b.tobytes()
+    assert dynamics._x_block_table(ms, taus).tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize(
+    "read", (dynamics._coefficients, lambda m: dynamics._x_block_table(m, np.array([0.5]))), ids=("coefficients", "x_block_table")
+)
+@pytest.mark.parametrize("ms", ([-1], [0, 2, -3], [1.5], [0.0, 1.0]), ids=str)
+def test_photon_numbers_must_be_nonnegative_integers(read, ms):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        read(np.array(ms))
+
+
+@pytest.mark.parametrize("empty", ([], np.array([], dtype=int)), ids=("list", "int-array"))
+def test_no_photon_numbers_give_an_empty_table(empty):
+    freq, base, _, _ = dynamics._coefficients(empty)
+    assert freq.shape == (3, 0) and base.shape == (4, 4, 0)
+    assert dynamics._x_block_table(empty, np.array([0.5, 1.0])).shape == (4, 4, 0, 2)
