@@ -53,8 +53,6 @@ def _check_count(name: str, n: int) -> None:
 
 def _as_tau_grid(tau: _TauLike) -> tuple[np.ndarray, bool]:
     """Times as a 1-d grid, and whether a scalar was given; every time is finite and nonnegative."""
-    if isinstance(tau, float) and math.isfinite(tau) and tau >= 0.0:
-        return np.array([tau]), True  # a valid single time needs no array checks
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -260,24 +258,39 @@ def _coefficient_rows(m: np.ndarray) -> np.ndarray:
 # The rows of photon levels 0 .. top-1, shared by every call in the process.
 # Built on first use and grown to exactly the highest level asked for (51
 # floats a level); read-only, so no caller can change what later calls read.
+# A request that would grow it by more than its own levels plus
+# _GROWTH_SLACK (a high Fock level, say) builds just its own rows instead,
+# so the table's size follows the levels asked for, not their height.  A
+# build's cost is mostly fixed, so a growth by that slack costs little more
+# than a build of the requested levels alone.
 _COEFFICIENT_TABLE = np.zeros((51, 0))
 _COEFFICIENT_TABLE.setflags(write=False)
+_GROWTH_SLACK = 256
 
 
 def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The three family frequencies ``[family, photon]``, then the base, cos and
     sin weights of the 16 amplitudes, each ``[pair_in, flips, photon]``; read
-    from the process-wide table, never as writable views of it."""
+    from the process-wide table, or built apart for levels far past it, and
+    never writable views of it."""
     global _COEFFICIENT_TABLE
     m = np.asarray(m)
     if m.ndim != 1 or (m.size and (m.dtype.kind not in "iu" or m.min() < 0)):
         raise ValueError("photon numbers must be a 1-d array of nonnegative integers")
+    table = _COEFFICIENT_TABLE  # read once: another thread may replace it meanwhile
     top = int(m.max()) + 1 if m.size else 0
-    if top > _COEFFICIENT_TABLE.shape[1]:
-        table = _coefficient_rows(np.arange(top, dtype=float))
-        table.setflags(write=False)
-        _COEFFICIENT_TABLE = table
-    rows = _COEFFICIENT_TABLE[:, m.astype(np.intp, copy=False)]  # an empty m may be float
+    missing = top - table.shape[1]
+    if missing > m.size + _GROWTH_SLACK:
+        rows = _coefficient_rows(m.astype(float))  # the same expressions, so the same bits
+    else:
+        if missing > 0:
+            table = _coefficient_rows(np.arange(top, dtype=float))
+            table.setflags(write=False)
+            # never replace a wider table; a race lost here only leaves a
+            # narrower one for a later call to grow, as this call reads its own
+            if top > _COEFFICIENT_TABLE.shape[1]:
+                _COEFFICIENT_TABLE = table
+        rows = table[:, m.astype(np.intp, copy=False)]  # an empty m may be float
     weights = rows[3:].reshape(3, 4, 4, m.size)
     return rows[:3], weights[0], weights[1], weights[2]
 
@@ -472,11 +485,10 @@ def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) 
     """W = outer(amp, amp) over cavity a's preparation branches, flattened to match a kernel."""
     if pair_ab.bell_type is not pair_cd.bell_type:
         raise ValueError("both pairs must share the same Bell type")
-    amp = pair_ab.amplitudes()
+    amp = np.array(pair_ab.amplitudes())
     if model is Model.DTCM:
-        amp = [a * c for a in amp for c in pair_cd.amplitudes()]  # branches (A,C) of cavity a
-    amp = np.array(amp)
-    return (amp[:, None] * amp).ravel()
+        amp = np.outer(amp, pair_cd.amplitudes()).ravel()  # branches (A,C) of cavity a
+    return np.outer(amp, amp).ravel()
 
 
 def _channels(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

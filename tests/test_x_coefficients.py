@@ -111,12 +111,16 @@ def test_key_validation():
         XCoefficientKey(0, 0, 0, 0, 0, np.nan)
 
 
-def test_coefficient_table_rows_match_a_direct_build(monkeypatch):
-    # start from an empty table, then grow it out of order, past a hot thermal
-    # field's levels, and read a level that is already there
+def empty_table(monkeypatch):
     empty = np.zeros((51, 0))
     empty.setflags(write=False)
     monkeypatch.setattr(dynamics, "_COEFFICIENT_TABLE", empty)
+
+
+def test_coefficient_table_rows_match_a_direct_build(monkeypatch):
+    # start from an empty table, then grow it out of order, past a hot thermal
+    # field's levels, and read a level that is already there
+    empty_table(monkeypatch)
     hot, _ = dynamics.FieldSpec.thermal(16.0).weights()
     for ms in (np.array([5, 0, 2, 1]), hot, np.array([3])):
         direct = dynamics._coefficient_rows(np.arange(ms.max() + 1, dtype=float))[:, ms]
@@ -124,6 +128,44 @@ def test_coefficient_table_rows_match_a_direct_build(monkeypatch):
         read = np.concatenate([freq, base.reshape(16, -1), cos_w.reshape(16, -1), sin_w.reshape(16, -1)])
         assert read.tobytes() == direct.tobytes()
     assert dynamics._COEFFICIENT_TABLE.shape == (51, hot.max() + 1)
+
+
+def test_a_high_fock_level_leaves_the_table_small(monkeypatch):
+    empty_table(monkeypatch)
+    pair, field = dynamics.BellPairSpec(dynamics.BellType.PSI, 0.6), dynamics.FieldSpec.fock(10**9)
+    rho = dynamics.assemble_atomic_state(pair, pair, field, dynamics.FieldSpec.vacuum(), 1.3)
+    assert np.isfinite(rho.matrix).all()
+    assert dynamics._COEFFICIENT_TABLE.shape == (51, 1)  # the vacuum's level only
+
+
+def test_rows_built_apart_match_the_tables(monkeypatch):
+    # a level far past the table is built on its own, then read from the grown table
+    empty_table(monkeypatch)
+    high = np.array([1000])
+    apart = dynamics._coefficients(high)
+    assert dynamics._COEFFICIENT_TABLE.shape == (51, 0)
+    dynamics._coefficients(np.arange(1001))
+    assert dynamics._COEFFICIENT_TABLE.shape == (51, 1001)
+    for a, b in zip(apart, dynamics._coefficients(high)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_narrower_build_never_replaces_a_wider_table(monkeypatch):
+    # another thread publishes a wider table while this call builds its own
+    empty_table(monkeypatch)
+    wide = dynamics._coefficient_rows(np.arange(40.0))
+    wide.setflags(write=False)
+    build = dynamics._coefficient_rows
+
+    def racing(m):
+        dynamics._COEFFICIENT_TABLE = wide
+        return build(m)
+
+    monkeypatch.setattr(dynamics, "_coefficient_rows", racing)
+    freq, _, _, sin_w = dynamics._coefficients(np.array([3, 9]))
+    assert dynamics._COEFFICIENT_TABLE is wide
+    assert freq.tobytes() == wide[:3, [3, 9]].tobytes()
+    assert sin_w.reshape(16, 2).tobytes() == wide[35:, [3, 9]].tobytes()
 
 
 def test_coefficient_table_cannot_be_changed_through_a_result():
