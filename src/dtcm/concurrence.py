@@ -147,11 +147,12 @@ def _concurrence_general_batch(mats: np.ndarray) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     adj = mats.conj().swapaxes(-1, -2)
     herm_dev = float(np.abs(mats - adj).max())
-    if herm_dev > _SPECTRUM_TOL:
+    # both bars are written so that a NaN fails them, not left to LAPACK to reject
+    if not herm_dev <= _SPECTRUM_TOL:
         raise NumericalError(f"input is not Hermitian: deviation {herm_dev:.3e}")
     herm = (mats + adj) / 2.0
     w, V = np.linalg.eigh(herm)
-    if float(w.min()) < -_SPECTRUM_TOL:
+    if not float(w.min()) >= -_SPECTRUM_TOL:
         raise NumericalError(f"negative population beyond tolerance: {w.min():.3e}")
     root = (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ V.conj().swapaxes(-1, -2)
     K = root @ _YY @ root.conj()

@@ -268,8 +268,9 @@ def compare_pipelines(
     # the oracle orders the layout's qubits A<B<C<D, and every layout starts
     # at A, B, so a pair's canonical positions index its state
     n_qubits = reference.shape[-1].bit_length() - 1
-    conc_dev = 0.0
+    conc_devs = []
     for pair, (curve,) in curves.items():
         c_o = _concurrence_general_batch(_partial_trace_array(reference, n_qubits, _PAIR_POSITIONS[pair]))
-        conc_dev = max(conc_dev, float(np.abs(curve.values - c_o).max()))
-    return PipelineComparison(state_dev, conc_dev, int(n_max), int(taus.size))
+        conc_devs.append(np.abs(curve.values - c_o).max())
+    # np.max carries a NaN from any pair, where the builtin max keeps only a leading one
+    return PipelineComparison(state_dev, float(np.max(conc_devs)), int(n_max), int(taus.size))

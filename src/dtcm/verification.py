@@ -5,6 +5,10 @@ normalization, agreement of the channel tensors with independent routes
 (transcribed closed forms, the oracle's traced one-atom channel), agreement
 with the brute-force oracle, pair-exchange symmetries of the assembled
 state, and wholesale validity of reduced states over representative sweeps.
+
+Each suite lists its cases as ``(deviation, where)`` pairs, ``where`` in a
+config's words (``DTCM psi fock:1/fock:1 AB alpha=0.3927``); :func:`_timed`
+alone takes the worst, a NaN first, fails a NaN and names the case.
 """
 from __future__ import annotations
 
@@ -60,12 +64,28 @@ def _timed(name: str, tolerance: float, worker) -> SuiteResult:
     # a suite that blows up is a failed suite, not a crashed verifier
     start = time.perf_counter()
     try:
-        deviation, detail = worker()
+        cases, detail = worker()
+        deviations, places = zip(*cases)
     except Exception as exc:
         elapsed = time.perf_counter() - start
         return SuiteResult(name, float("inf"), tolerance, False, elapsed, f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
-    return SuiteResult(name, float(deviation), tolerance, float(deviation) <= tolerance, elapsed, detail)
+    # np.argmax picks the first NaN, which then fails the bar; the builtin max would drop it
+    worst = int(np.argmax(deviations))
+    deviation = float(deviations[worst])
+    return SuiteResult(name, deviation, tolerance, deviation <= tolerance, elapsed, f"{detail}; worst: {places[worst]}")
+
+
+def _field_words(field: FieldSpec) -> str:
+    """The field as a config writes it: ``vacuum``, ``fock:<n>`` or ``thermal:<nbar>[,<eps>]``."""
+    if field.kind != "thermal":
+        return "vacuum" if field.kind == "vacuum" else f"fock:{field.n}"
+    eps = "" if field.tail_mass_epsilon == FieldSpec.tail_mass_epsilon else f",{field.tail_mass_epsilon:g}"
+    return f"thermal:{field.nbar:g}{eps}"
+
+
+def _scenario_words(sc: Scenario) -> str:
+    return f"{sc.model.value} {sc.bell_type.value} {_field_words(sc.field_a)}/{_field_words(sc.field_b)}"
 
 
 def suite_x_normalization() -> SuiteResult:
@@ -81,8 +101,9 @@ def suite_x_normalization() -> SuiteResult:
         ms = np.arange(51)
         X = dynamics._x_block_table(ms, taus)
         sums = (np.abs(X) ** 2).sum(axis=1)
-        dev = float(np.abs(sums - 1.0).max())
-        return dev, f"{ms.size} photon levels x {taus.size} times"
+        per_level = np.abs(sums - 1.0).max(axis=(0, 2))
+        cases = [(dev, f"m={m}") for dev, m in zip(per_level.tolist(), ms.tolist())]
+        return cases, f"{ms.size} photon levels x {taus.size} times"
 
     return _timed("x-normalization", 1e-12, worker)
 
@@ -103,17 +124,19 @@ def suite_explicit_maps() -> SuiteResult:
             FieldSpec.thermal(1.0),
         ]
         taus = np.linspace(0.0, 25.0, 50)
-        dev = 0.0
+        cases = []
         for fld in fields:
+            words = _field_words(fld)
             E = dynamics._channel_tensor(fld, taus, 2)
             for i, k, j, l in product((0, 1), repeat=4):
                 explicit = dynamics.pair_map_explicit(i, k, j, l, fld, taus)
-                dev = max(dev, float(np.abs(E[:, :, :, 2 * i + k, 2 * j + l] - explicit).max()))
+                dev = float(np.abs(E[:, :, :, 2 * i + k, 2 * j + l] - explicit).max())
+                cases.append((dev, f"{words} |{i}{k}><{j}{l}|"))
             H = build_tc_hamiltonian(_required_cutoff(fld, 1), 1)
             U5 = _evolution_grid(H, taus).reshape(taus.size, 2, H.n_max + 1, 2, H.n_max + 1)
             E1 = dynamics._channel_tensor(fld, taus, 1)
-            dev = max(dev, float(np.abs(E1 - _cavity_channel(U5, fld, H.n_max)).max()))
-        return dev, (
+            cases.append((float(np.abs(E1 - _cavity_channel(U5, fld, H.n_max)).max()), f"{words} one-atom"))
+        return cases, (
             f"16 operators x {len(fields)} fields x {taus.size} times, "
             f"one-atom channel x {len(fields)} fields x {taus.size} times"
         )
@@ -150,11 +173,13 @@ def _oracle_suite(
     """Worst state or concurrence deviation of :func:`compare_pipelines` over ``cases``."""
 
     def worker():
-        dev = 0.0
+        checked = []
         for scenario, alpha, taus, n_max in cases:
             report = compare_pipelines(scenario, alpha, taus, n_max=n_max)
-            dev = max(dev, report.max_state_deviation, report.max_concurrence_deviation)
-        return dev, f"{len(cases)} {what}"
+            where = f"{_scenario_words(scenario)} alpha={alpha:.4f}"
+            checked.append((report.max_state_deviation, f"{where} state"))
+            checked.append((report.max_concurrence_deviation, f"{where} concurrence"))
+        return checked, f"{len(cases)} {what}"
 
     return _timed(name, tolerance, worker)
 
@@ -186,7 +211,7 @@ def suite_pair_symmetries() -> SuiteResult:
     def worker():
         alphas = np.linspace(0.0, np.pi / 2, 20)
         taus = np.linspace(0.0, 25.0, 20)
-        dev = 0.0
+        cases = []
         # (scenario, whether the cross-pair relabeling is checked on it too)
         scenarios = [
             (Scenario(Model.DTCM, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum()), True),
@@ -195,13 +220,15 @@ def suite_pair_symmetries() -> SuiteResult:
         ]
         for scenario, cross in scenarios:
             curves = sweep_pairs(scenario, ("AB", "CD", "AC") if cross else ("AB", "CD"), alphas, taus)
-            compared = [(curves["AB"], curves["CD"])]
+            compared = [("AB=CD", curves["AB"], curves["CD"])]
             if cross:
-                compared.append((curves["AC"], sweep_pairs(scenario, ("BD",), alphas + np.pi / 2, taus)["BD"]))
-            for first, second in compared:
+                bd = sweep_pairs(scenario, ("BD",), alphas + np.pi / 2, taus)["BD"]
+                compared.append(("AC=BD(alpha+pi/2)", curves["AC"], bd))
+            for relation, first, second in compared:
                 for c_first, c_second in zip(first, second):
-                    dev = max(dev, float(np.abs(c_first.values - c_second.values).max()))
-        return dev, f"{len(scenarios)} scenarios on a {alphas.size}x{taus.size} grid"
+                    dev = float(np.abs(c_first.values - c_second.values).max())
+                    cases.append((dev, f"{_scenario_words(scenario)} {relation} alpha={c_first.alpha:.4f}"))
+        return cases, f"{len(scenarios)} scenarios on a {alphas.size}x{taus.size} grid"
 
     return _timed("pair-symmetries", 1e-10, worker)
 
@@ -227,11 +254,12 @@ def suite_state_validity() -> SuiteResult:
         for bell in (BellType.PSI, BellType.PHI):
             for fld in (FieldSpec.vacuum(), FieldSpec.fock(1), FieldSpec.thermal(1.0, 1e-13)):
                 scenarios.append(Scenario(Model.DTCM, bell, fld, fld))
-        worst = 0.0
+        cases = []
         states = 0
         for scenario in scenarios:
+            words = _scenario_words(scenario)
             # the kernels sweep_pairs slices, from one channel build per scenario
-            for _, kernel in _pair_kernels(scenario, PAIR_CHOICES, taus):
+            for pair, kernel in _pair_kernels(scenario, PAIR_CHOICES, taus):
                 KX, off_bound, off_residue = _x_kernel(kernel)
                 for alpha in alphas.tolist():
                     w = _scenario_weights(scenario, alpha)
@@ -240,21 +268,24 @@ def suite_state_validity() -> SuiteResult:
                     report = _validate_batch(reduced)
                     closed = _x_margins(X, off_bound, off_residue, report.tol_trace)
                     c_general = _concurrence_general_batch(reduced)
-                    worst = max(
-                        worst,
-                        report.hermiticity_deviation / report.tol_herm,
-                        report.trace_deviation / report.tol_trace,
-                        max(0.0, -report.min_eigenvalue) / report.psd_slack,
-                        max(x_pattern_deviation(reduced), off_bound) / _X_SHAPE_TOL,
-                        float(np.abs(_concurrence_x_batch(reduced) - c_general).max()) / 1e-9,
-                        float(np.abs(_x_slice_concurrence(X) - c_general).max()) / 1e-9,
-                        abs(closed.hermiticity_deviation - report.hermiticity_deviation) / 1e-15,
-                        abs(closed.trace_deviation - report.trace_deviation) / 1e-15,
-                        max(0.0, closed.min_eigenvalue - report.min_eigenvalue) / 1e-15,
-                    )
+                    # np.maximum carries a NaN, where the builtin max keeps only a leading one
+                    ratios = {
+                        "hermiticity": report.hermiticity_deviation / report.tol_herm,
+                        "trace": report.trace_deviation / report.tol_trace,
+                        "psd": np.maximum(0.0, -report.min_eigenvalue) / report.psd_slack,
+                        "x-shape": x_pattern_deviation(reduced) / _X_SHAPE_TOL,
+                        "off-bound": off_bound / _X_SHAPE_TOL,
+                        "x-form concurrence": float(np.abs(_concurrence_x_batch(reduced) - c_general).max()) / 1e-9,
+                        "x-route concurrence": float(np.abs(_x_slice_concurrence(X) - c_general).max()) / 1e-9,
+                        "x-route hermiticity": abs(closed.hermiticity_deviation - report.hermiticity_deviation) / 1e-15,
+                        "x-route trace": abs(closed.trace_deviation - report.trace_deviation) / 1e-15,
+                        "x-route psd": np.maximum(0.0, closed.min_eigenvalue - report.min_eigenvalue) / 1e-15,
+                    }
+                    label = f"{words} {pair} alpha={alpha:.4f}"
+                    cases.extend((ratio, f"{label} {term}") for term, ratio in ratios.items())
                     states += reduced.shape[0]
                 del kernel, KX
-        return worst, f"{states} reduced states, worst bar-normalized ratio"
+        return cases, f"{states} reduced states, bar-normalized ratios"
 
     return _timed("state-validity", 1.0, worker)
 

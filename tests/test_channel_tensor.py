@@ -75,6 +75,8 @@ def test_explicit_maps_suite_checks_the_one_atom_channel(monkeypatch):
     result = verification.suite_explicit_maps()
     assert not result.passed
     assert result.max_deviation > 1e-3
+    # the FAIL names the channel that tripped it
+    assert result.detail.endswith(" one-atom"), result.line()
 
 
 def test_explicit_maps_suite_catches_a_one_atom_amplitude_fault(monkeypatch):

@@ -294,6 +294,10 @@ def test_verify_quick_passes(capsys):
     assert any(line.startswith("oracle-agreement") for line in lines)
     # each suite reports its own wall time right after the verdict
     assert all(re.search(r"\) PASS in \d+\.\d\d s", line) for line in lines)
+    # the line format the benchmark's verify checker parses, detail and worst case included
+    suite_line = re.compile(r"^(\S+): max deviation (\S+) \(tolerance (\S+)\) (PASS|FAIL)")
+    assert all(suite_line.match(line) for line in lines)
+    assert all(re.search(r"; worst: [^\]]+\]$", line) for line in lines)
 
 
 def test_verify_catches_injected_fault(tmp_path, capsys, monkeypatch):
@@ -311,6 +315,22 @@ def test_verify_catches_injected_fault(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     norm_lines = [line for line in out.splitlines() if line.startswith("x-normalization")]
     assert norm_lines and "FAIL" in norm_lines[0]
+
+
+def test_verify_fails_on_a_nan_and_names_its_case(capsys, monkeypatch):
+    # one NaN cell in every channel tensor: explicit-maps must not drop it
+    real = dynamics._channel_tensor
+
+    def poisoned(field, taus, n_atoms):
+        E = real(field, taus, n_atoms).copy()
+        E[0, 0, 0, 0, 0] = np.nan
+        return E
+
+    monkeypatch.setattr(dynamics, "_channel_tensor", poisoned)
+    assert cli.main(["verify", "--level", "quick"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("explicit-maps")]
+    assert lines and "max deviation nan (tolerance 1e-12) FAIL" in lines[0]
+    assert lines[0].endswith("; worst: vacuum |00><00|]")
 
 
 def test_verify_catches_swapped_x_coherences(capsys, monkeypatch):

@@ -179,6 +179,14 @@ def test_rejects_unphysical_input():
         concurrence_general(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
 
 
+@pytest.mark.parametrize("entry", [(1, 1), (0, 3)], ids=["diagonal", "off-diagonal"])
+def test_a_nan_entry_fails_the_bars_before_the_eigensolve(entry):
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[entry] = np.nan
+    with pytest.raises(NumericalError, match="not Hermitian: deviation nan"):
+        concurrence_general(rho)
+
+
 def test_result_is_clipped():
     # tiny negative populations within tolerance must not leak through roots
     rho = np.diag([1.0 + 5e-9, -5e-9, 0.0, 0.0]).astype(complex)

@@ -1,0 +1,82 @@
+"""Every verify suite fails closed on a NaN in what it compares, and names the case."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from dtcm import dynamics, oracle, verification
+
+
+def nan_at(values, index):
+    """A copy of ``values`` with a NaN at ``index``."""
+    out = np.array(values)
+    out[index] = np.nan
+    return out
+
+
+def with_nan(real, index):
+    """``real`` with a NaN at ``index`` in each result."""
+    return lambda *args: nan_at(real(*args), index)
+
+
+def with_nan_curves(real):
+    """``real`` sweep with a NaN at the fifth sample of every curve (a curve itself rejects one)."""
+
+    def fault(*args):
+        return {
+            pair: [SimpleNamespace(alpha=c.alpha, values=nan_at(c.values, 4)) for c in curves]
+            for pair, curves in real(*args).items()
+        }
+
+    return fault
+
+
+CASES = [
+    (
+        verification.suite_x_normalization,
+        dynamics, "_x_block_table", lambda real: with_nan(real, (0, 0, 5, 3)),
+        "m=5",
+    ),
+    (
+        # every operator of the closed forms: the first is vacuum's |00><00|
+        verification.suite_explicit_maps,
+        dynamics, "pair_map_explicit", lambda real: with_nan(real, 7),
+        "vacuum |00><00|",
+    ),
+    (
+        lambda: verification.suite_oracle_agreement(verification.QUICK),
+        oracle, "_concurrence_general_batch", lambda real: with_nan(real, 3),
+        "DTCM psi vacuum/vacuum alpha=0.3927 concurrence",
+    ),
+    (
+        verification.suite_oracle_agreement_thermal,
+        oracle, "_concurrence_general_batch", lambda real: with_nan(real, 3),
+        "DTCM psi thermal:0.1/thermal:0.1 alpha=0.3927 concurrence",
+    ),
+    (
+        verification.suite_pair_symmetries,
+        verification, "sweep_pairs", with_nan_curves,
+        "DTCM psi vacuum/vacuum AB=CD alpha=0.0000",
+    ),
+    (
+        verification.suite_state_validity,
+        verification, "_x_slice_concurrence", lambda real: with_nan(real, 4),
+        "DTCM psi vacuum/vacuum AB alpha=0.1571 x-route concurrence",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, fault, where",
+    CASES,
+    ids=["x-normalization", "explicit-maps", "oracle-agreement", "oracle-agreement-thermal",
+         "pair-symmetries", "state-validity"],
+)
+def test_a_nan_fails_the_suite_and_is_named(monkeypatch, suite, module, name, fault, where):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    result = suite()
+    assert not result.passed
+    assert math.isnan(result.max_deviation), result.line()
+    assert result.detail.endswith(f"; worst: {where}"), result.line()
