@@ -6,6 +6,7 @@ stored read-only.  Backed by numpy throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -145,13 +146,19 @@ def _validate_batch(
     tol_trace: float = _TOL_TRACE,
     psd_slack: float = _PSD_SLACK,
 ) -> ValidationReport:
-    """Worst-case validation over a batch of matrices stacked on leading axes."""
+    """Worst-case validation over a batch of matrices stacked on leading axes.
+
+    A NaN or infinite entry anywhere makes the Hermiticity deviation
+    non-finite; such a batch is not handed to LAPACK, and its minimum
+    eigenvalue is reported as NaN, so the report fails instead of raising.
+    """
     adj = mats.conj().swapaxes(-1, -2)
     herm_dev = float(np.abs(mats - adj).max())
     traces = np.einsum("...ii->...", mats)
     trace_dev = float(np.abs(traces - 1.0).max())
-    eigs = np.linalg.eigvalsh((mats + adj) / 2.0)
-    min_eig = float(eigs.min().real)
+    min_eig = float("nan")
+    if math.isfinite(herm_dev):  # a float test, not another pass over the batch
+        min_eig = float(np.linalg.eigvalsh((mats + adj) / 2.0).min().real)
     return ValidationReport(herm_dev, trace_dev, min_eig, tol_herm, tol_trace, psd_slack)
 
 

@@ -247,30 +247,51 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
     return flat.take(_X_ENTRIES, axis=1), off_bound, off_residue  # C-contiguous, so each alpha reshapes it for free
 
 
-def _x_margins(X: np.ndarray, off_bound: float, off_residue: float, tol_trace: float) -> ValidationReport:
-    """The validity margins of X-sliced states ``X[t, 8]`` in closed form.
+def _x_margin_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed-form margin terms of X-sliced states ``X[..., t, 8]``, reduced over t.
 
-    Hermiticity comes from the populations, the mirrored coherences and the
-    kernel's off-pattern residue; the trace from the populations.  The
-    Hermitian part splits into the 2x2 blocks {00, 11} and {01, 10}, whose
-    smaller eigenvalue is (a+d)/2 - hypot((a-d)/2, |c|); Weyl's bound
-    sqrt(8) off_bound on the off-pattern part is subtracted, so the reported
-    minimum never exceeds the true one.  The bars are those of
-    :func:`dtcm.algebra._validate_batch`.
+    Returns, per leading index, the Hermiticity residue of the X entries,
+    the trace deviation and the smaller eigenvalue of the Hermitian part's
+    2x2 blocks {00, 11} and {01, 10}, (a+d)/2 - hypot((a-d)/2, |c|).  Each
+    is a maximum or a minimum over t, so the terms of consecutive tau chunks
+    combine exactly.
     """
-    pops, coherences, mirrored = X[:, :4], X[:, 4:6], X[:, 6:].conj()
-    # np.max carries a NaN from any of the three, where the builtin max keeps only a leading one
-    herm_dev = float(np.max([(2.0 * np.abs(pops.imag)).max(), np.abs(coherences - mirrored).max(), off_residue]))
-    trace_dev = float(np.abs(np.einsum("ti->t", pops) - 1.0).max())  # summed as the full trace's einsum sums it
-    a, d = pops.real[:, :2], pops.real[:, 3:1:-1]  # columns (p00, p11) and (p01, p10)
-    block_min = (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs((coherences + mirrored) / 2.0))
-    min_eig = float(block_min.min()) - np.sqrt(8.0) * off_bound
-    return ValidationReport(herm_dev, trace_dev, min_eig, _TOL_HERM, tol_trace, _PSD_SLACK)
+    pops, coherences, mirrored = X[..., :4], X[..., 4:6], X[..., 6:].conj()
+    # np.maximum, unlike the builtin max, carries a NaN from either term
+    herm = np.maximum((2.0 * np.abs(pops.imag)).max(axis=(-2, -1)), np.abs(coherences - mirrored).max(axis=(-2, -1)))
+    trace = np.abs(np.einsum("...ti->...t", pops) - 1.0).max(axis=-1)  # summed as the full trace's einsum sums it
+    a, d = pops.real[..., :2], pops.real[..., 3:1:-1]  # columns (p00, p11) and (p01, p10)
+    block_min = ((a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs((coherences + mirrored) / 2.0))).min(axis=(-2, -1))
+    return herm, trace, block_min
+
+
+def _x_report(terms: tuple, off_bound: float, off_residue: float, tol_trace: float) -> ValidationReport:
+    """The validity margins of one state stack from its :func:`_x_margin_terms` and its kernel's bounds.
+
+    The off-pattern residue joins the Hermiticity residue, and Weyl's bound
+    sqrt(8) off_bound on the off-pattern part is subtracted from the block
+    minimum, so the reported minimum never exceeds the true one.  The bars
+    are those of :func:`dtcm.algebra._validate_batch`.
+    """
+    herm, trace_dev, block_min = terms
+    herm_dev = float(np.maximum(herm, off_residue))  # np.maximum carries a NaN from either
+    min_eig = float(block_min) - np.sqrt(8.0) * off_bound
+    return ValidationReport(herm_dev, float(trace_dev), min_eig, _TOL_HERM, tol_trace, _PSD_SLACK)
+
+
+def _x_margins(X: np.ndarray, off_bound: float, off_residue: float, tol_trace: float) -> ValidationReport:
+    """The validity margins of X-sliced states ``X[t, 8]`` in closed form (:func:`_x_report`)."""
+    return _x_report(_x_margin_terms(X), off_bound, off_residue, tol_trace)
 
 
 def _x_slice_concurrence(X: np.ndarray) -> np.ndarray:
-    """Concurrence of X-sliced states ``X[t, 8]``."""
-    return _x_concurrence(X[:, :4].real, X[:, 4], X[:, 5])
+    """Concurrence of X-sliced states ``X[..., 8]``."""
+    return _x_concurrence(X[..., :4].real, X[..., 4], X[..., 5])
+
+
+# complex cells in a sweep chunk's largest array: the channel tensors and the
+# pair kernel (256 a tau) or the alpha stack of X slices (8 an alpha a tau)
+_SWEEP_CELLS = 2**18
 
 
 def sweep_pairs(
@@ -281,31 +302,64 @@ def sweep_pairs(
 ) -> dict[str, list[ConcurrenceCurve]]:
     """Concurrence of several atom pairs over one (alpha, tau) grid, one curve per pair and alpha.
 
-    The cavity channels are built once for all pairs.  Each pair's kernel is
-    built once and cut to the 8 entries an X state populates
-    (:func:`_x_kernel`); each alpha is then one contraction of that slice
-    with the alpha's preparation weights, validated in closed form
-    (:func:`_x_margins`) before the X-form concurrence is taken.  A kernel
-    whose off-pattern bound is not within the X-shape bar (NaN included)
-    raises before any of its pair's curves are made.  Alphas are taken in
-    order and the first invalid state raises.
+    The taus are taken in chunks of at most ``_SWEEP_CELLS`` cells in the
+    largest array, so the working memory does not grow with the grid.  In
+    each chunk the cavity channels are built once for all pairs, and each
+    pair's kernel is built once and cut to the 8 entries an X state
+    populates (:func:`_x_kernel`); each alpha is then one contraction of that
+    slice with the alpha's preparation weights, and the closed-form margins
+    (:func:`_x_margin_terms`) and the X-form concurrence are taken over the
+    whole alpha stack.  Margins and off-pattern bounds combine exactly
+    across chunks, and after the last chunk each pair is checked in order:
+    a kernel whose off-pattern bound is not within the X-shape bar (NaN
+    included) raises, then the first invalid alpha does.  A pair is not
+    weighted again once its bound has failed.  Each pair's curves share
+    the rows of one read-only [alphas, taus] block.
     """
     pairs = _check_pairs(scenario.model, pairs)
     taus = _read_only(_as_tau_grid(_check_grid("tau", tau_grid))[0])  # one copy, shared by every curve
-    alphas = _check_alphas(alpha_grid)
-    trace_slack = scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
-    curves: dict[str, list[ConcurrenceCurve]] = {pair: [] for pair in pairs}
-    for pair, kernel in _pair_kernels(scenario, pairs, taus):
-        KX, off_bound, off_residue = _x_kernel(kernel)
-        del kernel
+    alphas = _check_alphas(alpha_grid).tolist()
+    tol_trace = _TOL_TRACE + scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
+    weights = [_scenario_weights(scenario, alpha) for alpha in alphas]
+    n = len(alphas)
+    step = max(1, _SWEEP_CELLS // max(256, 8 * n))
+    stack = np.empty((n, min(step, taus.size), 8), dtype=complex)  # one chunk's X slices, every alpha
+    values = {pair: np.empty((n, taus.size)) for pair in pairs}
+    bounds = {pair: np.full(2, -np.inf) for pair in pairs}  # off-pattern bound and residue
+    terms = {pair: (np.full(n, -np.inf), np.full(n, -np.inf), np.full(n, np.inf)) for pair in pairs}
+    for start in range(0, taus.size, step):
+        span = slice(start, start + step)
+        # the last chunk's channels are freed only once these exist, so their
+        # memory is reused: freed last, it would be handed back and faulted in again
+        channels = _channels(scenario.model, scenario.field_a, scenario.field_b, taus[span])
+        for pair in pairs:
+            KX, off_bound, off_residue = _x_kernel(_combine(scenario.model, scenario.bell_type, *channels, pair))
+            seen = bounds[pair]
+            np.maximum(seen, (off_bound, off_residue), out=seen)  # np.maximum carries a NaN
+            if not seen[0] <= _X_SHAPE_TOL:
+                continue  # raised below; its later chunks only add to the bound
+            X = stack[:, : KX.shape[0]]
+            for index, w in enumerate(weights):
+                X[index] = _apply_weights(KX, w)
+            del KX
+            herm, trace, block_min = terms[pair]
+            chunk_herm, chunk_trace, chunk_min = _x_margin_terms(X)
+            np.maximum(herm, chunk_herm, out=herm)
+            np.maximum(trace, chunk_trace, out=trace)
+            np.minimum(block_min, chunk_min, out=block_min)
+            values[pair][:, span] = _x_slice_concurrence(X)
+    curves: dict[str, list[ConcurrenceCurve]] = {}
+    for pair in pairs:
+        off_bound, off_residue = bounds[pair].tolist()
         if not off_bound <= _X_SHAPE_TOL:
             raise NumericalError(f"pair {pair}: reduced state left the X shape: off-pattern bound {off_bound:.3e}")
-        for alpha in alphas.tolist():
-            X = _apply_weights(KX, _scenario_weights(scenario, alpha))
-            report = _x_margins(X, off_bound, off_residue, _TOL_TRACE + trace_slack)
+        block = values.pop(pair)
+        block.setflags(write=False)  # every curve of the pair holds a row of it, not a copy
+        curves[pair] = []
+        for index, alpha in enumerate(alphas):
+            report = _x_report([t[index] for t in terms[pair]], off_bound, off_residue, tol_trace)
             _require_ok(report, f"pair {pair}, alpha={alpha}: reduced state")
-            curves[pair].append(ConcurrenceCurve(pair, alpha, taus, _x_slice_concurrence(X)))
-        del KX  # free it before the next pair's kernel is built
+            curves[pair].append(ConcurrenceCurve(pair, alpha, taus, block[index]))
     return curves
 
 

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -159,18 +160,29 @@ def load_preset(name: str) -> ScenarioConfig:
 
 
 def _fmt(values) -> list[str]:
-    """Every number the CLI writes, as ``.12g`` text (None gives an empty field)."""
+    """Every number the CLI writes, as ``.12g`` text (None gives an empty field).
+
+    The curve writers format with ``"%.12g" % value``, which gives the same
+    text as ``format(value, ".12g")``.
+    """
     if isinstance(values, np.ndarray):
         values = values.tolist()  # one conversion to Python floats, not one per value
     return ["" if v is None else format(v, ".12g") for v in values]
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """A text handle on ``path``, or on stdout when it is None."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
+
+
+def _write_text(path: Optional[str], text: str) -> None:
+    with _output(path) as handle:
+        handle.write(text)
 
 
 def _sweep_all(cfg: ScenarioConfig):
@@ -182,18 +194,18 @@ def _sweep_all(cfg: ScenarioConfig):
 def cmd_simulate(cfg: ScenarioConfig, out: Optional[str]) -> None:
     """Write concurrence samples as CSV: tau,alpha,pair,concurrence.
 
-    Rows are ordered alpha-major, then pair (lexicographic), then tau.
+    Rows are ordered alpha-major, then pair (lexicographic), then tau.  The
+    output is opened after the sweep and written one curve at a time.
     """
     pairs, curves = _sweep_all(cfg)
-    # one joined block per curve: no string object per row outlives its curve
-    blocks = ["tau,alpha,pair,concurrence"]
-    tau_text = _fmt(cfg.tau)
-    for index, alpha_text in enumerate(_fmt(cfg.alphas)):
-        for pair in pairs:
-            middle = f",{alpha_text},{pair},"
-            values = _fmt(curves[pair][index].values)
-            blocks.append("\n".join([t + middle + v for t, v in zip(tau_text, values)]))
-    _write_text(out, "\n".join(blocks) + "\n")
+    # the tau column once; each curve fills in its alpha and pair, then its values
+    template = "\n".join(t + "\x00%.12g" for t in _fmt(cfg.tau)) + "\n"
+    with _output(out) as handle:
+        handle.write("tau,alpha,pair,concurrence\n")
+        for index, alpha_text in enumerate(_fmt(cfg.alphas)):
+            for pair in pairs:
+                values = curves[pair][index].values
+                handle.write(template.replace("\x00", f",{alpha_text},{pair},") % tuple(values.tolist()))
 
 
 def cmd_events(cfg: ScenarioConfig, out: Optional[str]) -> None:
@@ -218,10 +230,11 @@ def cmd_plotdata(cfg: ScenarioConfig, out: Optional[str]) -> None:
     if len(cfg.pairs) != 1:
         raise ConfigError("plotdata needs a config with exactly one pair")
     _, curves = _sweep_all(cfg)
-    rows = [" ".join(_fmt(cfg.tau))]
-    for curve in curves[cfg.pairs[0]]:
-        rows.append(" ".join(_fmt([curve.alpha]) + _fmt(curve.values)))
-    _write_text(out, "\n".join(rows) + "\n")
+    row = " ".join(["%.12g"] * (cfg.tau.size + 1)) + "\n"
+    with _output(out) as handle:
+        handle.write(" ".join(_fmt(cfg.tau)) + "\n")
+        for curve in curves[cfg.pairs[0]]:
+            handle.write(row % (curve.alpha, *curve.values.tolist()))
 
 
 def cmd_verify(level: str = "quick") -> int:

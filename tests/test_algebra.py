@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dtcm.algebra import DensityMatrix, partial_trace, validate_density
+from dtcm.algebra import DensityMatrix, _require_valid, _validate_batch, partial_trace, validate_density
+from dtcm.errors import NumericalError
 
 
 def random_density(rng, dim):
@@ -93,3 +94,16 @@ def test_validate_density_reports():
     # slack tolerances are honored
     loose = validate_density(np.diag([1.5, -0.5, 0.0, 0.0]), psd_slack=0.6, tol_trace=0.1)
     assert loose.ok
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)], ids=["nan", "inf", "inf-nan"])
+def test_validation_of_a_non_finite_batch_fails_without_lapack(bad):
+    # one non-finite cell in the second matrix: no eigensolve, a NaN minimum
+    # eigenvalue, and a NumericalError that names the case
+    mats = np.repeat(np.eye(4, dtype=complex)[None] / 4.0, 3, axis=0)
+    mats[1, 2, 3] = bad
+    report = _validate_batch(mats)
+    assert not np.isfinite(report.hermiticity_deviation)
+    assert np.isnan(report.min_eigenvalue) and not report.psd_ok and not report.ok
+    with pytest.raises(NumericalError, match=r"^probe state failed validation: hermiticity (nan|inf), .* min eigenvalue nan$"):
+        _require_valid(mats, 0.0, "probe state")

@@ -366,57 +366,179 @@ def test_closed_form_hermiticity_carries_a_nan_inner_coherence():
     assert np.isnan(report.hermiticity_deviation) and not report.hermitian_ok
 
 
+def trace_weighting(monkeypatch, fault=None, kernel_fault=None):
+    """Record every (pair, first tau, weights) the sweep weights, optionally faulting the
+    pair kernels (``kernel_fault(pair, taus, kernel)``) or the weighted X slices
+    (``fault(pair, taus, w, X) -> X``); returns the record list."""
+    channels, combine, apply_weights = analysis._channels, analysis._combine, analysis._apply_weights
+    current, weighted = {}, []
+
+    def chunk(model, field_a, field_b, taus):
+        current["taus"] = taus
+        return channels(model, field_a, field_b, taus)
+
+    def tagged(model, bell_type, Ea, Eb, keep):
+        kernel = combine(model, bell_type, Ea, Eb, keep)
+        if kernel_fault is not None:
+            kernel_fault(keep, current["taus"], kernel)
+        current["pair"] = keep
+        return kernel
+
+    def recorded(KX, w):
+        X = apply_weights(KX, w)
+        weighted.append((current["pair"], float(current["taus"][0]), w))
+        return X if fault is None else fault(current["pair"], current["taus"], w, X)
+
+    monkeypatch.setattr(analysis, "_channels", chunk)
+    monkeypatch.setattr(analysis, "_combine", tagged)
+    monkeypatch.setattr(analysis, "_apply_weights", recorded)
+    return weighted
+
+
 def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
-    # scale the weights of BD's third alpha so its states trace to 2
-    real = dynamics._branch_weights
-    calls = []
-
-    def faulty(model, pair_ab, pair_cd):
-        calls.append(pair_ab.alpha)
-        w = real(model, pair_ab, pair_cd)
-        return 2.0 * w if len(calls) == 5 + 3 else w
-
-    monkeypatch.setattr(analysis, "_branch_weights", faulty)
+    # BD's states at the third and fifth alphas trace to 2 in the last chunk:
+    # after the last chunk the first invalid alpha of the first failing pair is named
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
     alphas = np.linspace(0.1, 1.3, 5)
+    bad = [analysis._scenario_weights(sc, alphas[i]) for i in (2, 4)]
+
+    def doubled(pair, taus, w, X):
+        hit = pair == "BD" and taus[-1] == 3.0 and any(np.array_equal(w, b) for b in bad)
+        return 2.0 * X if hit else X
+
+    weighted = trace_weighting(monkeypatch, fault=doubled)
+    monkeypatch.setattr(analysis, "_SWEEP_CELLS", 256 * 8)  # chunks of 8 taus
     with pytest.raises(NumericalError, match=re.escape(f"pair BD, alpha={alphas[2]}: reduced state failed validation")):
         sweep_pairs(sc, ("AB", "BD"), alphas, np.linspace(0.0, 3.0, 31))
-    assert len(calls) == 5 + 3
+    # every chunk of both pairs is weighted once per alpha before anything raises
+    assert len(weighted) == 4 * 2 * 5
 
 
 @pytest.mark.parametrize(("value", "bound"), [(1e-9, "1.000e-09"), (np.nan, "nan")], ids=["1e-9", "nan"])
 def test_sweep_pairs_x_shape_failure_names_its_pair(monkeypatch, value, bound):
     # a Hermitian off-pattern entry on CD's first branch: at 1e-9 its weight
     # sin^4(alpha) keeps the state under the X-shape bar at alpha=0.2, but the
-    # kernel's bound is over it, so the pair raises before any alpha is weighted
-    real = analysis._combine
-
-    def faulty(model, bell_type, Ea, Eb, keep):
-        kernel = real(model, bell_type, Ea, Eb, keep)
-        if keep == "CD":
+    # kernel's bound is over it, so the pair raises and is never weighted
+    def off_pattern(pair, taus, kernel):
+        if pair == "CD":
             kernel[:, 0, 1, 0] += value
             kernel[:, 1, 0, 0] += value
-        return kernel
 
-    weights = dynamics._branch_weights
-    calls = []
-
-    def counted(model, pair_ab, pair_cd):
-        calls.append(pair_ab.alpha)
-        return weights(model, pair_ab, pair_cd)
-
-    monkeypatch.setattr(analysis, "_combine", faulty)
-    monkeypatch.setattr(analysis, "_branch_weights", counted)
+    weighted = trace_weighting(monkeypatch, kernel_fault=off_pattern)
     sc = Scenario(Model.DTCM, BellType.PHI, VAC, VAC)
     tau = np.linspace(0.0, 3.0, 31)
     message = f"pair CD: reduced state left the X shape: off-pattern bound {bound}"
     with pytest.raises(NumericalError, match=re.escape(message)):
         sweep_pairs(sc, ("CD",), np.array([0.2]), tau)
-    assert not calls
-    # AB's curves are made, then CD raises before any of its alphas
+    assert not weighted
+    # AB is weighted at both alphas, CD at none
     with pytest.raises(NumericalError, match=re.escape(message)):
         sweep_pairs(sc, ("AB", "CD"), np.array([0.2, 0.7]), tau)
-    assert calls == [0.2, 0.7]
+    assert [pair for pair, _, _ in weighted] == ["AB", "AB"]
+
+
+def test_sweep_pairs_stops_weighting_a_pair_once_its_bound_fails(monkeypatch):
+    # BD leaves the X shape in the second of four chunks only: it is weighted in
+    # the first, never after, and the raised bound is the whole grid's
+    def off_pattern(pair, taus, kernel):
+        if pair == "BD" and taus[0] == 0.8:
+            kernel[:, 0, 1, 0] += 1e-3
+
+    weighted = trace_weighting(monkeypatch, kernel_fault=off_pattern)
+    monkeypatch.setattr(analysis, "_SWEEP_CELLS", 256 * 8)
+    sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
+    with pytest.raises(NumericalError, match=re.escape("pair BD: reduced state left the X shape: off-pattern bound 1.000e-03")):
+        sweep_pairs(sc, ("BD",), np.array([0.3, 0.9]), np.linspace(0.0, 3.0, 31))
+    assert [(pair, t0) for pair, t0, _ in weighted] == [("BD", 0.0), ("BD", 0.0)]
+
+
+def test_sweep_pairs_double_fault_keeps_pair_order(monkeypatch):
+    # AB invalid at its second alpha in the last chunk, BD off the X shape in the
+    # first: AB comes first, so its validation error is raised, as on one chunk
+    sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
+    alphas = np.array([0.3, 0.9, 1.2])
+    bad = analysis._scenario_weights(sc, alphas[1])
+
+    def off_pattern(pair, taus, kernel):
+        if pair == "BD" and taus[0] == 0.0:
+            kernel[:, 0, 1, 0] += 1e-3
+
+    def doubled(pair, taus, w, X):
+        return 2.0 * X if pair == "AB" and taus[-1] == 3.0 and np.array_equal(w, bad) else X
+
+    weighted = trace_weighting(monkeypatch, fault=doubled, kernel_fault=off_pattern)
+    message = f"pair AB, alpha={alphas[1]}: reduced state failed validation"
+    for cells in (256 * 8, analysis._SWEEP_CELLS):  # four chunks, then one
+        monkeypatch.setattr(analysis, "_SWEEP_CELLS", cells)
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            sweep_pairs(sc, ("AB", "BD"), alphas, np.linspace(0.0, 3.0, 31))
+        assert all(pair == "AB" for pair, _, _ in weighted)
+        weighted.clear()
+
+
+def sweep_with_reports(monkeypatch, sc, alphas, tau):
+    reports = []
+    monkeypatch.setattr(analysis, "_require_ok", lambda report, what: reports.append((what, report)))
+    curves = sweep_pairs(sc, analysis._model_pairs(sc.model), alphas, tau)
+    return {pair: np.array([c.values for c in cs]) for pair, cs in curves.items()}, reports
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+@pytest.mark.parametrize("bell", list(BellType), ids=lambda b: b.value)
+@pytest.mark.parametrize("fld", [VAC, FieldSpec.fock(1), FieldSpec.thermal(1.0)], ids=["vacuum", "fock1", "thermal1"])
+def test_sweep_chunk_seams_are_bitwise_invisible(monkeypatch, model, bell, fld):
+    # chunks of 10 taus with a 1-tau last chunk give the one-chunk sweep, bit for bit,
+    # and both give the margins and concurrence of each whole-grid X slice
+    sc = Scenario(model, bell, fld, fld)
+    alphas, tau = np.linspace(0.1, 1.5, 3), np.linspace(0.0, 6.0, 31)
+    tol_trace = analysis._TOL_TRACE + 2.0 * fld.weight_deficit()
+    reference, reference_reports = {}, []
+    for pair, kernel in analysis._pair_kernels(sc, analysis._model_pairs(model), tau):
+        KX, off_bound, off_residue = analysis._x_kernel(kernel)
+        stack = [dynamics._apply_weights(KX, analysis._scenario_weights(sc, alpha)) for alpha in alphas.tolist()]
+        reference[pair] = np.array([analysis._x_slice_concurrence(X) for X in stack])
+        reference_reports += [
+            (f"pair {pair}, alpha={alpha}: reduced state", analysis._x_margins(X, off_bound, off_residue, tol_trace))
+            for alpha, X in zip(alphas.tolist(), stack)
+        ]
+    whole, whole_reports = sweep_with_reports(monkeypatch, sc, alphas, tau)
+    monkeypatch.setattr(analysis, "_SWEEP_CELLS", 256 * 10)
+    chunked, chunked_reports = sweep_with_reports(monkeypatch, sc, alphas, tau)
+    assert whole.keys() == chunked.keys() == reference.keys()
+    for pair in whole:
+        np.testing.assert_array_equal(whole[pair], reference[pair])
+        np.testing.assert_array_equal(chunked[pair], reference[pair])
+    assert whole_reports == chunked_reports == reference_reports
+
+
+def test_sweep_shares_weights_and_curve_blocks(monkeypatch):
+    # one set of weights per alpha for every pair and chunk; each pair's curves
+    # are rows of one read-only block
+    weights, calls = analysis._branch_weights, []
+    monkeypatch.setattr(analysis, "_branch_weights", lambda *args: calls.append(args) or weights(*args))
+    monkeypatch.setattr(analysis, "_SWEEP_CELLS", 256 * 4)
+    sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
+    curves = sweep_pairs(sc, ("AB", "BD"), np.array([0.3, 0.9]), np.linspace(0.0, 1.0, 11))
+    assert len(calls) == 2
+    for pair in ("AB", "BD"):
+        first, second = (c.values for c in curves[pair])
+        assert first.base is second.base is not None
+        assert not first.flags.writeable
+
+
+def test_sweep_memory_is_bounded_by_a_chunk():
+    # a fig2-shaped sweep over 12,501 taus: the curves take 5.1 MB, the whole-grid
+    # channel tensors and kernel it no longer holds would take over 100 MB
+    import tracemalloc
+
+    sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
+    tracemalloc.start()
+    try:
+        sweep_concurrence(sc, "AB", np.linspace(0.0, np.pi / 2, 51), np.linspace(0.0, 125.0, 12501))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_x_kernel_carries_nan_to_bound_and_residue():

@@ -284,6 +284,51 @@ def test_x_shape_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "events", "plotdata"])
+def test_validation_failure_leaves_no_output(tmp_path, capsys, monkeypatch, command):
+    # AC's states trace to 2: the sweep raises before any output is opened
+    cfg = write_cfg(tmp_path, BASE if command != "plotdata" else rewrite(pairs="AC"))
+    real = analysis._combine
+    monkeypatch.setattr(analysis, "_combine", lambda m, b, Ea, Eb, keep: real(m, b, Ea, Eb, keep) * (2.0 if keep == "AC" else 1.0))
+    out = tmp_path / "out.txt"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert "pair AC, alpha=0.2: reduced state failed validation" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main([command, "--config", cfg]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308, 1e300, -1e300,
+     1.0 - 2.0**-53, 1.0 + 2.0**-52, 0.1, 1.0 / 3.0, 123456789012.5, np.pi / 2],
+)
+def test_curve_writers_format_as_fmt(value):
+    # the curve writers' "%.12g" and _fmt's format(v, ".12g") are one rule
+    assert "%.12g" % value == format(value, ".12g") == cli._fmt(np.array([value]))[0]
+
+
+def test_curve_text_is_fmt_of_every_value(tmp_path):
+    # simulate and plotdata write each curve through a "%.12g" template: the
+    # text equals _fmt of every value, in the documented row order
+    cfg = write_cfg(tmp_path, rewrite(tau="0:2:7"))
+    parsed = cli.parse_config_text(open(cfg).read())
+    _, curves = cli._sweep_all(parsed)
+    tau_text, alpha_text = cli._fmt(parsed.tau), cli._fmt(parsed.alphas)
+    rows = ["tau,alpha,pair,concurrence"]
+    for index, alpha in enumerate(alpha_text):
+        for pair in ("AB", "AC"):
+            rows += [f"{t},{alpha},{pair},{v}" for t, v in zip(tau_text, cli._fmt(curves[pair][index].values))]
+    out = tmp_path / "curves.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(rows) + "\n"
+
+    rows = [" ".join(tau_text)] + [" ".join([a] + cli._fmt(c.values)) for a, c in zip(alpha_text, curves["AB"])]
+    single = write_cfg(tmp_path, rewrite(tau="0:2:7", pairs="AB"), name="single.cfg")
+    assert cli.main(["plotdata", "--config", single, "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(rows) + "\n"
+
+
 def test_verify_quick_passes(capsys):
     assert cli.main(["verify", "--level", "quick"]) == 0
     out = capsys.readouterr().out

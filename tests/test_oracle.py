@@ -238,7 +238,7 @@ def test_compare_pipelines_rejects_a_bad_grid_before_any_eigensolve(monkeypatch)
         # the sweep's closed-form validation rejects the states
         ("_X_ENTRIES", np.array([0, 5, 10, 15, 6, 3, 9, 12])),
         # valid states whose concurrence reads the two coherences swapped: a disagreement
-        ("_x_slice_concurrence", lambda X: _x_concurrence(X[:, :4].real, X[:, 5], X[:, 4])),
+        ("_x_slice_concurrence", lambda X: _x_concurrence(X[..., :4].real, X[..., 5], X[..., 4])),
     ],
     ids=["x-entries", "x-concurrence"],
 )
