@@ -220,10 +220,10 @@ def _pair_kernels(scenario: Scenario, pairs: tuple[str, ...], taus: np.ndarray):
         yield pair, _combine(scenario.model, scenario.bell_type, *channels, pair)
 
 
-def _scenario_weights(scenario: Scenario, alpha: float) -> np.ndarray:
-    """The branch weights of ``scenario`` with both pairs prepared at ``alpha``."""
-    spec = BellPairSpec(scenario.bell_type, alpha)
-    return _branch_weights(scenario.model, spec, spec)
+def _scenario_weights(scenario: Scenario, alphas: list[float]) -> np.ndarray:
+    """The branch weights of ``scenario`` as a [branch, alpha] matrix, both pairs prepared at each alpha."""
+    specs = [BellPairSpec(scenario.bell_type, alpha) for alpha in alphas]
+    return np.stack([_branch_weights(scenario.model, spec, spec) for spec in specs], axis=1)
 
 
 def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -244,7 +244,7 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
         residues.append(np.abs(flat[:, upper] - flat[:, lower].conj()).sum(axis=-1).max())
     # np.max, unlike the builtin max, carries a NaN through to the result
     off_bound, off_residue = float(np.max(bounds)), float(np.max(residues))
-    return flat.take(_X_ENTRIES, axis=1), off_bound, off_residue  # C-contiguous, so each alpha reshapes it for free
+    return flat.take(_X_ENTRIES, axis=1), off_bound, off_residue  # C-contiguous, so the weighting reshapes it for free
 
 
 def _x_margin_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,7 +290,7 @@ def _x_slice_concurrence(X: np.ndarray) -> np.ndarray:
 
 
 # complex cells in a sweep chunk's largest array: the channel tensors and the
-# pair kernel (256 a tau) or the alpha stack of X slices (8 an alpha a tau)
+# pair kernel (256 a tau) or the weighted X slices (8 an alpha a tau)
 _SWEEP_CELLS = 2**18
 
 
@@ -306,24 +306,23 @@ def sweep_pairs(
     largest array, so the working memory does not grow with the grid.  In
     each chunk the cavity channels are built once for all pairs, and each
     pair's kernel is built once and cut to the 8 entries an X state
-    populates (:func:`_x_kernel`); each alpha is then one contraction of that
-    slice with the alpha's preparation weights, and the closed-form margins
-    (:func:`_x_margin_terms`) and the X-form concurrence are taken over the
-    whole alpha stack.  Margins and off-pattern bounds combine exactly
+    populates (:func:`_x_kernel`); that slice is weighted for every alpha at
+    once, as one product with the [branch, alpha] weight matrix
+    (:func:`_apply_weights`), and the closed-form margins
+    (:func:`_x_margin_terms`) and the X-form concurrence are taken over its
+    [alpha, t, 8] view.  Margins and off-pattern bounds combine exactly
     across chunks, and after the last chunk each pair is checked in order:
     a kernel whose off-pattern bound is not within the X-shape bar (NaN
-    included) raises, then the first invalid alpha does.  A pair is not
-    weighted again once its bound has failed.  Each pair's curves share
-    the rows of one read-only [alphas, taus] block.
+    included) raises, then the first invalid alpha does.  Each pair's
+    curves share the rows of one read-only [alphas, taus] block.
     """
     pairs = _check_pairs(scenario.model, pairs)
     taus = _read_only(_as_tau_grid(_check_grid("tau", tau_grid))[0])  # one copy, shared by every curve
     alphas = _check_alphas(alpha_grid).tolist()
     tol_trace = _TOL_TRACE + scenario.field_a.weight_deficit() + scenario.field_b.weight_deficit()
-    weights = [_scenario_weights(scenario, alpha) for alpha in alphas]
+    weights = _scenario_weights(scenario, alphas)
     n = len(alphas)
     step = max(1, _SWEEP_CELLS // max(256, 8 * n))
-    stack = np.empty((n, min(step, taus.size), 8), dtype=complex)  # one chunk's X slices, every alpha
     values = {pair: np.empty((n, taus.size)) for pair in pairs}
     bounds = {pair: np.full(2, -np.inf) for pair in pairs}  # off-pattern bound and residue
     terms = {pair: (np.full(n, -np.inf), np.full(n, -np.inf), np.full(n, np.inf)) for pair in pairs}
@@ -336,11 +335,7 @@ def sweep_pairs(
             KX, off_bound, off_residue = _x_kernel(_combine(scenario.model, scenario.bell_type, *channels, pair))
             seen = bounds[pair]
             np.maximum(seen, (off_bound, off_residue), out=seen)  # np.maximum carries a NaN
-            if not seen[0] <= _X_SHAPE_TOL:
-                continue  # raised below; its later chunks only add to the bound
-            X = stack[:, : KX.shape[0]]
-            for index, w in enumerate(weights):
-                X[index] = _apply_weights(KX, w)
+            X = np.moveaxis(_apply_weights(KX, weights), -1, 0)  # [alpha, t, 8]
             del KX
             herm, trace, block_min = terms[pair]
             chunk_herm, chunk_trace, chunk_min = _x_margin_terms(X)
@@ -348,6 +343,7 @@ def sweep_pairs(
             np.maximum(trace, chunk_trace, out=trace)
             np.minimum(block_min, chunk_min, out=block_min)
             values[pair][:, span] = _x_slice_concurrence(X)
+            del X  # freed before the next pair's product is made
     curves: dict[str, list[ConcurrenceCurve]] = {}
     for pair in pairs:
         off_bound, off_residue = bounds[pair].tolist()

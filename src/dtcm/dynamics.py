@@ -532,9 +532,9 @@ def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, 
     return K.reshape(Ea.shape[0], d, d, Ea.shape[-1] ** 2)
 
 
-def _apply_weights(K: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The reduced states ``K @ w``, as one flat (T*d*d, branch) matrix-vector product."""
-    return (K.reshape(-1, w.size) @ w).reshape(K.shape[:-1])
+def _apply_weights(K: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The reduced states ``K @ W``, one flat (T*d*d, branch) product; a [branch, alpha] ``W`` puts alpha last."""
+    return (K.reshape(-1, W.shape[0]) @ W).reshape(K.shape[:-1] + W.shape[1:])
 
 
 def _assemble_grid(

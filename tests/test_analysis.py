@@ -339,13 +339,15 @@ def test_closed_form_margins_match_the_full_states(model, bell):
     for field_a in fields:
         for field_b in fields:
             sc = Scenario(model, bell, field_a, field_b)
+            W = analysis._scenario_weights(sc, alphas.tolist())
             for pair, kernel in analysis._pair_kernels(sc, analysis._model_pairs(model), tau):
                 KX, off_bound, off_residue = analysis._x_kernel(kernel)
                 assert off_bound == 0.0 and off_residue == 0.0
-                for alpha in alphas.tolist():
-                    w = analysis._scenario_weights(sc, alpha)
-                    full = _validate_batch(dynamics._apply_weights(kernel, w))
-                    closed = analysis._x_margins(dynamics._apply_weights(KX, w), off_bound, off_residue, full.tol_trace)
+                states = np.moveaxis(dynamics._apply_weights(kernel, W), -1, 0)
+                slices = np.moveaxis(dynamics._apply_weights(KX, W), -1, 0)
+                for alpha, state, X in zip(alphas.tolist(), states, slices):
+                    full = _validate_batch(state)
+                    closed = analysis._x_margins(X, off_bound, off_residue, full.tol_trace)
                     assert closed.hermiticity_deviation == full.hermiticity_deviation
                     assert closed.trace_deviation == full.trace_deviation
                     assert closed.min_eigenvalue <= full.min_eigenvalue + 1e-15, (pair, alpha)
@@ -367,9 +369,9 @@ def test_closed_form_hermiticity_carries_a_nan_inner_coherence():
 
 
 def trace_weighting(monkeypatch, fault=None, kernel_fault=None):
-    """Record every (pair, first tau, weights) the sweep weights, optionally faulting the
-    pair kernels (``kernel_fault(pair, taus, kernel)``) or the weighted X slices
-    (``fault(pair, taus, w, X) -> X``); returns the record list."""
+    """Record every (pair, first tau) whose X slice the sweep weights, optionally faulting the
+    pair kernels (``kernel_fault(pair, taus, kernel)``) or a chunk's weighted X slices
+    in place (``fault(pair, taus, X)``, X[t, 8, alpha]); returns the record list."""
     channels, combine, apply_weights = analysis._channels, analysis._combine, analysis._apply_weights
     current, weighted = {}, []
 
@@ -384,10 +386,12 @@ def trace_weighting(monkeypatch, fault=None, kernel_fault=None):
         current["pair"] = keep
         return kernel
 
-    def recorded(KX, w):
-        X = apply_weights(KX, w)
-        weighted.append((current["pair"], float(current["taus"][0]), w))
-        return X if fault is None else fault(current["pair"], current["taus"], w, X)
+    def recorded(KX, W):
+        X = apply_weights(KX, W)
+        weighted.append((current["pair"], float(current["taus"][0])))
+        if fault is not None:
+            fault(current["pair"], current["taus"], X)
+        return X
 
     monkeypatch.setattr(analysis, "_channels", chunk)
     monkeypatch.setattr(analysis, "_combine", tagged)
@@ -400,25 +404,24 @@ def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
     # after the last chunk the first invalid alpha of the first failing pair is named
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
     alphas = np.linspace(0.1, 1.3, 5)
-    bad = [analysis._scenario_weights(sc, alphas[i]) for i in (2, 4)]
 
-    def doubled(pair, taus, w, X):
-        hit = pair == "BD" and taus[-1] == 3.0 and any(np.array_equal(w, b) for b in bad)
-        return 2.0 * X if hit else X
+    def doubled(pair, taus, X):
+        if pair == "BD" and taus[-1] == 3.0:
+            X[..., [2, 4]] *= 2.0
 
     weighted = trace_weighting(monkeypatch, fault=doubled)
     monkeypatch.setattr(analysis, "_SWEEP_CELLS", 256 * 8)  # chunks of 8 taus
     with pytest.raises(NumericalError, match=re.escape(f"pair BD, alpha={alphas[2]}: reduced state failed validation")):
         sweep_pairs(sc, ("AB", "BD"), alphas, np.linspace(0.0, 3.0, 31))
-    # every chunk of both pairs is weighted once per alpha before anything raises
-    assert len(weighted) == 4 * 2 * 5
+    # every chunk of both pairs is weighted once, for all alphas, before anything raises
+    assert [pair for pair, _ in weighted] == ["AB", "BD"] * 4
 
 
 @pytest.mark.parametrize(("value", "bound"), [(1e-9, "1.000e-09"), (np.nan, "nan")], ids=["1e-9", "nan"])
 def test_sweep_pairs_x_shape_failure_names_its_pair(monkeypatch, value, bound):
     # a Hermitian off-pattern entry on CD's first branch: at 1e-9 its weight
     # sin^4(alpha) keeps the state under the X-shape bar at alpha=0.2, but the
-    # kernel's bound is over it, so the pair raises and is never weighted
+    # kernel's bound is over it, so the pair raises
     def off_pattern(pair, taus, kernel):
         if pair == "CD":
             kernel[:, 0, 1, 0] += value
@@ -430,26 +433,25 @@ def test_sweep_pairs_x_shape_failure_names_its_pair(monkeypatch, value, bound):
     message = f"pair CD: reduced state left the X shape: off-pattern bound {bound}"
     with pytest.raises(NumericalError, match=re.escape(message)):
         sweep_pairs(sc, ("CD",), np.array([0.2]), tau)
-    assert not weighted
-    # AB is weighted at both alphas, CD at none
+    assert weighted == [("CD", 0.0)]
+    weighted.clear()
+    # the valid AB comes first and passes; CD raises after it
     with pytest.raises(NumericalError, match=re.escape(message)):
         sweep_pairs(sc, ("AB", "CD"), np.array([0.2, 0.7]), tau)
-    assert [pair for pair, _, _ in weighted] == ["AB", "AB"]
+    assert weighted == [("AB", 0.0), ("CD", 0.0)]
 
 
-def test_sweep_pairs_stops_weighting_a_pair_once_its_bound_fails(monkeypatch):
-    # BD leaves the X shape in the second of four chunks only: it is weighted in
-    # the first, never after, and the raised bound is the whole grid's
+def test_sweep_pairs_raises_the_whole_grid_bound_of_one_failing_chunk(monkeypatch):
+    # BD leaves the X shape in the second of four chunks only: the raised bound is the whole grid's
     def off_pattern(pair, taus, kernel):
         if pair == "BD" and taus[0] == 0.8:
             kernel[:, 0, 1, 0] += 1e-3
 
-    weighted = trace_weighting(monkeypatch, kernel_fault=off_pattern)
+    trace_weighting(monkeypatch, kernel_fault=off_pattern)
     monkeypatch.setattr(analysis, "_SWEEP_CELLS", 256 * 8)
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
     with pytest.raises(NumericalError, match=re.escape("pair BD: reduced state left the X shape: off-pattern bound 1.000e-03")):
         sweep_pairs(sc, ("BD",), np.array([0.3, 0.9]), np.linspace(0.0, 3.0, 31))
-    assert [(pair, t0) for pair, t0, _ in weighted] == [("BD", 0.0), ("BD", 0.0)]
 
 
 def test_sweep_pairs_double_fault_keeps_pair_order(monkeypatch):
@@ -457,23 +459,21 @@ def test_sweep_pairs_double_fault_keeps_pair_order(monkeypatch):
     # first: AB comes first, so its validation error is raised, as on one chunk
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
     alphas = np.array([0.3, 0.9, 1.2])
-    bad = analysis._scenario_weights(sc, alphas[1])
 
     def off_pattern(pair, taus, kernel):
         if pair == "BD" and taus[0] == 0.0:
             kernel[:, 0, 1, 0] += 1e-3
 
-    def doubled(pair, taus, w, X):
-        return 2.0 * X if pair == "AB" and taus[-1] == 3.0 and np.array_equal(w, bad) else X
+    def doubled(pair, taus, X):
+        if pair == "AB" and taus[-1] == 3.0:
+            X[..., 1] *= 2.0
 
-    weighted = trace_weighting(monkeypatch, fault=doubled, kernel_fault=off_pattern)
+    trace_weighting(monkeypatch, fault=doubled, kernel_fault=off_pattern)
     message = f"pair AB, alpha={alphas[1]}: reduced state failed validation"
     for cells in (256 * 8, analysis._SWEEP_CELLS):  # four chunks, then one
         monkeypatch.setattr(analysis, "_SWEEP_CELLS", cells)
         with pytest.raises(NumericalError, match=re.escape(message)):
             sweep_pairs(sc, ("AB", "BD"), alphas, np.linspace(0.0, 3.0, 31))
-        assert all(pair == "AB" for pair, _, _ in weighted)
-        weighted.clear()
 
 
 def sweep_with_reports(monkeypatch, sc, alphas, tau):
@@ -493,10 +493,11 @@ def test_sweep_chunk_seams_are_bitwise_invisible(monkeypatch, model, bell, fld):
     alphas, tau = np.linspace(0.1, 1.5, 3), np.linspace(0.0, 6.0, 31)
     tol_trace = analysis._TOL_TRACE + 2.0 * fld.weight_deficit()
     reference, reference_reports = {}, []
+    W = analysis._scenario_weights(sc, alphas.tolist())
     for pair, kernel in analysis._pair_kernels(sc, analysis._model_pairs(model), tau):
         KX, off_bound, off_residue = analysis._x_kernel(kernel)
-        stack = [dynamics._apply_weights(KX, analysis._scenario_weights(sc, alpha)) for alpha in alphas.tolist()]
-        reference[pair] = np.array([analysis._x_slice_concurrence(X) for X in stack])
+        stack = np.moveaxis(dynamics._apply_weights(KX, W), -1, 0)  # the all-alpha product, whole grid
+        reference[pair] = analysis._x_slice_concurrence(stack)
         reference_reports += [
             (f"pair {pair}, alpha={alpha}: reduced state", analysis._x_margins(X, off_bound, off_residue, tol_trace))
             for alpha, X in zip(alphas.tolist(), stack)

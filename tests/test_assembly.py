@@ -230,3 +230,23 @@ def test_combine_is_bitwise_the_optimized_einsum(model, bell, n_tau):
             K = dynamics._combine(model, bell, Ea, Eb, keep)
             assert K.flags.c_contiguous
             assert K.tobytes() == einsum_combine(model, bell, Ea, Eb, keep).tobytes(), keep
+
+
+@pytest.mark.parametrize("n_tau", (1, 251))
+@pytest.mark.parametrize("model", (Model.DTCM, Model.DJCM))
+def test_weight_matrix_gives_each_column_its_vector_product(model, n_tau):
+    # a [branch, alpha] matrix puts one state per column on a trailing axis; a
+    # weight vector keeps the single-time path's shape and values, bit for bit
+    taus = np.linspace(0.0, 25.0, n_tau) + 1.3
+    channels = dynamics._channels(model, FieldSpec.thermal(1.0), FieldSpec.fock(1), taus)
+    specs = [BellPairSpec(BellType.PSI, alpha) for alpha in np.linspace(0.0, np.pi, 7).tolist()]
+    W = np.stack([dynamics._branch_weights(model, spec, spec) for spec in specs], axis=1)
+    for keep in ("AB", "".join(dynamics._cavity_labels(model))):
+        K = dynamics._combine(model, BellType.PSI, *channels, "".join(sorted(keep)))
+        states = dynamics._apply_weights(K, W)
+        assert states.shape == K.shape[:-1] + (len(specs),)
+        for column, w in enumerate(W.T):
+            single = dynamics._apply_weights(K, w)
+            assert single.shape == K.shape[:-1]
+            assert single.tobytes() == (K.reshape(-1, w.size) @ w).reshape(K.shape[:-1]).tobytes()
+            np.testing.assert_allclose(states[..., column], single, rtol=0.0, atol=1e-15)

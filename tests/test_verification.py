@@ -65,6 +65,12 @@ CASES = [
         verification, "_x_slice_concurrence", lambda real: with_nan(real, 4),
         "DTCM psi vacuum/vacuum AB alpha=0.1571 x-route concurrence",
     ),
+    (
+        # a state that is not finite: the general concurrence is not asked, and the first ratio is named
+        verification.suite_state_validity,
+        dynamics, "_channel_tensor", lambda real: with_nan(real, (0, 0, 0, 0, 0)),
+        "DTCM psi vacuum/vacuum AB alpha=0.1571 hermiticity",
+    ),
 ]
 
 
@@ -72,7 +78,7 @@ CASES = [
     "suite, module, name, fault, where",
     CASES,
     ids=["x-normalization", "explicit-maps", "oracle-agreement", "oracle-agreement-thermal",
-         "pair-symmetries", "state-validity"],
+         "pair-symmetries", "state-validity", "state-validity-nan-state"],
 )
 def test_a_nan_fails_the_suite_and_is_named(monkeypatch, suite, module, name, fault, where):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
