@@ -289,7 +289,7 @@ def _x_slice_concurrence(X: np.ndarray) -> np.ndarray:
     return _x_concurrence(X[..., :4].real, X[..., 4], X[..., 5])
 
 
-# complex cells in a sweep chunk's largest array: the channel tensors and the
+# float cells in a sweep chunk's largest array: the channel tensors and the
 # pair kernel (256 a tau) or the weighted X slices (8 an alpha a tau)
 _SWEEP_CELLS = 2**18
 

@@ -214,6 +214,12 @@ class XCoefficientKey:
 # Frequencies and weights depend on the photon number m alone.
 _FAMILY = np.array([0, 1, 1, 2])  # frequency row of each initial pair state
 
+# The phase of an amplitude by its flips: an even number of flips (a stay or
+# a double flip) gives a real amplitude, its cos term, an odd number a purely
+# imaginary one, its sin term.  The amplitude tables hold the amplitude over
+# this phase; the one-atom flips 0 and 1 read its first two entries.
+_FLIP_PHASE = np.array([1.0, 1j, 1j, 1.0])
+
 
 def _coefficient_rows(m: np.ndarray) -> np.ndarray:
     """The coefficients of photon numbers ``m`` (floats), as rows ``[51, photon]``:
@@ -296,69 +302,79 @@ def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """All two-atom transition amplitudes on a (photon, time) grid.
+    """All two-atom transition amplitudes on a (photon, time) grid, as real numbers.
 
-    Returns a complex array indexed ``[pair_in, flips, photon, time]`` where
-    ``pair_in = 2i + k`` and ``flips = 2p + q``.
+    Returns a float array indexed ``[pair_in, flips, photon, time]`` where
+    ``pair_in = 2i + k`` and ``flips = 2p + q``; the amplitude is the entry
+    times ``_FLIP_PHASE[flips]``: a stay or a double flip holds the real
+    base + cos_w (cos(om tau) - 1), a single flip the coefficient of i,
+    sin_w sin(om tau).
     """
     tau = np.asarray(tau, dtype=float)
     freq, base, cos_w, sin_w = _coefficients(m)
     angles = freq[:, :, None] * tau
-    cos_m1 = (np.cos(angles) - 1.0)[_FAMILY][:, None]
-    sin = np.sin(angles)[_FAMILY][:, None]
-    X = np.empty(base.shape + (tau.size,), dtype=complex)
-    real = X.real
-    np.multiply(cos_w[..., None], cos_m1, out=real)
-    real += base[..., None]
-    np.multiply(sin_w[..., None], sin, out=X.imag)
+    X = np.empty(base.shape + tau.shape)
+    even, odd = X[:, ::3], X[:, 1:3]  # flips 0 and 3, flips 1 and 2
+    np.multiply(cos_w[:, ::3, :, None], (np.cos(angles) - 1.0)[_FAMILY][:, None], out=even)
+    even += base[:, ::3, :, None]
+    np.multiply(sin_w[:, 1:3, :, None], np.sin(angles)[_FAMILY][:, None], out=odd)
     return X
 
 
 def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """All one-atom transition amplitudes on a (photon, time) grid.
+    """All one-atom transition amplitudes on a (photon, time) grid, as real numbers.
 
-    Returns a complex array indexed ``[atom_in, flip, photon, time]``.  An
-    excited atom exchanges its quantum with level m+1, a ground atom with
-    level m, so a ground atom in an empty cavity stays put by itself.  Both
-    rows read one cos/sin evaluation per level in ``min(m) .. max(m) + 1``.
+    Returns a float array indexed ``[atom_in, flip, photon, time]``; the
+    amplitude is the entry times ``_FLIP_PHASE[flip]``, so the stay row holds
+    cos and the flip row -sin of the Rabi angle.  An excited atom exchanges
+    its quantum with level m+1, a ground atom with level m, so a ground atom
+    in an empty cavity stays put by itself.  Both rows read one cos/sin
+    evaluation per level in ``min(m) .. max(m) + 1``.
     """
     m = np.asarray(m).astype(np.intp)
     tau = np.asarray(tau, dtype=float)
     low = int(m.min())
     angles = np.sqrt(np.arange(low, int(m.max()) + 2, dtype=float))[:, None] * tau
     c, s = np.cos(angles), np.sin(angles)
-    Y = np.zeros((2, 2, m.size, tau.size), dtype=complex)
+    Y = np.empty((2, 2, m.size, tau.size))
     for i in (0, 1):
         level = m - low + i  # the level atom state i exchanges its quantum with
-        Y.real[i, 0] = c[level]
-        Y.imag[i, 1] = -s[level]
+        Y[i, 0] = c[level]
+        Y[i, 1] = -s[level]
     return Y
 
 
 def x_coeff(key: XCoefficientKey) -> complex:
     """Closed-form transition amplitude for one (pair, flips, photon, time) index."""
     X = _x_block_table(np.array([key.m]), np.array([key.tau]))
-    return complex(X[2 * key.i + key.k, 2 * key.p + key.q, 0, 0])
+    flips = 2 * key.p + key.q
+    return complex(X[2 * key.i + key.k, flips, 0, 0] * _FLIP_PHASE[flips])
 
 
 def _selection_rule(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flips ``row ^ ket_in`` of each (row, ket_in), and the mask of terms the field trace keeps.
+    """The table cell of each (row, ket_in), and the mask of terms the field trace keeps.
 
-    Each flip moves one photon (an excited atom emits, a ground atom
-    absorbs), so |ket_in> -> |row> takes exc(row) - exc(ket_in) photons from
-    the field.  ``same[(row, ket_in), (col, bra_in)]`` is true where both
-    transitions take the same number; the field trace kills every other term.
-    Bit strings are read as binary numbers, the first atom most significant.
+    |ket_in> -> |row> applies the flips ``row ^ ket_in``; ``cells`` holds,
+    for each (row, ket_in) in order, the index of (ket_in, flips) in an
+    amplitude table's two leading axes flattened.  Each flip moves one
+    photon (an excited atom emits, a ground atom absorbs), so the transition
+    takes exc(row) - exc(ket_in) photons from the field.
+    ``same[(row, ket_in), (col, bra_in)]`` is true where both transitions
+    take the same number; the field trace kills every other term.  That
+    number has the parity of the flips, so the rule only pairs transitions
+    of the same flip parity.  Bit strings are read as binary numbers, the
+    first atom most significant.
     """
     states = np.arange(2**n_atoms)
     exc = np.array([bin(s).count("1") for s in states])
     taken = (exc[:, None] - exc[None, :]).ravel()
-    return states[:, None] ^ states, taken[:, None] == taken[None, :]
+    cells = states * states.size + (states[:, None] ^ states)
+    return cells.ravel(), taken[:, None] == taken[None, :]
 
 
 _SELECTION = {n_atoms: _selection_rule(n_atoms) for n_atoms in (1, 2)}
 
-# complex cells per chunk of taus, in the gathered amplitudes and in their
+# float cells per chunk of taus, in the gathered amplitudes and in their
 # product alike; bounds a channel build's working memory whatever the grid length
 _CHUNK_CELLS = 2**16
 
@@ -388,7 +404,7 @@ def _accumulate_terms(
     taus: np.ndarray,
 ) -> np.ndarray:
     ms, ps = field.weights()
-    X = _x_block_table(ms, taus)
+    X = _x_block_table(ms, taus) * _FLIP_PHASE[:, None, None]
     out = np.zeros((taus.size, 4, 4), dtype=complex)
     for ket_flips, bra_flips, row, col in terms:
         weighted = np.einsum("m,mt->t", ps, X[ket_family, ket_flips] * np.conj(X[bra_family, bra_flips]))
@@ -397,26 +413,28 @@ def _accumulate_terms(
 
 
 def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Every evolved operator |ket><bra| of one cavity's atoms, as E[t, row, col, ket_in, bra_in].
+    """Every evolved operator |ket><bra| of one cavity's atoms, as real E[t, row, col, ket_in, bra_in].
 
     ``n_atoms`` is 1 (one atom per cavity) or 2 (two atoms sharing the mode).
     Tracing the field gives, per tau, the photon-weighted Gram product
-    G = (K p) K^dagger of the amplitudes K[(row, ket_in), photon], kept
-    where the selection rule holds.  A chunk of taus holds at most
-    ``_CHUNK_CELLS`` cells of K and of G each, or a single tau where one tau
-    alone needs more.
+    G = (L p) L^T of the real table entries L[(row, ket_in), photon], kept
+    where the selection rule holds.  It equals the complex (K p) K^dagger of
+    the amplitudes K: an amplitude is its entry times i for an odd number of
+    flips, and the rule only pairs transitions of the same flip parity, so
+    the two phases cancel.  A chunk of taus holds at most ``_CHUNK_CELLS``
+    cells of L and of G each, or a single tau where one tau alone needs more.
     """
     ms, ps = field.weights()
     table = _x_block_table if n_atoms == 2 else _y_block_table
-    flips, same = _SELECTION[n_atoms]
+    cells, same = _SELECTION[n_atoms]
     dim = 2**n_atoms
-    E = np.empty((taus.size, dim, dim, dim, dim), dtype=complex)
+    E = np.empty((taus.size, dim, dim, dim, dim))
     chunk = max(1, _CHUNK_CELLS // (dim * dim * max(ms.size, dim * dim)))
     for start in range(0, taus.size, chunk):
         span = slice(start, start + chunk)
-        amps = table(ms, taus[span])[np.arange(dim), flips]  # [row, ket_in, photon, t]
-        K = amps.reshape(dim * dim, ms.size, -1).transpose(2, 0, 1)
-        G = (K * ps) @ K.conj().transpose(0, 2, 1)
+        amps = table(ms, taus[span]).transpose(3, 0, 1, 2).reshape(-1, dim * dim, ms.size)  # [t, (ket_in, flips), photon]
+        L = amps.take(cells, axis=1)  # [t, (row, ket_in), photon], C-contiguous
+        G = (L * ps) @ L.transpose(0, 2, 1)
         G *= same
         E[span] = G.reshape(-1, dim, dim, dim, dim).transpose(0, 1, 3, 2, 4)
     return E
@@ -430,7 +448,7 @@ def pair_map(i: int, k: int, j: int, l: int, field: FieldSpec, tau: _TauLike) ->
     """
     _check_bits(i=i, k=k, j=j, l=l)
     taus, scalar = _as_tau_grid(tau)
-    out = _channel_tensor(field, taus, 2)[:, :, :, 2 * i + k, 2 * j + l].copy()
+    out = _channel_tensor(field, taus, 2)[:, :, :, 2 * i + k, 2 * j + l].astype(complex)
     return out[0] if scalar else out
 
 
@@ -460,7 +478,7 @@ def jc_amplitudes(i: int, n: int, tau: float) -> list[tuple[int, int, complex]]:
     _check_bits(i=i)
     _check_count("n", n)
     taus, _ = _as_tau_grid(float(tau))
-    stay, flip = _y_block_table(np.array([n]), taus)[i, :, 0, 0]
+    stay, flip = _y_block_table(np.array([n]), taus)[i, :, 0, 0] * _FLIP_PHASE[:2]
     branches = [(i, n, complex(stay))]
     if i == 1 or n > 0:
         branches.append((1 - i, n + 1 if i == 1 else n - 1, complex(flip)))

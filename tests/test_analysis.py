@@ -286,6 +286,29 @@ def test_sweep_pairs_builds_each_channel_once(monkeypatch):
     assert calls == [thermal, VAC]
 
 
+@pytest.mark.parametrize("model", (Model.DTCM, Model.DJCM))
+def test_sweep_runs_in_float64_from_the_channels_to_the_concurrence(monkeypatch, model):
+    # the channels are real, so every array the sweep makes from them is too
+    names = ("_channels", "_combine", "_x_kernel", "_apply_weights", "_x_margin_terms", "_x_slice_concurrence")
+    seen = []
+
+    def spied(name, real):
+        def wrapped(*args):
+            out = real(*args)
+            results = out if isinstance(out, tuple) else (out,)
+            seen.extend((name, a.dtype) for a in args + results if isinstance(a, np.ndarray))
+            return out
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(analysis, name, spied(name, getattr(analysis, name)))
+    thermal = FieldSpec.thermal(1.0)
+    sweep_pairs(Scenario(model, BellType.PSI, thermal, VAC), analysis._model_pairs(model), np.array([0.2, 0.9]), np.linspace(0.0, 5.0, 51))
+    assert {name for name, _ in seen} == set(names)
+    assert all(dtype == np.float64 for _, dtype in seen), seen
+
+
 def test_state_validity_builds_one_channel_per_scenario(monkeypatch):
     calls = count_channel_builds(monkeypatch)
     result = verification.suite_state_validity()

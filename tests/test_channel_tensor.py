@@ -1,4 +1,5 @@
-"""The per-cavity channel tensor against a plain per-term sum, its memory use, and the self-check on it."""
+"""The per-cavity channel tensor against a plain per-term sum and the complex Gram product, the real
+amplitude tables it reads, its memory use, and the self-check on it."""
 
 import tracemalloc
 from itertools import product
@@ -13,19 +14,25 @@ FIELDS = [FieldSpec.vacuum(), FieldSpec.fock(2), FieldSpec.thermal(1.0), FieldSp
 FIELD_IDS = ["vacuum", "fock2", "thermal1", "thermal3"]
 
 
+def excitations(state):
+    return bin(state).count("1")
+
+
+def complex_amplitudes(ms, taus, n_atoms):
+    """The complex amplitudes [state_in, flips, photon, time]: each real table entry times its phase."""
+    table = dynamics._x_block_table if n_atoms == 2 else dynamics._y_block_table
+    return table(ms, taus) * dynamics._FLIP_PHASE[: 2**n_atoms, None, None]
+
+
 def per_term_reference(field, taus, n_atoms):
-    """Each selection-rule term summed over the photon distribution on its own.
+    """Each selection-rule term summed over the photon distribution on its own, in complex numbers.
 
     The rule written out: |ket_in> -> |row> and |bra_in> -> |col> survive the
     field trace only where both take the same number of photons from the field.
     """
     ms, ps = field.weights()
-    table = dynamics._x_block_table if n_atoms == 2 else dynamics._y_block_table
-    amps = table(ms, taus)
+    amps = complex_amplitudes(ms, taus, n_atoms)
     dim = 2**n_atoms
-
-    def excitations(state):
-        return bin(state).count("1")
 
     E = np.zeros((taus.size,) + (dim,) * 4, dtype=complex)
     for ket_in, bra_in, row, col in product(range(dim), repeat=4):
@@ -41,6 +48,79 @@ def test_matches_per_term_sum(field, n_atoms):
     taus = np.linspace(0.0, 25.0, 1001)
     E = dynamics._channel_tensor(field, taus, n_atoms)
     np.testing.assert_allclose(E, per_term_reference(field, taus, n_atoms), rtol=0.0, atol=1e-14)
+
+
+def complex_gram_reference(field, taus, n_atoms):
+    """The channel tensor by the complex route: G = (K p) K^dagger of the complex amplitudes
+    K[t, (row, ket_in), photon], masked by the selection rule."""
+    ms, ps = field.weights()
+    amps = complex_amplitudes(ms, taus, n_atoms)
+    dim = 2**n_atoms
+    states = range(dim)
+    K = np.stack([amps[ket_in, ket_in ^ row] for row in states for ket_in in states]).transpose(2, 0, 1)
+    taken = [excitations(row) - excitations(ket_in) for row in states for ket_in in states]
+    G = (K * ps) @ K.conj().transpose(0, 2, 1) * np.equal.outer(taken, taken)
+    return G.reshape(-1, dim, dim, dim, dim).transpose(0, 1, 3, 2, 4)
+
+
+GRAM_FIELDS = [FieldSpec.vacuum(), FieldSpec.fock(1), FieldSpec.fock(3), FieldSpec.thermal(1.0), FieldSpec.thermal(2.0)]
+
+
+@pytest.mark.parametrize("n_tau", (1, 251))
+@pytest.mark.parametrize("n_atoms", (1, 2))
+@pytest.mark.parametrize("field", GRAM_FIELDS, ids=["vacuum", "fock1", "fock3", "thermal1", "thermal2"])
+def test_real_build_matches_the_complex_gram_product(field, n_atoms, n_tau):
+    # the parity argument made concrete: the real Gram product of the table
+    # entries is the complex one of the amplitudes, to rounding
+    taus = np.linspace(0.0, 25.0, n_tau) + 0.7
+    E = dynamics._channel_tensor(field, taus, n_atoms)
+    assert E.dtype == np.float64
+    reference = complex_gram_reference(field, taus, n_atoms)
+    assert np.abs(reference.imag).max() == 0.0
+    np.testing.assert_allclose(E, reference, rtol=0.0, atol=1e-15)
+
+
+def test_public_results_stay_complex():
+    # the real build stays inside the package: every public amplitude and
+    # operator is complex128 and carries the complex route's values
+    field, taus = FieldSpec.thermal(1.0), np.linspace(0.0, 25.0, 9) + 0.7
+    reference = complex_gram_reference(field, taus, 2)
+    for i, k, j, l in product((0, 1), repeat=4):
+        expected = reference[:, :, :, 2 * i + k, 2 * j + l]
+        grid = dynamics.pair_map(i, k, j, l, field, taus)
+        single = dynamics.pair_map(i, k, j, l, field, float(taus[3]))
+        explicit = dynamics.pair_map_explicit(i, k, j, l, field, taus)
+        assert grid.dtype == single.dtype == explicit.dtype == np.complex128
+        np.testing.assert_allclose(grid, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(single, expected[3], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(explicit, expected, rtol=0.0, atol=1e-15)
+    closed = closed_form_x(np.array([2]), taus[3:4])
+    for i, k, p, q in product((0, 1), repeat=4):
+        value = dynamics.x_coeff(dynamics.XCoefficientKey(i, k, p, q, 2, float(taus[3])))
+        assert type(value) is complex
+        np.testing.assert_allclose(value, closed[2 * i + k, 2 * p + q, 0, 0], rtol=0.0, atol=1e-15)
+    for i in (0, 1):
+        angle = np.sqrt(2.0 + i) * taus[3]
+        (_, _, stay), (_, _, flip) = dynamics.jc_amplitudes(i, 2, float(taus[3]))
+        assert type(stay) is complex and type(flip) is complex
+        assert stay == np.cos(angle) and flip == -1j * np.sin(angle)
+    pair = dynamics.BellPairSpec(dynamics.BellType.PSI, 0.6)
+    for model in dynamics.Model:
+        rho = dynamics.assemble_atomic_state(pair, pair, field, FieldSpec.vacuum(), 1.3, model)
+        assert rho.matrix.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n_atoms", (1, 2))
+def test_selection_rule_pairs_transitions_of_one_flip_parity(n_atoms):
+    # an odd number of flips makes an amplitude imaginary, so a kept term of
+    # mixed parity would be imaginary and the real build wrong
+    cells, same = dynamics._SELECTION[n_atoms]
+    dim = 2**n_atoms
+    pairs = [(row, ket_in) for row in range(dim) for ket_in in range(dim)]
+    assert cells.tolist() == [ket_in * dim + (row ^ ket_in) for row, ket_in in pairs]
+    parity = np.array([excitations(row ^ ket_in) % 2 for row, ket_in in pairs])
+    assert same.any()
+    assert np.all(parity[:, None] == parity[None, :], where=same)
 
 
 @pytest.mark.parametrize("n_atoms", (1, 2))
@@ -121,14 +201,18 @@ def closed_form_x(m, tau):
 
 
 def test_two_atom_table_matches_closed_form_on_hot_fields():
-    # hot thermal queries each ask for a different number of levels
+    # the table is real; times the phase of its flips it is the complex closed
+    # form; hot thermal queries each ask for a different number of levels
     taus = np.linspace(0.0, 25.0, 7)
+    phase = dynamics._FLIP_PHASE[:, None, None]
     for nbar in np.linspace(12.0, 16.0, 50):
         ms, _ = FieldSpec.thermal(float(nbar)).weights()
-        np.testing.assert_allclose(dynamics._x_block_table(ms, taus), closed_form_x(ms, taus), rtol=0.0, atol=1e-14)
+        X = dynamics._x_block_table(ms, taus)
+        assert X.dtype == np.float64
+        np.testing.assert_allclose(X * phase, closed_form_x(ms, taus), rtol=0.0, atol=1e-14)
     # photon numbers in any order, empty cavity included
     few = np.array([5, 0, 2, 1])
-    np.testing.assert_allclose(dynamics._x_block_table(few, taus), closed_form_x(few, taus), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(dynamics._x_block_table(few, taus) * phase, closed_form_x(few, taus), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("ms", ([0], [3], [0, 1, 2, 3, 4, 5], [2, 7]), ids=str)
@@ -136,7 +220,9 @@ def test_one_atom_table_matches_ladder_closed_form(ms):
     ms = np.array(ms)
     taus = np.linspace(0.0, 25.0, 33)
     Y = dynamics._y_block_table(ms, taus)
+    assert Y.dtype == np.float64
+    amplitudes = Y * dynamics._FLIP_PHASE[:2, None, None]
     for i, rabi in ((0, np.sqrt(ms)), (1, np.sqrt(ms + 1.0))):
         angle = rabi[:, None] * taus[None, :]
-        np.testing.assert_array_equal(Y[i, 0], np.cos(angle))
-        np.testing.assert_array_equal(Y[i, 1], -1j * np.sin(angle))
+        np.testing.assert_array_equal(amplitudes[i, 0], np.cos(angle))
+        np.testing.assert_array_equal(amplitudes[i, 1], -1j * np.sin(angle))
