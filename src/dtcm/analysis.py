@@ -210,16 +210,6 @@ def _check_pairs(model: Model, pairs: tuple[str, ...]) -> tuple[str, ...]:
     return pairs
 
 
-def _pair_kernels(scenario: Scenario, pairs: tuple[str, ...], taus: np.ndarray):
-    """Yield (pair, alpha-free kernel K[t, 4, 4, branch]) for every pair.
-
-    The two cavity channels are built once and shared by every pair.
-    """
-    channels = _channels(scenario.model, scenario.field_a, scenario.field_b, taus)
-    for pair in pairs:
-        yield pair, _combine(scenario.model, scenario.bell_type, *channels, pair)
-
-
 def _scenario_weights(scenario: Scenario, alphas: list[float]) -> np.ndarray:
     """The branch weights of ``scenario`` as a [branch, alpha] matrix, both pairs prepared at each alpha."""
     specs = [BellPairSpec(scenario.bell_type, alpha) for alpha in alphas]
@@ -231,8 +221,8 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
 
     Returns ``KX[t, 8, branch]`` (the entries of :data:`_X_ENTRIES`), the
     off-pattern bound max_t max_e sum_b |K[t, e, b]| and the off-pattern
-    Hermiticity residue max_t max_(e, e') sum_b |K[t, e, b] - conj(K[t, e', b])|
-    over mirrored entries.  The preparation weights are real with
+    symmetry residue max_t max_(e, e') sum_b |K[t, e, b] - K[t, e', b]| over
+    mirrored entries.  The preparation weights are real with
     |w_b| <= 1, so these bound the off-pattern magnitude and residue of the
     state at every alpha.  Each off-pattern entry is read as one [t, branch]
     view, so the off-pattern part is never copied whole.
@@ -241,34 +231,33 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
     bounds, residues = [], []
     for upper, lower in _OFF_MIRRORS:
         bounds += [np.abs(flat[:, entry]).sum(axis=-1).max() for entry in (upper, lower)]
-        residues.append(np.abs(flat[:, upper] - flat[:, lower].conj()).sum(axis=-1).max())
+        residues.append(np.abs(flat[:, upper] - flat[:, lower]).sum(axis=-1).max())
     # np.max, unlike the builtin max, carries a NaN through to the result
     off_bound, off_residue = float(np.max(bounds)), float(np.max(residues))
     return flat.take(_X_ENTRIES, axis=1), off_bound, off_residue  # C-contiguous, so the weighting reshapes it for free
 
 
 def _x_margin_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The closed-form margin terms of X-sliced states ``X[..., t, 8]``, reduced over t.
+    """The closed-form margin terms of real X-sliced states ``X[..., t, 8]``, reduced over t.
 
-    Returns, per leading index, the Hermiticity residue of the X entries,
-    the trace deviation and the smaller eigenvalue of the Hermitian part's
-    2x2 blocks {00, 11} and {01, 10}, (a+d)/2 - hypot((a-d)/2, |c|).  Each
-    is a maximum or a minimum over t, so the terms of consecutive tau chunks
-    combine exactly.
+    Returns, per leading index, the symmetry residue of the mirrored
+    coherences, the trace deviation and the smaller eigenvalue of the
+    symmetric part's 2x2 blocks {00, 11} and {01, 10},
+    (a+d)/2 - hypot((a-d)/2, c).  Each is a maximum or a minimum over t, so
+    the terms of consecutive tau chunks combine exactly.
     """
-    pops, coherences, mirrored = X[..., :4], X[..., 4:6], X[..., 6:].conj()
-    # np.maximum, unlike the builtin max, carries a NaN from either term
-    herm = np.maximum((2.0 * np.abs(pops.imag)).max(axis=(-2, -1)), np.abs(coherences - mirrored).max(axis=(-2, -1)))
+    pops, coherences, mirrored = X[..., :4], X[..., 4:6], X[..., 6:]
+    herm = np.abs(coherences - mirrored).max(axis=(-2, -1))  # .max, unlike the builtin max, carries a NaN
     trace = np.abs(np.einsum("...ti->...t", pops) - 1.0).max(axis=-1)  # summed as the full trace's einsum sums it
-    a, d = pops.real[..., :2], pops.real[..., 3:1:-1]  # columns (p00, p11) and (p01, p10)
-    block_min = ((a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs((coherences + mirrored) / 2.0))).min(axis=(-2, -1))
+    a, d = pops[..., :2], pops[..., 3:1:-1]  # columns (p00, p11) and (p01, p10)
+    block_min = ((a + d) / 2.0 - np.hypot((a - d) / 2.0, (coherences + mirrored) / 2.0)).min(axis=(-2, -1))
     return herm, trace, block_min
 
 
 def _x_report(terms: tuple, off_bound: float, off_residue: float, tol_trace: float) -> ValidationReport:
     """The validity margins of one state stack from its :func:`_x_margin_terms` and its kernel's bounds.
 
-    The off-pattern residue joins the Hermiticity residue, and Weyl's bound
+    The off-pattern residue joins the symmetry residue, and Weyl's bound
     sqrt(8) off_bound on the off-pattern part is subtracted from the block
     minimum, so the reported minimum never exceeds the true one.  The bars
     are those of :func:`dtcm.algebra._validate_batch`.
@@ -279,14 +268,9 @@ def _x_report(terms: tuple, off_bound: float, off_residue: float, tol_trace: flo
     return ValidationReport(herm_dev, float(trace_dev), min_eig, _TOL_HERM, tol_trace, _PSD_SLACK)
 
 
-def _x_margins(X: np.ndarray, off_bound: float, off_residue: float, tol_trace: float) -> ValidationReport:
-    """The validity margins of X-sliced states ``X[t, 8]`` in closed form (:func:`_x_report`)."""
-    return _x_report(_x_margin_terms(X), off_bound, off_residue, tol_trace)
-
-
 def _x_slice_concurrence(X: np.ndarray) -> np.ndarray:
-    """Concurrence of X-sliced states ``X[..., 8]``."""
-    return _x_concurrence(X[..., :4].real, X[..., 4], X[..., 5])
+    """Concurrence of real X-sliced states ``X[..., 8]``."""
+    return _x_concurrence(X[..., :4], X[..., 4], X[..., 5])
 
 
 # float cells in a sweep chunk's largest array: the channel tensors and the
@@ -324,8 +308,7 @@ def sweep_pairs(
     n = len(alphas)
     step = max(1, _SWEEP_CELLS // max(256, 8 * n))
     values = {pair: np.empty((n, taus.size)) for pair in pairs}
-    bounds = {pair: np.full(2, -np.inf) for pair in pairs}  # off-pattern bound and residue
-    terms = {pair: (np.full(n, -np.inf), np.full(n, -np.inf), np.full(n, np.inf)) for pair in pairs}
+    extrema = {pair: [] for pair in pairs}  # per chunk: off-pattern bound and residue, then the margin terms
     for start in range(0, taus.size, step):
         span = slice(start, start + step)
         # the last chunk's channels are freed only once these exist, so their
@@ -333,27 +316,23 @@ def sweep_pairs(
         channels = _channels(scenario.model, scenario.field_a, scenario.field_b, taus[span])
         for pair in pairs:
             KX, off_bound, off_residue = _x_kernel(_combine(scenario.model, scenario.bell_type, *channels, pair))
-            seen = bounds[pair]
-            np.maximum(seen, (off_bound, off_residue), out=seen)  # np.maximum carries a NaN
             X = np.moveaxis(_apply_weights(KX, weights), -1, 0)  # [alpha, t, 8]
             del KX
-            herm, trace, block_min = terms[pair]
-            chunk_herm, chunk_trace, chunk_min = _x_margin_terms(X)
-            np.maximum(herm, chunk_herm, out=herm)
-            np.maximum(trace, chunk_trace, out=trace)
-            np.minimum(block_min, chunk_min, out=block_min)
+            extrema[pair].append((off_bound, off_residue, *_x_margin_terms(X)))
             values[pair][:, span] = _x_slice_concurrence(X)
             del X  # freed before the next pair's product is made
     curves: dict[str, list[ConcurrenceCurve]] = {}
     for pair in pairs:
-        off_bound, off_residue = bounds[pair].tolist()
+        bound, residue, herm, trace, block_min = zip(*extrema.pop(pair))
+        off_bound, off_residue = float(np.max(bound)), float(np.max(residue))  # np.max carries a NaN
         if not off_bound <= _X_SHAPE_TOL:
             raise NumericalError(f"pair {pair}: reduced state left the X shape: off-pattern bound {off_bound:.3e}")
         block = values.pop(pair)
         block.setflags(write=False)  # every curve of the pair holds a row of it, not a copy
+        terms = np.max(herm, axis=0), np.max(trace, axis=0), np.min(block_min, axis=0)
         curves[pair] = []
         for index, alpha in enumerate(alphas):
-            report = _x_report([t[index] for t in terms[pair]], off_bound, off_residue, tol_trace)
+            report = _x_report([t[index] for t in terms], off_bound, off_residue, tol_trace)
             _require_ok(report, f"pair {pair}, alpha={alpha}: reduced state")
             curves[pair].append(ConcurrenceCurve(pair, alpha, taus, block[index]))
     return curves

@@ -172,12 +172,16 @@ def _fmt(values) -> list[str]:
 
 @contextlib.contextmanager
 def _output(path: Optional[str]):
-    """A text handle on ``path``, or on stdout when it is None."""
+    """A text handle on ``path``, or on stdout when it is None; a path that cannot be opened is a ``ConfigError``."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    with handle:
+        yield handle
 
 
 def _write_text(path: Optional[str], text: str) -> None:

@@ -121,6 +121,8 @@ class FieldSpec:
         if self.kind == "thermal":
             if not (math.isfinite(self.nbar) and self.nbar > 0.0):
                 raise ValueError("thermal nbar must be positive")
+            if self.nbar / (1.0 + self.nbar) == 1.0:  # no finite truncation level exists
+                raise ValueError(f"thermal nbar {self.nbar:g} is too large: nbar/(1+nbar) rounds to 1")
             if not 0.0 < self.tail_mass_epsilon < 1.0:
                 raise ValueError("tail_mass_epsilon must lie in (0, 1)")
 

@@ -23,10 +23,10 @@ from .algebra import _validate_batch
 from .analysis import (
     PAIR_CHOICES,
     Scenario,
-    _pair_kernels,
     _scenario_weights,
     _x_kernel,
-    _x_margins,
+    _x_margin_terms,
+    _x_report,
     _x_slice_concurrence,
     sweep_pairs,
 )
@@ -262,13 +262,15 @@ def suite_state_validity() -> SuiteResult:
             words = _scenario_words(scenario)
             weights = _scenario_weights(scenario, alphas.tolist())
             # the kernels sweep_pairs slices, from one channel build per scenario
-            for pair, kernel in _pair_kernels(scenario, PAIR_CHOICES, taus):
+            channels = dynamics._channels(scenario.model, scenario.field_a, scenario.field_b, taus)
+            for pair in PAIR_CHOICES:
+                kernel = dynamics._combine(scenario.model, scenario.bell_type, *channels, pair)
                 KX, off_bound, off_residue = _x_kernel(kernel)
                 full = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
                 slices = np.moveaxis(dynamics._apply_weights(KX, weights), -1, 0)
                 for alpha, reduced, X in zip(alphas.tolist(), full, slices):
                     report = _validate_batch(reduced)
-                    closed = _x_margins(X, off_bound, off_residue, report.tol_trace)
+                    closed = _x_report(_x_margin_terms(X), off_bound, off_residue, report.tol_trace)
                     finite = np.isfinite(report.hermiticity_deviation)  # else the general route raises, unnamed
                     c_general = _concurrence_general_batch(reduced) if finite else np.nan
                     # np.maximum carries a NaN, where the builtin max keeps only a leading one

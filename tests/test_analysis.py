@@ -363,14 +363,16 @@ def test_closed_form_margins_match_the_full_states(model, bell):
         for field_b in fields:
             sc = Scenario(model, bell, field_a, field_b)
             W = analysis._scenario_weights(sc, alphas.tolist())
-            for pair, kernel in analysis._pair_kernels(sc, analysis._model_pairs(model), tau):
+            channels = dynamics._channels(model, field_a, field_b, tau)
+            for pair in analysis._model_pairs(model):
+                kernel = dynamics._combine(model, bell, *channels, pair)
                 KX, off_bound, off_residue = analysis._x_kernel(kernel)
                 assert off_bound == 0.0 and off_residue == 0.0
                 states = np.moveaxis(dynamics._apply_weights(kernel, W), -1, 0)
                 slices = np.moveaxis(dynamics._apply_weights(KX, W), -1, 0)
                 for alpha, state, X in zip(alphas.tolist(), states, slices):
                     full = _validate_batch(state)
-                    closed = analysis._x_margins(X, off_bound, off_residue, full.tol_trace)
+                    closed = analysis._x_report(analysis._x_margin_terms(X), off_bound, off_residue, full.tol_trace)
                     assert closed.hermiticity_deviation == full.hermiticity_deviation
                     assert closed.trace_deviation == full.trace_deviation
                     assert closed.min_eigenvalue <= full.min_eigenvalue + 1e-15, (pair, alpha)
@@ -378,17 +380,32 @@ def test_closed_form_margins_match_the_full_states(model, bell):
 
 def test_closed_form_minimum_subtracts_the_off_pattern_bound():
     # an X state with both blocks at eigenvalues {0, 1/2}, then an off-pattern bound
-    X = np.array([[0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25]], dtype=complex)
-    assert analysis._x_margins(X, 0.0, 0.0, 1e-12).min_eigenvalue == 0.0
-    report = analysis._x_margins(X, 1e-3, 0.0, 1e-12)
+    terms = analysis._x_margin_terms(np.full((1, 8), 0.25))
+    assert analysis._x_report(terms, 0.0, 0.0, 1e-12).min_eigenvalue == 0.0
+    report = analysis._x_report(terms, 1e-3, 0.0, 1e-12)
     assert report.min_eigenvalue == -np.sqrt(8.0) * 1e-3 and not report.psd_ok
 
 
 def test_closed_form_hermiticity_carries_a_nan_inner_coherence():
-    # a NaN in the second of the three Hermiticity terms must not be dropped
-    X = np.array([[0.25, 0.25, 0.25, 0.25, 0.25, np.nan, 0.25, 0.25]], dtype=complex)
-    report = analysis._x_margins(X, 0.0, 0.0, 1e-12)
+    # a NaN in the second of the two coherence residues must not be dropped
+    X = np.array([[0.25, 0.25, 0.25, 0.25, 0.25, np.nan, 0.25, 0.25]])
+    report = analysis._x_report(analysis._x_margin_terms(X), 0.0, 0.0, 1e-12)
     assert np.isnan(report.hermiticity_deviation) and not report.hermitian_ok
+
+
+def test_closed_form_margins_of_an_asymmetric_x_slice():
+    # a real X slice whose outer coherence and its mirror differ by 1e-3, in the block
+    # that sets the minimum: the closed form reads the full matrix's symmetry residue
+    # and stays below the eigvalsh minimum of its symmetric part
+    X = np.array([[0.3, 0.2, 0.2, 0.3, 0.25, 0.05, 0.251, 0.05]])
+    state = np.zeros((1, 16))
+    state[:, analysis._X_ENTRIES] = X
+    state = state.reshape(1, 4, 4)
+    closed = analysis._x_report(analysis._x_margin_terms(X), 0.0, 0.0, 1e-12)
+    full = _validate_batch(state)
+    assert closed.hermiticity_deviation == full.hermiticity_deviation == abs(0.25 - 0.251)
+    assert closed.trace_deviation == full.trace_deviation
+    assert closed.min_eigenvalue <= full.min_eigenvalue + 1e-15
 
 
 def trace_weighting(monkeypatch, fault=None, kernel_fault=None):
@@ -517,12 +534,13 @@ def test_sweep_chunk_seams_are_bitwise_invisible(monkeypatch, model, bell, fld):
     tol_trace = analysis._TOL_TRACE + 2.0 * fld.weight_deficit()
     reference, reference_reports = {}, []
     W = analysis._scenario_weights(sc, alphas.tolist())
-    for pair, kernel in analysis._pair_kernels(sc, analysis._model_pairs(model), tau):
-        KX, off_bound, off_residue = analysis._x_kernel(kernel)
+    channels = dynamics._channels(model, fld, fld, tau)
+    for pair in analysis._model_pairs(model):
+        KX, *bounds = analysis._x_kernel(dynamics._combine(model, bell, *channels, pair))
         stack = np.moveaxis(dynamics._apply_weights(KX, W), -1, 0)  # the all-alpha product, whole grid
         reference[pair] = analysis._x_slice_concurrence(stack)
         reference_reports += [
-            (f"pair {pair}, alpha={alpha}: reduced state", analysis._x_margins(X, off_bound, off_residue, tol_trace))
+            (f"pair {pair}, alpha={alpha}: reduced state", analysis._x_report(analysis._x_margin_terms(X), *bounds, tol_trace))
             for alpha, X in zip(alphas.tolist(), stack)
         ]
     whole, whole_reports = sweep_with_reports(monkeypatch, sc, alphas, tau)
@@ -566,7 +584,7 @@ def test_sweep_memory_is_bounded_by_a_chunk():
 
 
 def test_x_kernel_carries_nan_to_bound_and_residue():
-    kernel = np.zeros((3, 4, 4, 16), dtype=complex)
+    kernel = np.zeros((3, 4, 4, 16))
     kernel[1, 0, 2, 5] = np.nan
     _, off_bound, off_residue = analysis._x_kernel(kernel)
     assert np.isnan(off_bound) and np.isnan(off_residue)

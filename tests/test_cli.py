@@ -241,6 +241,18 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert cli.main(["simulate", "--config", broken]) == 2
     assert "alpha" in capsys.readouterr().err
 
+    # a field too hot to truncate is a config error, not a traceback
+    hot = write_cfg(tmp_path, rewrite(field_a="thermal:1e16"), name="hot.cfg")
+    assert cli.main(["events", "--config", hot]) == 2
+    assert capsys.readouterr().err == "error: field_a: thermal nbar 1e+16 is too large: nbar/(1+nbar) rounds to 1\n"
+
+    # an output path that cannot be opened: a missing directory, or a directory
+    single = write_cfg(tmp_path, rewrite(pairs="AB"), name="single.cfg")
+    for command in ("simulate", "events", "plotdata"):
+        for out in (tmp_path / "missing" / "out.txt", tmp_path):
+            assert cli.main([command, "--config", single, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
 
 def test_linalg_failure_exits_3(tmp_path, capsys, monkeypatch):
     # LinAlgError subclasses ValueError but is a numerical failure, not a config error

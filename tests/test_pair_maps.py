@@ -112,3 +112,5 @@ def test_input_validation():
         FieldSpec.fock(-1)
     with pytest.raises(ValueError):
         FieldSpec.thermal(1.0, tail_mass_epsilon=1.5)
+    with pytest.raises(ValueError, match=r"^thermal nbar 1e\+16 is too large: nbar/\(1\+nbar\) rounds to 1$"):
+        FieldSpec.thermal(1e16)  # no truncation level would exist
