@@ -4,7 +4,10 @@ The general route diagonalizes rho (sigma_y x sigma_y) rho* (sigma_y x
 sigma_y); for X-shaped density matrices (all entries outside the diagonal and
 anti-diagonal vanish) the concurrence reduces to a two-term comparison of the
 coherences against geometric means of populations, which is the fast path the
-sweeps use.
+sweeps use.  Every state dtcm builds is real (the fields are diagonal in photon
+number and the Bell amplitudes are real), and the general route keeps a real
+state in real arithmetic; only a state with a nonzero imaginary part, such as
+the oracle's traced states, takes complex arithmetic.
 """
 from __future__ import annotations
 
@@ -94,16 +97,15 @@ class XFormMatrix:
 def x_pattern_deviation(rho: np.ndarray) -> float:
     """Largest magnitude found outside the diagonal/anti-diagonal pattern."""
     mat = np.asarray(rho)
+    if mat.shape[-2:] != (4, 4):
+        raise ValueError("expected 4x4 matrices")
     off = np.abs(mat[..., ~_X_PATTERN])
     return float(off.max()) if off.size else 0.0
 
 
 def is_x_form(rho: np.ndarray, tol: float = _X_SHAPE_TOL) -> bool:
     """True when every entry outside the X pattern is below ``tol`` in magnitude."""
-    mat = np.asarray(rho)
-    if mat.shape[-2:] != (4, 4):
-        raise ValueError("expected 4x4 matrices")
-    return x_pattern_deviation(mat) <= tol
+    return x_pattern_deviation(rho) <= tol
 
 
 def concurrence_x(x: XFormMatrix) -> float:
@@ -136,17 +138,28 @@ def concurrence_general(rho: np.ndarray) -> float:
     computed here as the singular values of sqrt(rho) YY sqrt(rho)*, an
     exactly equivalent Hermitian factorization that stays accurate when the
     spectrum degenerates (a direct non-Hermitian eigensolve loses half the
-    digits there).  Raises on inputs that are non-Hermitian or carry negative
-    population beyond tolerance.
+    digits there).  For a real rho (a complex one with zero imaginary part
+    included) sqrt(rho) is real and symmetric, so K = sqrt(rho) YY sqrt(rho)
+    is too, and its singular values are the magnitudes of its eigenvalues:
+    one real ``eigvalsh`` replaces the complex SVD.  Raises on inputs that
+    are non-Hermitian or carry negative population beyond tolerance.
     """
     return float(_concurrence_general_batch(_single_matrix(rho)[None])[0])
 
 
 def _concurrence_general_batch(mats: np.ndarray) -> np.ndarray:
-    """Vectorized general concurrence over matrices stacked on leading axes."""
-    mats = np.asarray(mats, dtype=complex)
+    """Vectorized general concurrence over matrices stacked on leading axes.
+
+    A real batch, or a complex one whose imaginary part is all zero, takes
+    real arithmetic throughout; any other batch takes the complex route.
+    """
+    mats = np.asarray(mats)
+    if np.iscomplexobj(mats) and not mats.imag.any():
+        mats = mats.real
+    mats = mats.astype(complex if np.iscomplexobj(mats) else float, copy=False)
     adj = mats.conj().swapaxes(-1, -2)
-    herm_dev = float(np.abs(mats - adj).max())
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is a NaN that fails the bar
+        herm_dev = float(np.abs(mats - adj).max())
     # both bars are written so that a NaN fails them, not left to LAPACK to reject
     if not herm_dev <= _SPECTRUM_TOL:
         raise NumericalError(f"input is not Hermitian: deviation {herm_dev:.3e}")
@@ -156,6 +169,9 @@ def _concurrence_general_batch(mats: np.ndarray) -> np.ndarray:
         raise NumericalError(f"negative population beyond tolerance: {w.min():.3e}")
     root = (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ V.conj().swapaxes(-1, -2)
     K = root @ _YY @ root.conj()
-    sigma = np.linalg.svd(K, compute_uv=False)  # descending
+    if np.iscomplexobj(K):
+        sigma = np.linalg.svd(K, compute_uv=False)  # descending
+    else:  # a real symmetric K: its singular values are the magnitudes of its eigenvalues
+        sigma = np.sort(np.abs(np.linalg.eigvalsh(K)))[..., ::-1]
     c = sigma[..., 0] - sigma[..., 1] - sigma[..., 2] - sigma[..., 3]
     return np.clip(c, 0.0, 1.0)

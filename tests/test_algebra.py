@@ -96,12 +96,22 @@ def test_validate_density_reports():
     assert loose.ok
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)], ids=["nan", "inf", "inf-nan"])
-def test_validation_of_a_non_finite_batch_fails_without_lapack(bad):
+@pytest.mark.parametrize(
+    ("bad", "cell", "dtype"),
+    [
+        pytest.param(np.nan, (2, 3), complex, id="nan"),
+        pytest.param(np.inf, (2, 3), complex, id="inf"),
+        pytest.param(complex(np.inf, np.nan), (2, 3), complex, id="inf-nan"),
+        pytest.param(np.inf, (2, 2), complex, id="inf-diagonal-complex"),
+        pytest.param(np.inf, (2, 2), float, id="inf-diagonal-real"),
+    ],
+)
+def test_validation_of_a_non_finite_batch_fails_without_lapack(bad, cell, dtype):
     # one non-finite cell in the second matrix: no eigensolve, a NaN minimum
-    # eigenvalue, and a NumericalError that names the case
-    mats = np.repeat(np.eye(4, dtype=complex)[None] / 4.0, 3, axis=0)
-    mats[1, 2, 3] = bad
+    # eigenvalue, and a NumericalError that names the case; inf - inf on the
+    # diagonal is a NaN deviation, not a RuntimeWarning
+    mats = np.repeat(np.eye(4, dtype=dtype)[None] / 4.0, 3, axis=0)
+    mats[(1, *cell)] = bad
     report = _validate_batch(mats)
     assert not np.isfinite(report.hermiticity_deviation)
     assert np.isnan(report.min_eigenvalue) and not report.psd_ok and not report.ok

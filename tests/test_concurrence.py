@@ -94,6 +94,13 @@ def test_from_matrix_round_trip():
         np.testing.assert_allclose(back.outer, x.outer, atol=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (5, 2, 2), (16,)])
+def test_x_checks_reject_matrices_that_are_not_4x4(shape):
+    for check in (x_pattern_deviation, is_x_form):
+        with pytest.raises(ValueError, match="expected 4x4 matrices"):
+            check(np.zeros(shape))
+
+
 def test_x_pattern_detection():
     rng = np.random.default_rng(4)
     x = as_matrix(random_x_state(rng))
@@ -179,10 +186,28 @@ def test_rejects_unphysical_input():
         concurrence_general(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
 
 
-@pytest.mark.parametrize("entry", [(1, 1), (0, 3)], ids=["diagonal", "off-diagonal"])
-def test_a_nan_entry_fails_the_bars_before_the_eigensolve(entry):
-    rho = np.eye(4, dtype=complex) / 4.0
-    rho[entry] = np.nan
+# the maximally mixed state, real, and with an imaginary coherence that keeps it on the complex route
+_MIXED = np.eye(4) / 4.0
+_MIXED_WITH_PHASE = _MIXED + np.array([[0, 0.1j, 0, 0], [-0.1j, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    ("base", "entry", "bad"),
+    [
+        pytest.param(_MIXED.astype(complex), (1, 1), np.nan, id="diagonal"),
+        pytest.param(_MIXED.astype(complex), (0, 3), np.nan, id="off-diagonal"),
+        pytest.param(_MIXED_WITH_PHASE, (1, 1), np.nan, id="complex-diagonal"),
+        pytest.param(_MIXED, (1, 1), np.nan, id="real-diagonal"),
+        pytest.param(_MIXED, (0, 3), np.nan, id="real-off-diagonal"),
+        pytest.param(_MIXED_WITH_PHASE, (1, 1), np.inf, id="complex-inf-diagonal"),
+        pytest.param(_MIXED.astype(complex), (1, 1), np.inf, id="complex-typed-inf-diagonal"),
+        pytest.param(_MIXED, (1, 1), np.inf, id="real-inf-diagonal"),
+    ],
+)
+def test_a_nan_entry_fails_the_bars_before_the_eigensolve(base, entry, bad):
+    # inf - inf on the diagonal is a NaN deviation too, not a RuntimeWarning
+    rho = base.copy()
+    rho[entry] = bad
     with pytest.raises(NumericalError, match="not Hermitian: deviation nan"):
         concurrence_general(rho)
 
@@ -192,3 +217,49 @@ def test_result_is_clipped():
     rho = np.diag([1.0 + 5e-9, -5e-9, 0.0, 0.0]).astype(complex)
     c = concurrence_general(rho)
     assert 0.0 <= c <= 1.0
+
+
+def random_real_density(rng, rank):
+    a = rng.normal(size=(4, rank))
+    rho = a @ a.T
+    return rho / np.trace(rho)
+
+
+def test_real_werner_family():
+    phi_plus = np.zeros((4, 4))
+    phi_plus[np.ix_([0, 3], [0, 3])] = 0.5
+    for p in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0):
+        rho = p * phi_plus + (1.0 - p) * np.eye(4) / 4.0
+        np.testing.assert_allclose(concurrence_general(rho), max(0.0, (3.0 * p - 1.0) / 2.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_real_route_matches_the_complex_route(rank):
+    # a complex local unitary keeps the concurrence and moves the state off the real route
+    rng = np.random.default_rng(20 + rank)
+    for _ in range(50):
+        rho = random_real_density(rng, rank)
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rotated = u @ rho @ u.conj().T
+        assert np.abs(rotated.imag).max() > 1e-3
+        np.testing.assert_allclose(concurrence_general(rho), concurrence_general(rotated), atol=1e-10)
+
+
+def test_complex_typed_real_state_takes_the_real_route():
+    rng = np.random.default_rng(30)
+    for rank in (1, 2, 3, 4):
+        rho = random_real_density(rng, rank)
+        assert concurrence_general(rho.astype(complex)) == concurrence_general(rho)
+
+
+def test_integer_and_list_input():
+    assert concurrence_general(np.diag([1, 0, 0, 0])) == 0.0
+    bell = [[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]]
+    assert concurrence_general(bell) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_real_non_symmetric_input_is_not_hermitian():
+    skew = np.eye(4) / 4.0
+    skew[0, 1] = 1e-3
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        concurrence_general(skew)
