@@ -152,15 +152,20 @@ def _validate_batch(
     non-finite; such a batch is not handed to LAPACK, and its minimum
     eigenvalue is reported as NaN, so the report fails instead of raising.
     """
-    adj = mats.conj().swapaxes(-1, -2)
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is a NaN that fails the bar
-        herm_dev = float(np.abs(mats - adj).max())
-    traces = np.einsum("...ii->...", mats)
-    trace_dev = float(np.abs(traces - 1.0).max())
+    adj, herm_dev, trace_dev = _deviations(mats)
     min_eig = float("nan")
     if math.isfinite(herm_dev):  # a float test, not another pass over the batch
         min_eig = float(np.linalg.eigvalsh((mats + adj) / 2.0).min().real)
     return ValidationReport(herm_dev, trace_dev, min_eig, tol_herm, tol_trace, psd_slack)
+
+
+def _deviations(mats: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The batch's adjoint, and its worst Hermiticity and trace deviations: the validation that needs no spectrum."""
+    adj = mats.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is a NaN that fails the bar
+        herm_dev = float(np.abs(mats - adj).max())
+    traces = np.einsum("...ii->...", mats)
+    return adj, herm_dev, float(np.abs(traces - 1.0).max())
 
 
 def _require_ok(report: ValidationReport, what: str) -> None:

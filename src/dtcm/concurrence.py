@@ -153,6 +153,16 @@ def _concurrence_general_batch(mats: np.ndarray) -> np.ndarray:
     A real batch, or a complex one whose imaginary part is all zero, takes
     real arithmetic throughout; any other batch takes the complex route.
     """
+    return _wootters(*_general_spectrum(mats))
+
+
+def _general_spectrum(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The general route's first step: the ``eigh`` of the batch's Hermitian part.
+
+    The batch is taken in real arithmetic when it has no imaginary part.
+    Raises unless it is Hermitian and its spectrum is nonnegative, each
+    within ``_SPECTRUM_TOL``.
+    """
     mats = np.asarray(mats)
     if np.iscomplexobj(mats) and not mats.imag.any():
         mats = mats.real
@@ -163,10 +173,14 @@ def _concurrence_general_batch(mats: np.ndarray) -> np.ndarray:
     # both bars are written so that a NaN fails them, not left to LAPACK to reject
     if not herm_dev <= _SPECTRUM_TOL:
         raise NumericalError(f"input is not Hermitian: deviation {herm_dev:.3e}")
-    herm = (mats + adj) / 2.0
-    w, V = np.linalg.eigh(herm)
+    w, V = np.linalg.eigh((mats + adj) / 2.0)
     if not float(w.min()) >= -_SPECTRUM_TOL:
         raise NumericalError(f"negative population beyond tolerance: {w.min():.3e}")
+    return w, V
+
+
+def _wootters(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The general route's second step: the concurrence from the spectrum ``(w, V)`` of :func:`_general_spectrum`."""
     root = (V * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ V.conj().swapaxes(-1, -2)
     K = root @ _YY @ root.conj()
     if np.iscomplexobj(K):

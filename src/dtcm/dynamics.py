@@ -558,14 +558,25 @@ def _apply_weights(K: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _assemble_grid(
-    model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray
+    model: Model,
+    pair_ab: BellPairSpec,
+    pair_cd: BellPairSpec,
+    field_a: FieldSpec,
+    field_b: FieldSpec,
+    taus: np.ndarray,
+    channels: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Joint state of every atom the layout holds on a time grid, qubits in A<B<C<D order."""
+    """Joint state of every atom the layout holds on a time grid, qubits in A<B<C<D order.
+
+    ``channels``, when given, is :func:`_channels` of the same layout, fields
+    and grid, built once for several preparations.
+    """
     qubits = "".join(_cavity_labels(model))
     if "C" not in qubits and pair_cd != pair_ab:
         raise ValueError("the single-pair layout has no (C,D) pair; pass pair_cd equal to pair_ab")
     w = _branch_weights(model, pair_ab, pair_cd)
-    channels = _channels(model, field_a, field_b, taus)
+    if channels is None:
+        channels = _channels(model, field_a, field_b, taus)
     return _apply_weights(_combine(model, pair_ab.bell_type, *channels, qubits), w)
 
 

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .analysis import _PAIR_POSITIONS, Scenario, _model_pairs, sweep_pairs
+from .analysis import _PAIR_POSITIONS, Scenario, _check_grid, _model_pairs, sweep_pairs
 from .algebra import _partial_trace_array
 from .concurrence import _concurrence_general_batch
 from .dynamics import (
@@ -26,6 +26,7 @@ from .dynamics import (
     Model,
     _as_tau_grid,
     _assemble_grid,
+    _channels,
 )
 from .errors import CutoffLeakageError
 
@@ -159,32 +160,36 @@ def _atoms_per_cavity(model: Model) -> int:
     return 2 if model is Model.DTCM else 1
 
 
-def oracle_atomic_grid(
+def _oracle_maps(
+    model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray, n_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The evolution grid and both cavity maps of one layout, field pair, time grid and cutoff.
+
+    Returns ``U5[t, atoms out, photon out, atoms in, photon in]``, which the
+    leak checks read, and each cavity's :func:`_cavity_channel`; equal
+    fields share one map (``Gb is Ga``).  None of it depends on how the
+    atoms are prepared.
+    """
+    n_atoms = _atoms_per_cavity(model)
+    H = build_tc_hamiltonian(n_max, n_atoms)
+    dim, n_ph = 2**n_atoms, n_max + 1
+    U5 = _evolution_grid(H, taus).reshape(taus.size, dim, n_ph, dim, n_ph)
+    Ga = _cavity_channel(U5, field_a, n_max)
+    Gb = Ga if field_b == field_a else _cavity_channel(U5, field_b, n_max)
+    return U5, Ga, Gb
+
+
+def _prepared_state(
+    model: Model,
     pair_ab: BellPairSpec,
     pair_cd: BellPairSpec,
     field_a: FieldSpec,
     field_b: FieldSpec,
-    taus: np.ndarray,
-    n_max: int,
-    model: Model = Model.DTCM,
+    maps: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Reduced atomic state over a time grid, computed without closed forms.
-
-    Writes the atoms' start vector out from explicit Bell vectors, splits its
-    qubits into cavity a's register and cavity b's, and applies to the
-    resulting density matrix the two cavity maps obtained by evolving each
-    register numerically and tracing its photons.  Output matches
-    :func:`dtcm.dynamics.assemble_atomic_state` conventions: (T,16,16) over
-    (A,B,C,D) for the two-pair layout, (T,4,4) over (A,B) otherwise.
-    """
-    n_atoms = _atoms_per_cavity(model)
-    taus, _ = _as_tau_grid(taus)
-    H = build_tc_hamiltonian(n_max, n_atoms)
-    U = _evolution_grid(H, taus)
-    n_ph = n_max + 1
-    dim_a = 2**n_atoms
-    U5 = U.reshape(taus.size, dim_a, n_ph, dim_a, n_ph)
-
+    """The reduced atomic state of one preparation under the :func:`_oracle_maps` ``maps``."""
+    U5, Ga, Gb = maps
+    n_t, n_max = U5.shape[0], U5.shape[2] - 1
     if model is Model.DTCM:
         if pair_ab.bell_type is not pair_cd.bell_type:
             raise ValueError("both pairs must share the same Bell type")
@@ -201,15 +206,37 @@ def oracle_atomic_grid(
     for fld, probs in ((field_a, populations.sum(axis=1)), (field_b, populations.sum(axis=0))):
         _check_leak(_channel_leak(U5, fld, probs, n_max), n_max)
 
-    Ga = _cavity_channel(U5, field_a, n_max)
-    Gb = _cavity_channel(U5, field_b, n_max)
     rho0 = np.multiply.outer(psi, psi.conj())  # psi (x) psi*, [ket_a, ket_b, bra_a, bra_b]
     rho = np.einsum("trcsz,tuwyv,syzv->trucw", Ga, Gb, rho0, optimize=True)
     if model is Model.DJCM:
-        return rho.reshape(taus.size, 4, 4)
-    rho = rho.reshape(taus.size, 2, 2, 2, 2, 2, 2, 2, 2)
+        return rho.reshape(n_t, 4, 4)
+    rho = rho.reshape(n_t, 2, 2, 2, 2, 2, 2, 2, 2)
     rho = rho.transpose(0, 1, 3, 2, 4, 5, 7, 6, 8)  # (A,C,B,D) -> (A,B,C,D)
-    return rho.reshape(taus.size, 16, 16)
+    return rho.reshape(n_t, 16, 16)
+
+
+def oracle_atomic_grid(
+    pair_ab: BellPairSpec,
+    pair_cd: BellPairSpec,
+    field_a: FieldSpec,
+    field_b: FieldSpec,
+    taus: np.ndarray,
+    n_max: int,
+    model: Model = Model.DTCM,
+) -> np.ndarray:
+    """Reduced atomic state over a time grid, computed without closed forms.
+
+    Writes the atoms' start vector out from explicit Bell vectors, splits its
+    qubits into cavity a's register and cavity b's, and applies to the
+    resulting density matrix the two cavity maps obtained by evolving each
+    register numerically and tracing its photons (one map when the fields
+    are equal).  Output matches :func:`dtcm.dynamics.assemble_atomic_state`
+    conventions: (T,16,16) over (A,B,C,D) for the two-pair layout, (T,4,4)
+    over (A,B) otherwise.
+    """
+    taus, _ = _as_tau_grid(taus)
+    maps = _oracle_maps(model, field_a, field_b, taus, n_max)
+    return _prepared_state(model, pair_ab, pair_cd, field_a, field_b, maps)
 
 
 @dataclass(frozen=True)
@@ -251,26 +278,61 @@ def compare_pipelines(
     every pair the layout offers, so the comparison covers the sweep's
     combine step and X route; the oracle side uses the general route.  The
     sweep's grid rule applies: ``tau_grid`` must be strictly increasing, and
-    a bad grid fails before any eigensolve.
+    a bad cutoff or grid fails before any eigensolve.  This is
+    :func:`_compare_group` with one preparation.
     """
-    n_atoms = _atoms_per_cavity(scenario.model)
+    model, field_a, field_b = scenario.model, scenario.field_a, scenario.field_b
+    return _compare_group(model, field_a, field_b, tau_grid, n_max, [(scenario.bell_type, alpha)])[0]
+
+
+def _compare_group(
+    model: Model,
+    field_a: FieldSpec,
+    field_b: FieldSpec,
+    tau_grid: np.ndarray,
+    n_max: int,
+    preparations: list[tuple[BellType, float]],
+) -> list[PipelineComparison]:
+    """:func:`compare_pipelines` for each ``(bell_type, alpha)`` of one layout, field pair, grid and cutoff.
+
+    Each cavity is an independent environment, so the maps on both sides
+    depend on neither the Bell type nor the angle: the oracle's evolution
+    and cavity maps (:func:`_oracle_maps`) and the analytic channels are
+    built once for the group, and :func:`dtcm.analysis.sweep_pairs` runs
+    once per Bell type over that type's angles.  Each preparation keeps its
+    own start vector, leak checks, assembled state and general
+    concurrences.  Returns one comparison per preparation, in order.
+    """
+    n_atoms = _atoms_per_cavity(model)
     _check_n_max(n_max)
-    required = max(_required_cutoff(scenario.field_a, n_atoms), _required_cutoff(scenario.field_b, n_atoms))
+    required = max(_required_cutoff(field_a, n_atoms), _required_cutoff(field_b, n_atoms))
     if n_max < required:
         raise ValueError(f"n_max={n_max} too small for these fields; need at least {required}")
-    spec = BellPairSpec(scenario.bell_type, alpha)
-    curves = sweep_pairs(scenario, _model_pairs(scenario.model), [alpha], tau_grid)
-    taus, _ = _as_tau_grid(tau_grid)
-    analytic = _assemble_grid(scenario.model, spec, spec, scenario.field_a, scenario.field_b, taus)
-    reference = oracle_atomic_grid(spec, spec, scenario.field_a, scenario.field_b, taus, n_max, scenario.model)
-    state_dev = float(np.abs(analytic - reference).max())
+    specs = [BellPairSpec(bell, alpha) for bell, alpha in preparations]
+    taus, _ = _as_tau_grid(_check_grid("tau", tau_grid))
+    pairs = _model_pairs(model)
+    alphas, curves = {}, {}
+    for bell in dict.fromkeys(spec.bell_type for spec in specs):
+        # the type's angles as the increasing grid the sweep takes; not np.unique,
+        # which imports numpy.ma (about 1 MB resident) on its first call
+        alphas[bell] = sorted({spec.alpha for spec in specs if spec.bell_type is bell})
+        curves[bell] = sweep_pairs(Scenario(model, bell, field_a, field_b), pairs, alphas[bell], taus)
+    channels = _channels(model, field_a, field_b, taus)
+    maps = _oracle_maps(model, field_a, field_b, taus, n_max)
 
-    # the oracle orders the layout's qubits A<B<C<D, and every layout starts
-    # at A, B, so a pair's canonical positions index its state
-    n_qubits = reference.shape[-1].bit_length() - 1
-    conc_devs = []
-    for pair, (curve,) in curves.items():
-        c_o = _concurrence_general_batch(_partial_trace_array(reference, n_qubits, _PAIR_POSITIONS[pair]))
-        conc_devs.append(np.abs(curve.values - c_o).max())
-    # np.max carries a NaN from any pair, where the builtin max keeps only a leading one
-    return PipelineComparison(state_dev, float(np.max(conc_devs)), int(n_max), int(taus.size))
+    reports = []
+    for spec in specs:
+        analytic = _assemble_grid(model, spec, spec, field_a, field_b, taus, channels)
+        reference = _prepared_state(model, spec, spec, field_a, field_b, maps)
+        state_dev = float(np.abs(analytic - reference).max())
+        # the oracle orders the layout's qubits A<B<C<D, and every layout starts
+        # at A, B, so a pair's canonical positions index its state
+        n_qubits = reference.shape[-1].bit_length() - 1
+        index = alphas[spec.bell_type].index(spec.alpha)
+        conc_devs = []
+        for pair in pairs:
+            c_o = _concurrence_general_batch(_partial_trace_array(reference, n_qubits, _PAIR_POSITIONS[pair]))
+            conc_devs.append(np.abs(curves[spec.bell_type][pair][index].values - c_o).max())
+        # np.max carries a NaN from any pair, where the builtin max keeps only a leading one
+        reports.append(PipelineComparison(state_dev, float(np.max(conc_devs)), int(n_max), int(taus.size)))
+    return reports

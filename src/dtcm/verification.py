@@ -12,6 +12,7 @@ alone takes the worst, a NaN first, fails a NaN and names the case.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -19,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import dynamics
-from .algebra import _validate_batch
+from .algebra import _PSD_SLACK, _TOL_HERM, _TOL_TRACE, ValidationReport, _deviations
 from .analysis import (
     PAIR_CHOICES,
     Scenario,
@@ -30,9 +31,16 @@ from .analysis import (
     _x_slice_concurrence,
     sweep_pairs,
 )
-from .concurrence import _X_SHAPE_TOL, _concurrence_general_batch, _concurrence_x_batch, x_pattern_deviation
+from .concurrence import _X_SHAPE_TOL, _concurrence_x_batch, _general_spectrum, _wootters, x_pattern_deviation
 from .dynamics import BellType, FieldSpec, Model
-from .oracle import _cavity_channel, _evolution_grid, _required_cutoff, build_tc_hamiltonian, compare_pipelines
+from .oracle import (
+    PipelineComparison,
+    _cavity_channel,
+    _compare_group,
+    _evolution_grid,
+    _required_cutoff,
+    build_tc_hamiltonian,
+)
 
 QUICK = "quick"
 FULL = "full"
@@ -167,15 +175,45 @@ def _oracle_cases(level: str) -> list[tuple[Scenario, float, np.ndarray, int]]:
     return cases
 
 
+def _thermal_cases() -> list[tuple[Scenario, float, np.ndarray, int]]:
+    taus = np.linspace(0.0, 10.0, 20)
+    cases = []
+    for nbar in (0.1, 1.0):
+        fld = FieldSpec.thermal(nbar)
+        for bell in (BellType.PSI, BellType.PHI):
+            # not pi/4, where equal branch amplitudes hide an angle read as pi/2 - alpha
+            cases.append((Scenario(Model.DTCM, bell, fld, fld), np.pi / 8, taus, _required_cutoff(fld, 2)))
+    return cases
+
+
+def _compare_cases(cases: list[tuple[Scenario, float, np.ndarray, int]]) -> list[PipelineComparison]:
+    """:func:`dtcm.oracle.compare_pipelines` of each case, in order.
+
+    Cases that share a layout, field pair, grid and cutoff are compared as
+    one :func:`dtcm.oracle._compare_group`, which builds their maps once.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, (scenario, _, taus, n_max) in enumerate(cases):
+        key = (scenario.model, scenario.field_a, scenario.field_b, taus.tobytes(), n_max)
+        groups.setdefault(key, []).append(index)
+    reports = [None] * len(cases)
+    for indices in groups.values():
+        scenario, _, taus, n_max = cases[indices[0]]
+        preparations = [(cases[i][0].bell_type, cases[i][1]) for i in indices]
+        group = _compare_group(scenario.model, scenario.field_a, scenario.field_b, taus, n_max, preparations)
+        for index, report in zip(indices, group):
+            reports[index] = report
+    return reports
+
+
 def _oracle_suite(
     name: str, tolerance: float, cases: list[tuple[Scenario, float, np.ndarray, int]], what: str
 ) -> SuiteResult:
-    """Worst state or concurrence deviation of :func:`compare_pipelines` over ``cases``."""
+    """Worst state or concurrence deviation of :func:`_compare_cases` over ``cases``."""
 
     def worker():
         checked = []
-        for scenario, alpha, taus, n_max in cases:
-            report = compare_pipelines(scenario, alpha, taus, n_max=n_max)
+        for (scenario, alpha, _, _), report in zip(cases, _compare_cases(cases)):
             where = f"{_scenario_words(scenario)} alpha={alpha:.4f}"
             checked.append((report.max_state_deviation, f"{where} state"))
             checked.append((report.max_concurrence_deviation, f"{where} concurrence"))
@@ -191,14 +229,7 @@ def suite_oracle_agreement(level: str = QUICK) -> SuiteResult:
 
 def suite_oracle_agreement_thermal() -> SuiteResult:
     """Same oracle comparison on truncated thermal fields (looser tolerance)."""
-    taus = np.linspace(0.0, 10.0, 20)
-    cases = []
-    for nbar in (0.1, 1.0):
-        fld = FieldSpec.thermal(nbar)
-        for bell in (BellType.PSI, BellType.PHI):
-            # not pi/4, where equal branch amplitudes hide an angle read as pi/2 - alpha
-            cases.append((Scenario(Model.DTCM, bell, fld, fld), np.pi / 8, taus, _required_cutoff(fld, 2)))
-    return _oracle_suite("oracle-agreement-thermal", 1e-6, cases, "thermal scenarios")
+    return _oracle_suite("oracle-agreement-thermal", 1e-6, _thermal_cases(), "thermal scenarios")
 
 
 def suite_pair_symmetries() -> SuiteResult:
@@ -233,6 +264,23 @@ def suite_pair_symmetries() -> SuiteResult:
     return _timed("pair-symmetries", 1e-10, worker)
 
 
+def _validated(mats: np.ndarray) -> tuple[ValidationReport, np.ndarray]:
+    """The validation report of a state stack and its general concurrence, from one ``eigh``.
+
+    The Hermiticity and trace deviations are :func:`dtcm.algebra._validate_batch`'s,
+    and one :func:`dtcm.concurrence._general_spectrum` of the stack gives both
+    the minimum eigenvalue and the Wootters step, raising as the general route
+    does.  A stack that is not finite gets a NaN minimum eigenvalue and a NaN
+    concurrence, where the general route would raise without naming a case.
+    """
+    _, herm_dev, trace_dev = _deviations(mats)
+    min_eig = c_general = np.nan
+    if math.isfinite(herm_dev):
+        w, V = _general_spectrum(mats)
+        min_eig, c_general = float(w.min()), _wootters(w, V)
+    return ValidationReport(herm_dev, trace_dev, min_eig, _TOL_HERM, _TOL_TRACE, _PSD_SLACK), c_general
+
+
 def suite_state_validity() -> SuiteResult:
     """Reduced states across representative sweeps must be physical, and the sweep's X route must agree.
 
@@ -242,11 +290,13 @@ def suite_state_validity() -> SuiteResult:
     The X route on the same kernels: its concurrence against the general
     one at 1e-9, its closed-form Hermiticity and trace against the full
     states' at 1e-15, and its closed-form minimum eigenvalue at most 1e-15
-    above the full states' ``eigvalsh`` minimum.  Each kernel and its X slice
-    are weighted for all nine alphas in one product, as the sweep weights
-    them.  A state that is not finite gets NaN ratios.  The thermal member
-    uses a tail mass small enough not to disturb the trace bar.  The
-    reported deviation is the worst bar-normalized ratio.
+    above the full states' minimum.  One ``eigh`` of each state's Hermitian
+    part gives both that minimum and the general concurrence
+    (:func:`_validated`).  Each kernel and its X slice are weighted for all
+    nine alphas in one product, as the sweep weights them.  A state that is
+    not finite gets NaN ratios.  The thermal member uses a tail mass small
+    enough not to disturb the trace bar.  The reported deviation is the
+    worst bar-normalized ratio.
     """
 
     def worker():
@@ -269,10 +319,8 @@ def suite_state_validity() -> SuiteResult:
                 full = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
                 slices = np.moveaxis(dynamics._apply_weights(KX, weights), -1, 0)
                 for alpha, reduced, X in zip(alphas.tolist(), full, slices):
-                    report = _validate_batch(reduced)
+                    report, c_general = _validated(reduced)
                     closed = _x_report(_x_margin_terms(X), off_bound, off_residue, report.tol_trace)
-                    finite = np.isfinite(report.hermiticity_deviation)  # else the general route raises, unnamed
-                    c_general = _concurrence_general_batch(reduced) if finite else np.nan
                     # np.maximum carries a NaN, where the builtin max keeps only a leading one
                     ratios = {
                         "hermiticity": report.hermiticity_deviation / report.tol_herm,

@@ -255,6 +255,60 @@ def test_compare_pipelines_vacuum_smoke():
     assert result.n_max == 4 and result.n_tau == 7
 
 
+@pytest.mark.parametrize("fields", [("vacuum", "vacuum"), ("fock1", "fock1"), ("vacuum", "fock1")], ids="/".join)
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_oracle_grid_traces_one_channel_for_equal_fields(monkeypatch, model, fields):
+    field_a, field_b = ({"vacuum": FieldSpec.vacuum(), "fock1": FieldSpec.fock(1)}[f] for f in fields)
+    pair, taus, n_max = BellPairSpec(BellType.PSI, 0.7), np.linspace(0.0, 4.0, 9), 6
+    # the reference traces each cavity's map on its own, whatever the fields
+    U5, Ga, _ = oracle._oracle_maps(model, field_a, field_b, taus, n_max)
+    separate = (U5, Ga, oracle._cavity_channel(U5, field_b, n_max))
+    expected = oracle._prepared_state(model, pair, pair, field_a, field_b, separate)
+    traced = []
+    original = oracle._cavity_channel
+    monkeypatch.setattr(oracle, "_cavity_channel", lambda *args: traced.append(args[1]) or original(*args))
+    grid = oracle_atomic_grid(pair, pair, field_a, field_b, taus, n_max, model)
+    assert traced == ([field_a] if field_b == field_a else [field_a, field_b])
+    assert np.array_equal(grid, expected)
+
+
+def assert_matches_compare_pipelines(cases, reports):
+    assert len(reports) == len(cases)
+    for (scenario, alpha, taus, n_max), report in zip(cases, reports):
+        single = compare_pipelines(scenario, alpha, taus, n_max=n_max)
+        assert report.max_state_deviation == single.max_state_deviation
+        assert abs(report.max_concurrence_deviation - single.max_concurrence_deviation) <= 1e-15
+        assert (report.n_max, report.n_tau) == (single.n_max, single.n_tau)
+
+
+@pytest.mark.parametrize("cases", ["full", "thermal"])
+def test_grouped_comparisons_match_compare_pipelines(cases):
+    cases = verification._oracle_cases(verification.FULL) if cases == "full" else verification._thermal_cases()
+    assert_matches_compare_pipelines(cases, verification._compare_cases(cases))
+
+
+def test_a_group_returns_its_preparations_in_order():
+    # angles out of order and repeated, the Bell types interleaved
+    preparations = [(BellType.PSI, 0.7), (BellType.PHI, 0.2), (BellType.PSI, 0.1), (BellType.PSI, 0.7)]
+    field_a, field_b, taus = FieldSpec.fock(1), FieldSpec.vacuum(), np.linspace(0.0, 5.0, 11)
+    reports = oracle._compare_group(Model.DTCM, field_a, field_b, taus, 6, preparations)
+    cases = [(Scenario(Model.DTCM, bell, field_a, field_b), alpha, taus, 6) for bell, alpha in preparations]
+    assert_matches_compare_pipelines(cases, reports)
+
+
+@pytest.mark.parametrize("level, evolutions", [(verification.QUICK, 2), (verification.FULL, 6 + 2)])
+def test_oracle_suites_evolve_once_per_group(monkeypatch, level, evolutions):
+    # each layout, field pair, grid and cutoff is one evolution, whatever its Bell types and angles
+    calls = []
+    original = oracle._evolution_grid
+    monkeypatch.setattr(oracle, "_evolution_grid", lambda H, taus: calls.append(H.n_max) or original(H, taus))
+    results = [verification.suite_oracle_agreement(level)]
+    if level == verification.FULL:
+        results.append(verification.suite_oracle_agreement_thermal())
+    assert all(result.passed for result in results), [result.line() for result in results]
+    assert len(calls) == evolutions
+
+
 # ---------------------------------------------------------------------------
 # asymmetric scenarios: the analytic pipeline against the brute-force oracle
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Every verify suite fails closed on a NaN in what it compares, and names the case."""
+"""Every verify suite fails closed on a NaN in what it compares, and names the case; state-validity takes one spectrum per state."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dtcm import dynamics, oracle, verification
+from dtcm import analysis, dynamics, oracle, verification
+from dtcm.algebra import _validate_batch
+from dtcm.concurrence import _concurrence_general_batch
+from dtcm.dynamics import BellType, FieldSpec, Model
 
 
 def nan_at(values, index):
@@ -86,3 +90,32 @@ def test_a_nan_fails_the_suite_and_is_named(monkeypatch, suite, module, name, fa
     assert not result.passed
     assert math.isnan(result.max_deviation), result.line()
     assert result.detail.endswith(f"; worst: {where}"), result.line()
+
+
+def test_state_validity_takes_one_spectrum_for_both_results():
+    # one scenario's kernels, weighted as the suite weights them
+    scenario = analysis.Scenario(Model.DTCM, BellType.PHI, FieldSpec.thermal(1.0, 1e-13), FieldSpec.thermal(1.0, 1e-13))
+    alphas = np.linspace(0.05, 0.45, 3) * np.pi
+    taus = np.linspace(0.0, 25.0, 61)
+    weights = analysis._scenario_weights(scenario, alphas.tolist())
+    channels = dynamics._channels(scenario.model, scenario.field_a, scenario.field_b, taus)
+    for pair in analysis.PAIR_CHOICES:
+        kernel = dynamics._combine(scenario.model, scenario.bell_type, *channels, pair)
+        for reduced in np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0):
+            report, c_general = verification._validated(reduced)
+            alone = _validate_batch(reduced)
+            assert np.array_equal(c_general, _concurrence_general_batch(reduced))
+            assert abs(report.min_eigenvalue - alone.min_eigenvalue) <= 1e-15
+            assert report == replace(alone, min_eigenvalue=report.min_eigenvalue)
+
+
+def test_a_state_that_is_not_finite_gets_nan_without_a_spectrum(monkeypatch):
+    def no_spectrum(mats):
+        raise AssertionError("a state that is not finite reached the eigensolver")
+
+    monkeypatch.setattr(verification, "_general_spectrum", no_spectrum)
+    states = np.tile(np.eye(4) / 4.0, (5, 1, 1))
+    states[2, 1, 3] = np.inf
+    report, c_general = verification._validated(states)
+    assert math.isnan(report.min_eigenvalue) and math.isnan(c_general)
+    assert not report.ok
