@@ -77,9 +77,23 @@ def build_tc_hamiltonian(n_max: int, n_atoms: int = 2) -> TruncatedHamiltonian:
     return TruncatedHamiltonian(H, int(n_max), int(n_atoms), basis)
 
 
-def _evolution_grid(H: TruncatedHamiltonian, taus: np.ndarray) -> np.ndarray:
-    """exp(-i H tau) for every grid point, via the Hermitian eigendecomposition."""
-    w, V = np.linalg.eigh(H.matrix)
+# A map build evolves the grid in chunks of taus holding at most this many
+# complex cells of exp(-i H tau), or one tau where one operator alone holds more.
+_CHUNK_CELLS = 2**16
+
+
+def _spectrum(H: TruncatedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian eigendecomposition ``(w, V)`` of ``H``, from which every evolution is taken."""
+    return np.linalg.eigh(H.matrix)
+
+
+def _evolution_grid(spectrum: tuple[np.ndarray, np.ndarray], taus: np.ndarray) -> np.ndarray:
+    """exp(-i H tau) = V diag(exp(-i w tau)) V^dagger for every tau of a grid, from :func:`_spectrum`.
+
+    Each tau's operator is its own product, so a chunk of a grid gives the
+    bits the whole grid would.
+    """
+    w, V = spectrum
     phases = np.exp(-1j * np.outer(taus, w))
     return (V * phases[:, None, :]) @ V.conj().T
 
@@ -87,7 +101,7 @@ def _evolution_grid(H: TruncatedHamiltonian, taus: np.ndarray) -> np.ndarray:
 def evolution_operator(H: TruncatedHamiltonian, tau: float) -> np.ndarray:
     """Single-cavity evolution operator at one scaled time."""
     taus, _ = _as_tau_grid(float(tau))
-    return _evolution_grid(H, taus)[0]
+    return _evolution_grid(_spectrum(H), taus)[0]
 
 
 def _check_leak(leak: float, n_max: int) -> None:
@@ -126,23 +140,26 @@ def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
     index and the input photon levels, each level weighted by the field
     distribution: per time, G = X X^dagger with X the (atoms out, atoms in)
     by (photon out, photon in) block of U, its columns scaled by the square
-    roots of the photon probabilities.
+    roots of the photon probabilities.  One batched Gram product serves
+    every time of ``U5[t, atoms out, photon out, atoms in, photon in]``.
     """
     ms, ps = _field_levels(field, n_max)
     n_t, dim, n_ph = U5.shape[:3]
-    G = np.empty((n_t, dim, dim, dim, dim), dtype=complex)  # [t, a, b, s, z]
-    for t in range(n_t):
-        X = (U5[t][:, :, :, ms] * np.sqrt(ps)).transpose(0, 2, 1, 3).reshape(dim * dim, n_ph * ms.size)
-        G[t] = (X @ X.conj().T).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
-    return G
+    X = (U5[..., ms] * np.sqrt(ps)).transpose(0, 1, 3, 2, 4).reshape(n_t, dim * dim, n_ph * ms.size)
+    G = X @ X.conj().transpose(0, 2, 1)  # [t, (a, s), (b, z)]
+    return G.reshape(n_t, dim, dim, dim, dim).transpose(0, 1, 3, 2, 4)
 
 
-def _channel_leak(U5: np.ndarray, field: FieldSpec, atom_probs: np.ndarray, n_max: int) -> float:
-    """Worst-case population of the top two photon levels over the time grid."""
+def _leak_table(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
+    """Leak table ``leak[t, atoms in]``: the population within one photon of the cutoff.
+
+    For each time and start configuration of the register's atoms, the
+    field-weighted population that ``U5`` carries into the top two photon
+    levels; a preparation's leak is this table times its atom populations.
+    """
     ms, ps = _field_levels(field, n_max)
-    U_top = U5[:, :, n_max - 1 :][:, :, :, :, ms]
-    leak_t = np.einsum("tapsm,tapsm,m,s->t", U_top, U_top.conj(), ps, atom_probs).real
-    return float(leak_t.max())
+    top = U5[:, :, n_max - 1 :][..., ms]  # [t, atoms out, top photon, atoms in, photon in]
+    return (np.abs(top) ** 2).sum(axis=(1, 2)) @ ps
 
 
 def _bell_vector(spec: BellPairSpec) -> np.ndarray:
@@ -160,54 +177,68 @@ def _atoms_per_cavity(model: Model) -> int:
     return 2 if model is Model.DTCM else 1
 
 
+def _start_vector(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) -> np.ndarray:
+    """The atoms' start vector as ``psi[register a, register b]``, written from explicit Bell vectors."""
+    if _atoms_per_cavity(model) == 1:
+        if pair_cd != pair_ab:
+            raise ValueError("the single-pair layout has no (C,D) pair; pass pair_cd equal to pair_ab")
+        return _bell_vector(pair_ab).reshape(2, 2)
+    if pair_ab.bell_type is not pair_cd.bell_type:
+        raise ValueError("both pairs must share the same Bell type")
+    # (A,B,C,D) -> (A,C) of cavity a, (B,D) of cavity b
+    psi = np.kron(_bell_vector(pair_ab), _bell_vector(pair_cd)).reshape(2, 2, 2, 2)
+    return psi.transpose(0, 2, 1, 3).reshape(4, 4)
+
+
 def _oracle_maps(
     model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray, n_max: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The evolution grid and both cavity maps of one layout, field pair, time grid and cutoff.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both cavity maps of one layout, field pair, time grid and cutoff, and their leak tables.
 
-    Returns ``U5[t, atoms out, photon out, atoms in, photon in]``, which the
-    leak checks read, and each cavity's :func:`_cavity_channel`; equal
-    fields share one map (``Gb is Ga``).  None of it depends on how the
-    atoms are prepared.
+    Diagonalizes the register's Hamiltonian once (:func:`_spectrum`), then
+    walks the grid in chunks of at most ``_CHUNK_CELLS`` cells of
+    exp(-i H tau), one tau where a single operator holds more.  Each chunk
+    is evolved (:func:`_evolution_grid`), and each distinct field's
+    :func:`_cavity_channel` and :func:`_leak_table` fill that chunk's
+    rows, so no evolution of the whole grid is ever held: beyond one chunk,
+    memory is the maps' dim^4 and the tables' dim cells per tau.  Returns
+    ``(Ga, Gb, leak_a, leak_b)``; equal fields share one map and one table
+    (``Gb is Ga``).  A field beyond the cutoff raises before the eigensolve.
+    None of it depends on how the atoms are prepared.
     """
     n_atoms = _atoms_per_cavity(model)
     H = build_tc_hamiltonian(n_max, n_atoms)
+    fields = [field_a] if field_b == field_a else [field_a, field_b]
+    for fld in fields:
+        _field_levels(fld, n_max)  # raises before the eigensolve
+    spectrum = _spectrum(H)
     dim, n_ph = 2**n_atoms, n_max + 1
-    U5 = _evolution_grid(H, taus).reshape(taus.size, dim, n_ph, dim, n_ph)
-    Ga = _cavity_channel(U5, field_a, n_max)
-    Gb = Ga if field_b == field_a else _cavity_channel(U5, field_b, n_max)
-    return U5, Ga, Gb
+    maps = [(np.empty((taus.size,) + (dim,) * 4, dtype=complex), np.empty((taus.size, dim))) for _ in fields]
+    chunk = max(1, _CHUNK_CELLS // H.dim**2)
+    for start in range(0, taus.size, chunk):
+        span = slice(start, start + chunk)
+        U5 = _evolution_grid(spectrum, taus[span]).reshape(-1, dim, n_ph, dim, n_ph)
+        for fld, (G, leak) in zip(fields, maps):
+            G[span] = _cavity_channel(U5, fld, n_max)
+            leak[span] = _leak_table(U5, fld, n_max)
+    (Ga, leak_a), (Gb, leak_b) = maps[0], maps[-1]
+    return Ga, Gb, leak_a, leak_b
 
 
 def _prepared_state(
-    model: Model,
-    pair_ab: BellPairSpec,
-    pair_cd: BellPairSpec,
-    field_a: FieldSpec,
-    field_b: FieldSpec,
-    maps: tuple[np.ndarray, np.ndarray, np.ndarray],
+    model: Model, psi: np.ndarray, maps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], n_max: int
 ) -> np.ndarray:
-    """The reduced atomic state of one preparation under the :func:`_oracle_maps` ``maps``."""
-    U5, Ga, Gb = maps
-    n_t, n_max = U5.shape[0], U5.shape[2] - 1
-    if model is Model.DTCM:
-        if pair_ab.bell_type is not pair_cd.bell_type:
-            raise ValueError("both pairs must share the same Bell type")
-        # psi[register a, register b]: (A,B,C,D) -> (A,C) of cavity a, (B,D) of cavity b
-        psi = np.kron(_bell_vector(pair_ab), _bell_vector(pair_cd)).reshape(2, 2, 2, 2)
-        psi = psi.transpose(0, 2, 1, 3).reshape(4, 4)
-    else:
-        if pair_cd != pair_ab:
-            raise ValueError("the single-pair layout has no (C,D) pair; pass pair_cd equal to pair_ab")
-        psi = _bell_vector(pair_ab).reshape(2, 2)
-
-    # each register's atom populations, the partner register traced out
+    """The reduced atomic state of the :func:`_start_vector` ``psi`` under the :func:`_oracle_maps` ``maps``."""
+    Ga, Gb, leak_a, leak_b = maps
+    # each register's atom populations, the partner register traced out; an
+    # empty grid leaks nothing
     populations = np.abs(psi) ** 2
-    for fld, probs in ((field_a, populations.sum(axis=1)), (field_b, populations.sum(axis=0))):
-        _check_leak(_channel_leak(U5, fld, probs, n_max), n_max)
+    for leak, probs in ((leak_a, populations.sum(axis=1)), (leak_b, populations.sum(axis=0))):
+        _check_leak(float(np.max(leak @ probs, initial=0.0)), n_max)
 
     rho0 = np.multiply.outer(psi, psi.conj())  # psi (x) psi*, [ket_a, ket_b, bra_a, bra_b]
     rho = np.einsum("trcsz,tuwyv,syzv->trucw", Ga, Gb, rho0, optimize=True)
+    n_t = Ga.shape[0]
     if model is Model.DJCM:
         return rho.reshape(n_t, 4, 4)
     rho = rho.reshape(n_t, 2, 2, 2, 2, 2, 2, 2, 2)
@@ -230,13 +261,18 @@ def oracle_atomic_grid(
     qubits into cavity a's register and cavity b's, and applies to the
     resulting density matrix the two cavity maps obtained by evolving each
     register numerically and tracing its photons (one map when the fields
-    are equal).  Output matches :func:`dtcm.dynamics.assemble_atomic_state`
-    conventions: (T,16,16) over (A,B,C,D) for the two-pair layout, (T,4,4)
-    over (A,B) otherwise.
+    are equal).  The maps are built a chunk of taus at a time
+    (:func:`_oracle_maps`), so the evolution operators of a long grid are
+    never held at once.  A bad preparation, cutoff or field raises before
+    the Hamiltonian is diagonalized.  Output matches
+    :func:`dtcm.dynamics.assemble_atomic_state` conventions: (T,16,16) over
+    (A,B,C,D) for the two-pair layout, (T,4,4) over (A,B) otherwise, with
+    T = 0 for an empty grid.
     """
     taus, _ = _as_tau_grid(taus)
+    psi = _start_vector(model, pair_ab, pair_cd)
     maps = _oracle_maps(model, field_a, field_b, taus, n_max)
-    return _prepared_state(model, pair_ab, pair_cd, field_a, field_b, maps)
+    return _prepared_state(model, psi, maps, n_max)
 
 
 @dataclass(frozen=True)
@@ -296,8 +332,8 @@ def _compare_group(
     """:func:`compare_pipelines` for each ``(bell_type, alpha)`` of one layout, field pair, grid and cutoff.
 
     Each cavity is an independent environment, so the maps on both sides
-    depend on neither the Bell type nor the angle: the oracle's evolution
-    and cavity maps (:func:`_oracle_maps`) and the analytic channels are
+    depend on neither the Bell type nor the angle: the oracle's cavity
+    maps and leak tables (:func:`_oracle_maps`) and the analytic channels are
     built once for the group, and :func:`dtcm.analysis.sweep_pairs` runs
     once per Bell type over that type's angles.  Each preparation keeps its
     own start vector, leak checks, assembled state and general
@@ -323,7 +359,7 @@ def _compare_group(
     reports = []
     for spec in specs:
         analytic = _assemble_grid(model, spec, spec, field_a, field_b, taus, channels)
-        reference = _prepared_state(model, spec, spec, field_a, field_b, maps)
+        reference = _prepared_state(model, _start_vector(model, spec, spec), maps, n_max)
         state_dev = float(np.abs(analytic - reference).max())
         # the oracle orders the layout's qubits A<B<C<D, and every layout starts
         # at A, B, so a pair's canonical positions index its state

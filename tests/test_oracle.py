@@ -164,10 +164,10 @@ def test_compare_pipelines_requires_headroom():
 
 
 def test_compare_pipelines_headroom_counts_the_atoms(monkeypatch):
-    def no_evolution(H, taus):
-        raise AssertionError("evolved before the headroom check")
+    def no_eigensolve(H):
+        raise AssertionError("diagonalized before the headroom check")
 
-    monkeypatch.setattr(oracle, "_evolution_grid", no_evolution)
+    monkeypatch.setattr(oracle, "_spectrum", no_eigensolve)
     # two atoms can add two photons to fock:1, so n_max=4 would leak
     sc = Scenario(Model.DTCM, BellType.PSI, FieldSpec.fock(1), FieldSpec.fock(1))
     with pytest.raises(ValueError, match="need at least 5"):
@@ -222,10 +222,10 @@ def test_compare_pipelines_checks_the_cutoff_before_using_it(monkeypatch, n_max)
 
 
 def test_compare_pipelines_rejects_a_bad_grid_before_any_eigensolve(monkeypatch):
-    def no_evolution(H, taus):
-        raise AssertionError("evolved before the grid check")
+    def no_eigensolve(H):
+        raise AssertionError("diagonalized before the grid check")
 
-    monkeypatch.setattr(oracle, "_evolution_grid", no_evolution)
+    monkeypatch.setattr(oracle, "_spectrum", no_eigensolve)
     sc = Scenario(Model.DTCM, BellType.PSI, FieldSpec.vacuum(), FieldSpec.vacuum())
     with pytest.raises(ValueError, match=r"^tau: values must be strictly increasing$"):
         compare_pipelines(sc, 0.4, np.array([0.0, 2.0, 1.0]), n_max=6)
@@ -255,21 +255,141 @@ def test_compare_pipelines_vacuum_smoke():
     assert result.n_max == 4 and result.n_tau == 7
 
 
+def whole_grid_maps(model, field_a, field_b, taus, n_max):
+    """The oracle maps from one evolution of the whole grid, each cavity traced on its own.
+
+    Each map is the per-time Gram product as a plain 2-d matrix product per
+    tau, and each leak table the einsum over the whole grid, whatever the
+    fields: the reference the chunked, batched build must reproduce.
+    """
+    n_atoms = oracle._atoms_per_cavity(model)
+    H = build_tc_hamiltonian(n_max, n_atoms)
+    dim, n_ph = 2**n_atoms, n_max + 1
+    U5 = oracle._evolution_grid(oracle._spectrum(H), taus).reshape(taus.size, dim, n_ph, dim, n_ph)
+    maps, leaks = [], []
+    for field in (field_a, field_b):
+        ms, ps = field.weights()
+        G = np.empty((taus.size, dim, dim, dim, dim), dtype=complex)
+        for t in range(taus.size):
+            X = (U5[t][:, :, :, ms] * np.sqrt(ps)).transpose(0, 2, 1, 3).reshape(dim * dim, n_ph * ms.size)
+            G[t] = (X @ X.conj().T).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
+        maps.append(G)
+        top = U5[:, :, n_max - 1 :][:, :, :, :, ms]
+        leaks.append(np.einsum("tapsm,tapsm,m->ts", top, top.conj(), ps).real)
+    return maps[0], maps[1], leaks[0], leaks[1]
+
+
 @pytest.mark.parametrize("fields", [("vacuum", "vacuum"), ("fock1", "fock1"), ("vacuum", "fock1")], ids="/".join)
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 def test_oracle_grid_traces_one_channel_for_equal_fields(monkeypatch, model, fields):
     field_a, field_b = ({"vacuum": FieldSpec.vacuum(), "fock1": FieldSpec.fock(1)}[f] for f in fields)
     pair, taus, n_max = BellPairSpec(BellType.PSI, 0.7), np.linspace(0.0, 4.0, 9), 6
     # the reference traces each cavity's map on its own, whatever the fields
-    U5, Ga, _ = oracle._oracle_maps(model, field_a, field_b, taus, n_max)
-    separate = (U5, Ga, oracle._cavity_channel(U5, field_b, n_max))
-    expected = oracle._prepared_state(model, pair, pair, field_a, field_b, separate)
+    separate = whole_grid_maps(model, field_a, field_b, taus, n_max)
+    expected = oracle._prepared_state(model, oracle._start_vector(model, pair, pair), separate, n_max)
     traced = []
     original = oracle._cavity_channel
     monkeypatch.setattr(oracle, "_cavity_channel", lambda *args: traced.append(args[1]) or original(*args))
     grid = oracle_atomic_grid(pair, pair, field_a, field_b, taus, n_max, model)
     assert traced == ([field_a] if field_b == field_a else [field_a, field_b])
     assert np.array_equal(grid, expected)
+
+
+STREAM_FIELDS = {
+    "vacuum/vacuum": (FieldSpec.vacuum(), FieldSpec.vacuum()),
+    "fock1/vacuum": (FieldSpec.fock(1), FieldSpec.vacuum()),
+    "thermal1/thermal1": (FieldSpec.thermal(1.0), FieldSpec.thermal(1.0)),
+    "thermal1/fock1": (FieldSpec.thermal(1.0), FieldSpec.fock(1)),
+}
+
+
+@pytest.mark.parametrize("grid", ["one-tau", "below-a-chunk", "chunks-and-a-remainder"])
+@pytest.mark.parametrize("fields", list(STREAM_FIELDS))
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_streamed_maps_match_the_whole_grid(model, fields, grid):
+    # the chunked, batched build gives the whole-grid, per-tau maps bit for bit
+    field_a, field_b = STREAM_FIELDS[fields]
+    n_atoms = oracle._atoms_per_cavity(model)
+    n_max = max(oracle._required_cutoff(field_a, n_atoms), oracle._required_cutoff(field_b, n_atoms))
+    chunk = max(1, oracle._CHUNK_CELLS // build_tc_hamiltonian(n_max, n_atoms).dim ** 2)
+    n_tau = {"one-tau": 1, "below-a-chunk": max(1, chunk - 1), "chunks-and-a-remainder": 2 * chunk + 1}[grid]
+    taus = np.linspace(9.0 / n_tau, 9.0, n_tau)
+    Ga, Gb, leak_a, leak_b = oracle._oracle_maps(model, field_a, field_b, taus, n_max)
+    reference = whole_grid_maps(model, field_a, field_b, taus, n_max)
+    assert (Gb is Ga) == (field_b == field_a)
+    for streamed, whole in zip((Ga, Gb), reference[:2]):
+        assert streamed.tobytes() == whole.tobytes()
+    for streamed, whole in zip((leak_a, leak_b), reference[2:]):
+        np.testing.assert_allclose(streamed, whole, rtol=1e-12)
+    pair = BellPairSpec(BellType.PHI, 0.7)
+    expected = oracle._prepared_state(model, oracle._start_vector(model, pair, pair), reference, n_max)
+    assert oracle_atomic_grid(pair, pair, field_a, field_b, taus, n_max, model).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_oracle_grid_of_an_empty_grid(model):
+    # shaped as the analytic assembly shapes it: no times, one empty state stack
+    pair, field_a, field_b = BellPairSpec(BellType.PSI, 0.4), FieldSpec.fock(1), FieldSpec.vacuum()
+    grid = oracle_atomic_grid(pair, pair, field_a, field_b, np.array([]), 6, model)
+    analytic = dynamics._assemble_grid(model, pair, pair, field_a, field_b, np.array([]))
+    assert grid.shape == analytic.shape == ((0, 16, 16) if model is Model.DTCM else (0, 4, 4))
+    assert grid.dtype == complex
+
+
+@pytest.mark.parametrize(
+    ("model", "pair_cd", "field_a", "field_b", "n_max", "message"),
+    [
+        (Model.DTCM, BellPairSpec(BellType.PHI, 0.4), FieldSpec.vacuum(), FieldSpec.vacuum(), 6,
+         "both pairs must share the same Bell type"),
+        (Model.DJCM, BellPairSpec(BellType.PSI, 0.5), FieldSpec.vacuum(), FieldSpec.vacuum(), 6,
+         r"the single-pair layout has no \(C,D\) pair; pass pair_cd equal to pair_ab"),
+        (Model.DTCM, BellPairSpec(BellType.PSI, 0.4), FieldSpec.thermal(1.0), FieldSpec.vacuum(), 20,
+         "field occupies levels beyond the cutoff"),
+        (Model.DJCM, BellPairSpec(BellType.PSI, 0.4), FieldSpec.vacuum(), FieldSpec.fock(8), 6,
+         "field occupies levels beyond the cutoff"),
+    ],
+    ids=["bell-types", "djcm-pair-cd", "hot-field-a", "field-b"],
+)
+def test_oracle_grid_rejects_bad_input_before_diagonalizing(
+    monkeypatch, model, pair_cd, field_a, field_b, n_max, message
+):
+    def no_eigensolve(H):
+        raise AssertionError("diagonalized before the input check")
+
+    monkeypatch.setattr(oracle, "_spectrum", no_eigensolve)
+    pair_ab = BellPairSpec(BellType.PSI, 0.4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle_atomic_grid(pair_ab, pair_cd, field_a, field_b, np.linspace(0.0, 10.0, 20), n_max, model)
+
+
+def test_oracle_grid_memory_is_bounded_by_a_chunk():
+    # thermal:1 on 400 taus: the state and both maps take 1.6 MB each, the
+    # whole-grid evolution it no longer holds 133 MB, twice over at its peak
+    import tracemalloc
+
+    pair, field = BellPairSpec(BellType.PSI, 0.4), FieldSpec.thermal(1.0)
+    tracemalloc.start()
+    try:
+        oracle_atomic_grid(pair, pair, field, field, np.linspace(0.0, 10.0, 400), 35)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FieldSpec.vacuum(), FieldSpec.fock(1), FieldSpec.fock(3), FieldSpec.thermal(0.1)],
+    ids=["vacuum", "fock1", "fock3", "thermal0.1"],
+)
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_a_cutoff_one_below_the_required_one_leaks(model, field):
+    # these fields' cutoffs are set by the leak bar (thermal:1's by the levels
+    # it holds), so one level less puts population within one photon of it
+    n_max = oracle._required_cutoff(field, oracle._atoms_per_cavity(model)) - 1
+    pair = BellPairSpec(BellType.PSI, 0.4)
+    with pytest.raises(CutoffLeakageError, match=f"within one photon of n_max={n_max}$"):
+        oracle_atomic_grid(pair, pair, field, field, np.linspace(0.0, 10.0, 20), n_max, model)
 
 
 def assert_matches_compare_pipelines(cases, reports):
@@ -298,10 +418,11 @@ def test_a_group_returns_its_preparations_in_order():
 
 @pytest.mark.parametrize("level, evolutions", [(verification.QUICK, 2), (verification.FULL, 6 + 2)])
 def test_oracle_suites_evolve_once_per_group(monkeypatch, level, evolutions):
-    # each layout, field pair, grid and cutoff is one evolution, whatever its Bell types and angles
+    # each layout, field pair, grid and cutoff is one diagonalization and one
+    # pass over the grid, whatever its Bell types and angles
     calls = []
-    original = oracle._evolution_grid
-    monkeypatch.setattr(oracle, "_evolution_grid", lambda H, taus: calls.append(H.n_max) or original(H, taus))
+    original = oracle._spectrum
+    monkeypatch.setattr(oracle, "_spectrum", lambda H: calls.append(H.n_max) or original(H))
     results = [verification.suite_oracle_agreement(level)]
     if level == verification.FULL:
         results.append(verification.suite_oracle_agreement_thermal())
@@ -373,7 +494,7 @@ def test_cavity_channel_is_the_literal_photon_trace(field, n_atoms):
     H = build_tc_hamiltonian(n_max, n_atoms)
     taus = np.linspace(0.0, 6.0, 7)
     dim = 2**n_atoms
-    U5 = oracle._evolution_grid(H, taus).reshape(taus.size, dim, n_max + 1, dim, n_max + 1)
+    U5 = oracle._evolution_grid(oracle._spectrum(H), taus).reshape(taus.size, dim, n_max + 1, dim, n_max + 1)
     ms, ps = field.weights()
     expected = np.zeros((taus.size, dim, dim, dim, dim), dtype=complex)
     for m, p in zip(ms, ps):
@@ -408,7 +529,7 @@ def joint_atomic_grid(pair_ab, pair_cd, field_a, field_b, taus, n_max):
     with their field weights.
     """
     n_ph = n_max + 1
-    U = oracle._evolution_grid(build_tc_hamiltonian(n_max, 2), taus)
+    U = oracle._evolution_grid(oracle._spectrum(build_tc_hamiltonian(n_max, 2)), taus)
     atoms = np.einsum("ab,cd->acbd", literal_pair(pair_ab), literal_pair(pair_cd)).reshape(4, 4)
     rho = np.zeros((taus.size, 4, 4, 4, 4), dtype=complex)  # [t, ket (A,C), ket (B,D), bra (A,C), bra (B,D)]
     for m_a, p_a in zip(*field_a.weights()):
