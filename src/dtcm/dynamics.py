@@ -183,8 +183,11 @@ class FieldSpec:
 # For an initial product |ik, m> (pair bits i,k; photon number m) the evolved
 # state is a superposition over bit flips (p,q) with photon numbers fixed by
 # excitation conservation: flipping an excited atom deposits a photon,
-# flipping a ground atom absorbs one.  The amplitudes close over three ladder
-# families selected by the initial excitation content of the pair.
+# flipping a ground atom absorbs one.  The start state's excitation number
+# N = m + i + k (photons plus excited atoms) is conserved, so it evolves in
+# the three-level block |11,N-2> <-> |psi+,N-1> <-> |00,N> with Rabi
+# frequency sqrt(2(2N-1)) (Tavis & Cummings 1968), and every amplitude is a
+# closed form of N.
 # ---------------------------------------------------------------------------
 
 
@@ -211,10 +214,20 @@ class XCoefficientKey:
 
 
 # Each two-atom amplitude is base + cos_w (cos(om tau) - 1) + 1j sin_w sin(om tau),
-# with om the frequency of the ladder family its initial pair selects: both
-# atoms excited (om^2 = 2(2m+3)), one excited (2(2m+1)) or none (2(2m-1)).
-# Frequencies and weights depend on the photon number m alone.
-_FAMILY = np.array([0, 1, 1, 2])  # frequency row of each initial pair state
+# with om = sqrt(max(2(2N-1), 0)) for the start state's N = m + e.
+_EXCITED = np.array([0, 1, 1, 2])  # e, the excited atoms of each initial pair state
+
+# The form of each base, cos and sin weight [pair_in, flips], an index into
+# 0, 1/2, 1, N/(2N-1), (N-1)/(2N-1), sqrt(N(N-1))/(2N-1), -sqrt(N/(2(2N-1)))
+# and -sqrt((N-1)/(2(2N-1))).  At N = 0, om = 0 leaves the stay 1 and every
+# other amplitude 0; sqrt(N(N-1)) closes the double absorption at N = 1.
+_FORM = np.array(
+    [
+        [[2, 0, 0, 0]] * 4,  # base: 1 for the stay
+        [[3, 0, 0, 5], [1, 0, 0, 1], [1, 0, 0, 1], [4, 0, 0, 5]],  # cos: the stay and the double flip
+        [[0, 6, 6, 0], [0, 6, 7, 0], [0, 7, 6, 0], [0, 7, 7, 0]],  # sin: the single flips
+    ]
+)
 
 # The phase of an amplitude by its flips: an even number of flips (a stay or
 # a double flip) gives a real amplitude, its cos term, an odd number a purely
@@ -224,63 +237,34 @@ _FLIP_PHASE = np.array([1.0, 1j, 1j, 1.0])
 
 
 def _coefficient_rows(m: np.ndarray) -> np.ndarray:
-    """The coefficients of photon numbers ``m`` (floats), as rows ``[51, photon]``:
-    the three family frequencies, then the base, cos and sin weights of the 16
-    amplitudes, each flattened from ``[pair_in, flips]``.  Every expression is
-    elementwise in m, so a level's column does not depend on its neighbours."""
-    rows = np.zeros((51, m.size))
-    freq = rows[:3]
-    base, cos_w, sin_w = rows[3:].reshape(3, 4, 4, m.size)
-
-    # both atoms excited: chain |11,m> <-> one flip, m+1 <-> |00,m+2>
-    freq[2] = np.sqrt(2.0 * (2.0 * m + 3.0))
-    base[3, 0] = 1.0
-    cos_w[3, 0] = (m + 1.0) / (2.0 * m + 3.0)
-    sin_w[3, 1] = sin_w[3, 2] = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 3.0)))
-    cos_w[3, 3] = np.sqrt((m + 1.0) * (m + 2.0)) / (2.0 * m + 3.0)
-
-    # one excitation in the pair: the excited atom gives up its photon, the
-    # ground atom takes one from the field
-    freq[1] = np.sqrt(2.0 * (2.0 * m + 1.0))
-    emit = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 1.0)))
-    absorb = -np.sqrt(m / (2.0 * (2.0 * m + 1.0)))
-    for pair_in, own, other in ((1, 1, 2), (2, 2, 1)):
-        base[pair_in, 0] = 1.0
-        cos_w[pair_in, 0] = cos_w[pair_in, 3] = 0.5
-        sin_w[pair_in, own] = emit
-        sin_w[pair_in, other] = absorb
-
-    # both atoms in the ground state; an empty cavity leaves them stationary
-    # (frequency 0 and base 1), and sqrt(m(m-1)) kills the double-absorption
-    # branch below m = 2
-    base[0, 0] = 1.0
-    live = m >= 1.0
-    n = m[live]
-    freq[0, live] = np.sqrt(2.0 * (2.0 * n - 1.0))
-    cos_w[0, 0, live] = n / (2.0 * n - 1.0)
-    sin_w[0, 1, live] = sin_w[0, 2, live] = -np.sqrt(n / (2.0 * (2.0 * n - 1.0)))
-    cos_w[0, 3, live] = np.sqrt(n * (n - 1.0)) / (2.0 * n - 1.0)
-    return rows
+    """The weights of photon numbers ``m`` (floats), as rows ``[48, photon]``:
+    the base, cos and sin weights of the 16 amplitudes, each flattened from
+    ``[pair_in, flips]``.  Every form is elementwise in N = m + e, so a
+    level's column does not depend on its neighbours."""
+    n = m + _EXCITED[:, None]  # [pair_in, photon]
+    d = 2.0 * n - 1.0
+    ratios = (n / d, (n - 1.0) / d, np.sqrt(n * (n - 1.0)) / d, -np.sqrt(n / (2.0 * d)), -np.sqrt((n - 1.0) / (2.0 * d)))
+    forms = np.stack(np.broadcast_arrays(0.0, 0.5, 1.0, *ratios))  # [form, pair_in, photon]
+    return forms[_FORM, np.arange(4)[:, None]].reshape(48, m.size)
 
 
 # The rows of photon levels 0 .. top-1, shared by every call in the process.
-# Built on first use and grown to exactly the highest level asked for (51
+# Built on first use and grown to exactly the highest level asked for (48
 # floats a level); read-only, so no caller can change what later calls read.
 # A request that would grow it by more than its own levels plus
 # _GROWTH_SLACK (a high Fock level, say) builds just its own rows instead,
 # so the table's size follows the levels asked for, not their height.  A
 # build's cost is mostly fixed, so a growth by that slack costs little more
 # than a build of the requested levels alone.
-_COEFFICIENT_TABLE = np.zeros((51, 0))
+_COEFFICIENT_TABLE = np.zeros((48, 0))
 _COEFFICIENT_TABLE.setflags(write=False)
 _GROWTH_SLACK = 256
 
 
-def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The three family frequencies ``[family, photon]``, then the base, cos and
-    sin weights of the 16 amplitudes, each ``[pair_in, flips, photon]``; read
-    from the process-wide table, or built apart for levels far past it, and
-    never writable views of it."""
+def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base, cos and sin weights of the 16 amplitudes, each
+    ``[pair_in, flips, photon]``; read from the process-wide table, or built
+    apart for levels far past it, and never writable views of it."""
     global _COEFFICIENT_TABLE
     m = np.asarray(m)
     if m.ndim != 1 or (m.size and (m.dtype.kind not in "iu" or m.min() < 0)):
@@ -299,8 +283,7 @@ def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
             if top > _COEFFICIENT_TABLE.shape[1]:
                 _COEFFICIENT_TABLE = table
         rows = table[:, m.astype(np.intp, copy=False)]  # an empty m may be float
-    weights = rows[3:].reshape(3, 4, 4, m.size)
-    return rows[:3], weights[0], weights[1], weights[2]
+    return tuple(rows.reshape(3, 4, 4, m.size))
 
 
 def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -310,16 +293,21 @@ def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     ``pair_in = 2i + k`` and ``flips = 2p + q``; the amplitude is the entry
     times ``_FLIP_PHASE[flips]``: a stay or a double flip holds the real
     base + cos_w (cos(om tau) - 1), a single flip the coefficient of i,
-    sin_w sin(om tau).
+    sin_w sin(om tau).  Every entry reads one cos/sin evaluation per
+    excitation number N = m + e in ``min(m) .. max(m) + 2``.
     """
     tau = np.asarray(tau, dtype=float)
-    freq, base, cos_w, sin_w = _coefficients(m)
-    angles = freq[:, :, None] * tau
+    base, cos_w, sin_w = _coefficients(m)
+    m = np.asarray(m, dtype=np.intp)
+    low, high = (int(m.min()), int(m.max()) + 2) if m.size else (0, 0)
+    # om^2 = 4N - 2 for N = low .. high, exact integers in one arange; om(0) = 0
+    angles = np.sqrt(np.maximum(np.arange(4.0 * low - 2.0, 4.0 * high - 1.0, 4.0), 0.0))[:, None] * tau
+    rung = m - low + _EXCITED[:, None]  # [pair_in, photon]: each start state's N, less low
     X = np.empty(base.shape + tau.shape)
     even, odd = X[:, ::3], X[:, 1:3]  # flips 0 and 3, flips 1 and 2
-    np.multiply(cos_w[:, ::3, :, None], (np.cos(angles) - 1.0)[_FAMILY][:, None], out=even)
+    np.multiply(cos_w[:, ::3, :, None], (np.cos(angles) - 1.0)[rung][:, None], out=even)
     even += base[:, ::3, :, None]
-    np.multiply(sin_w[:, 1:3, :, None], np.sin(angles)[_FAMILY][:, None], out=odd)
+    np.multiply(sin_w[:, 1:3, :, None], np.sin(angles)[rung][:, None], out=odd)
     return X
 
 
@@ -328,10 +316,10 @@ def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
     Returns a float array indexed ``[atom_in, flip, photon, time]``; the
     amplitude is the entry times ``_FLIP_PHASE[flip]``, so the stay row holds
-    cos and the flip row -sin of the Rabi angle.  An excited atom exchanges
-    its quantum with level m+1, a ground atom with level m, so a ground atom
-    in an empty cavity stays put by itself.  Both rows read one cos/sin
-    evaluation per level in ``min(m) .. max(m) + 1``.
+    cos and the flip row -sin of the Rabi angle.  An atom in state i over m
+    photons has excitation number N = m + i and Rabi frequency sqrt(N), so a
+    ground atom in an empty cavity stays put by itself.  Both rows read one
+    cos/sin evaluation per N in ``min(m) .. max(m) + 1``.
     """
     m = np.asarray(m).astype(np.intp)
     tau = np.asarray(tau, dtype=float)
@@ -340,7 +328,7 @@ def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     c, s = np.cos(angles), np.sin(angles)
     Y = np.empty((2, 2, m.size, tau.size))
     for i in (0, 1):
-        level = m - low + i  # the level atom state i exchanges its quantum with
+        level = m - low + i  # the excitation number N = m + i, less min(m)
         Y[i, 0] = c[level]
         Y[i, 1] = -s[level]
     return Y
@@ -400,8 +388,8 @@ _EXPLICIT_FORMS: dict[tuple[int, int, int, int], tuple[tuple[int, int, int, int]
 
 def _accumulate_terms(
     terms: tuple[tuple[int, int, int, int], ...],
-    ket_family: int,
-    bra_family: int,
+    ket_in: int,
+    bra_in: int,
     field: FieldSpec,
     taus: np.ndarray,
 ) -> np.ndarray:
@@ -409,7 +397,7 @@ def _accumulate_terms(
     X = _x_block_table(ms, taus) * _FLIP_PHASE[:, None, None]
     out = np.zeros((taus.size, 4, 4), dtype=complex)
     for ket_flips, bra_flips, row, col in terms:
-        weighted = np.einsum("m,mt->t", ps, X[ket_family, ket_flips] * np.conj(X[bra_family, bra_flips]))
+        weighted = np.einsum("m,mt->t", ps, X[ket_in, ket_flips] * np.conj(X[bra_in, bra_flips]))
         out[:, row, col] += weighted
     return out
 

@@ -33,12 +33,7 @@ from .analysis import (
 )
 from .concurrence import _X_SHAPE_TOL, _concurrence_x_batch, _general_spectrum, _wootters, x_pattern_deviation
 from .dynamics import BellType, FieldSpec, Model
-from .oracle import (
-    PipelineComparison,
-    _compare_group,
-    _oracle_maps,
-    _required_cutoff,
-)
+from .oracle import _compare_group, _oracle_maps, _required_cutoff
 
 QUICK = "quick"
 FULL = "full"
@@ -149,72 +144,49 @@ def suite_explicit_maps() -> SuiteResult:
     return _timed("explicit-maps", 1e-12, worker)
 
 
-def _oracle_cases(level: str) -> list[tuple[Scenario, float, np.ndarray, int]]:
+# One layout, field pair, grid and cutoff, and the (Bell type, alpha)
+# preparations compared on it: the arguments of one _compare_group call.
+_CaseGroup = tuple[Model, FieldSpec, FieldSpec, np.ndarray, int, list[tuple[BellType, float]]]
+
+
+def _oracle_cases(level: str) -> list[_CaseGroup]:
     if level == QUICK:
         alphas = [np.pi / 8, 3 * np.pi / 8]
         taus = np.linspace(0.0, 10.0, 10)
     else:
         alphas = [0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8]
         taus = np.linspace(0.0, 10.0, 20)
-    cases = []
-    for bell in (BellType.PSI, BellType.PHI):
-        for fld in (FieldSpec.vacuum(), FieldSpec.fock(1)):
-            for alpha in alphas:
-                cases.append((Scenario(Model.DTCM, bell, fld, fld), alpha, taus, 6))
+    vacuum, fock1 = FieldSpec.vacuum(), FieldSpec.fock(1)
+    every = [(bell, alpha) for bell in (BellType.PSI, BellType.PHI) for alpha in alphas]
+    groups = [(Model.DTCM, fld, fld, taus, 6, every) for fld in (vacuum, fock1)]
     if level == FULL:
-        vacuum, fock1 = FieldSpec.vacuum(), FieldSpec.fock(1)
-        for bell in (BellType.PSI, BellType.PHI):
-            for fld in (vacuum, fock1):
-                cases.append((Scenario(Model.DJCM, bell, fld, fld), np.pi / 8, taus, 6))
-            # unequal fields: the two cavities' channels differ
-            cases.append((Scenario(Model.DTCM, bell, vacuum, fock1), np.pi / 8, taus, 6))
-            cases.append((Scenario(Model.DJCM, bell, fock1, vacuum), np.pi / 8, taus, 6))
-    return cases
+        one = [(BellType.PSI, np.pi / 8), (BellType.PHI, np.pi / 8)]
+        groups += [(Model.DJCM, fld, fld, taus, 6, one) for fld in (vacuum, fock1)]
+        # unequal fields: the two cavities' channels differ
+        groups += [(Model.DTCM, vacuum, fock1, taus, 6, one), (Model.DJCM, fock1, vacuum, taus, 6, one)]
+    return groups
 
 
-def _thermal_cases() -> list[tuple[Scenario, float, np.ndarray, int]]:
+def _thermal_cases() -> list[_CaseGroup]:
     taus = np.linspace(0.0, 10.0, 20)
-    cases = []
-    for nbar in (0.1, 1.0):
-        fld = FieldSpec.thermal(nbar)
-        for bell in (BellType.PSI, BellType.PHI):
-            # not pi/4, where equal branch amplitudes hide an angle read as pi/2 - alpha
-            cases.append((Scenario(Model.DTCM, bell, fld, fld), np.pi / 8, taus, _required_cutoff(fld, 2)))
-    return cases
+    # not pi/4, where equal branch amplitudes hide an angle read as pi/2 - alpha
+    one = [(BellType.PSI, np.pi / 8), (BellType.PHI, np.pi / 8)]
+    fields = (FieldSpec.thermal(0.1), FieldSpec.thermal(1.0))
+    return [(Model.DTCM, fld, fld, taus, _required_cutoff(fld, 2), one) for fld in fields]
 
 
-def _compare_cases(cases: list[tuple[Scenario, float, np.ndarray, int]]) -> list[PipelineComparison]:
-    """:func:`dtcm.oracle.compare_pipelines` of each case, in order.
-
-    Cases that share a layout, field pair, grid and cutoff are compared as
-    one :func:`dtcm.oracle._compare_group`, which builds their maps once.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for index, (scenario, _, taus, n_max) in enumerate(cases):
-        key = (scenario.model, scenario.field_a, scenario.field_b, taus.tobytes(), n_max)
-        groups.setdefault(key, []).append(index)
-    reports = [None] * len(cases)
-    for indices in groups.values():
-        scenario, _, taus, n_max = cases[indices[0]]
-        preparations = [(cases[i][0].bell_type, cases[i][1]) for i in indices]
-        group = _compare_group(scenario.model, scenario.field_a, scenario.field_b, taus, n_max, preparations)
-        for index, report in zip(indices, group):
-            reports[index] = report
-    return reports
-
-
-def _oracle_suite(
-    name: str, tolerance: float, cases: list[tuple[Scenario, float, np.ndarray, int]], what: str
-) -> SuiteResult:
-    """Worst state or concurrence deviation of :func:`_compare_cases` over ``cases``."""
+def _oracle_suite(name: str, tolerance: float, groups: list[_CaseGroup], what: str) -> SuiteResult:
+    """Worst state or concurrence deviation of one :func:`dtcm.oracle._compare_group` per group."""
 
     def worker():
         checked = []
-        for (scenario, alpha, _, _), report in zip(cases, _compare_cases(cases)):
-            where = f"{_scenario_words(scenario)} alpha={alpha:.4f}"
-            checked.append((report.max_state_deviation, f"{where} state"))
-            checked.append((report.max_concurrence_deviation, f"{where} concurrence"))
-        return checked, f"{len(cases)} {what}"
+        for model, field_a, field_b, taus, n_max, preparations in groups:
+            reports = _compare_group(model, field_a, field_b, taus, n_max, preparations)
+            for (bell, alpha), report in zip(preparations, reports):
+                where = f"{_scenario_words(Scenario(model, bell, field_a, field_b))} alpha={alpha:.4f}"
+                checked.append((report.max_state_deviation, f"{where} state"))
+                checked.append((report.max_concurrence_deviation, f"{where} concurrence"))
+        return checked, f"{len(checked) // 2} {what}"
 
     return _timed(name, tolerance, worker)
 

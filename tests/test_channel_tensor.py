@@ -132,6 +132,16 @@ def test_grid_matches_single_time_builds(field, n_atoms):
     np.testing.assert_allclose(grid, stacked, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n_atoms", (1, 2))
+@pytest.mark.parametrize("nbar", (0.3, 1.0))
+def test_thermal_channel_is_the_photon_weighted_sum_of_fock_channels(nbar, n_atoms):
+    # the field trace is linear in the photon distribution; no oracle involved
+    taus = np.linspace(0.0, 25.0, 501)
+    ms, ps = FieldSpec.thermal(nbar).weights()
+    mixed = sum(p * dynamics._channel_tensor(FieldSpec.fock(int(m)), taus, n_atoms) for m, p in zip(ms, ps))
+    np.testing.assert_allclose(dynamics._channel_tensor(FieldSpec.thermal(nbar), taus, n_atoms), mixed, rtol=0.0, atol=1e-14)
+
+
 def test_hot_thermal_build_has_bounded_memory():
     # thermal:20 keeps 472 photon levels; a whole-grid amplitude table on
     # 1001 taus would need about 120 MB, the tensor itself about 4 MB

@@ -401,10 +401,14 @@ def assert_matches_compare_pipelines(cases, reports):
         assert (report.n_max, report.n_tau) == (single.n_max, single.n_tau)
 
 
-@pytest.mark.parametrize("cases", ["full", "thermal"])
-def test_grouped_comparisons_match_compare_pipelines(cases):
-    cases = verification._oracle_cases(verification.FULL) if cases == "full" else verification._thermal_cases()
-    assert_matches_compare_pipelines(cases, verification._compare_cases(cases))
+@pytest.mark.parametrize("groups", ["full", "thermal"])
+def test_grouped_comparisons_match_compare_pipelines(groups):
+    # each case group the oracle suites list, compared as one group and case by case
+    groups = verification._oracle_cases(verification.FULL) if groups == "full" else verification._thermal_cases()
+    for model, field_a, field_b, taus, n_max, preparations in groups:
+        reports = oracle._compare_group(model, field_a, field_b, taus, n_max, preparations)
+        cases = [(Scenario(model, bell, field_a, field_b), alpha, taus, n_max) for bell, alpha in preparations]
+        assert_matches_compare_pipelines(cases, reports)
 
 
 def test_a_group_returns_its_preparations_in_order():

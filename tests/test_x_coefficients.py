@@ -112,7 +112,7 @@ def test_key_validation():
 
 
 def empty_table(monkeypatch):
-    empty = np.zeros((51, 0))
+    empty = np.zeros((48, 0))
     empty.setflags(write=False)
     monkeypatch.setattr(dynamics, "_COEFFICIENT_TABLE", empty)
 
@@ -124,10 +124,9 @@ def test_coefficient_table_rows_match_a_direct_build(monkeypatch):
     hot, _ = dynamics.FieldSpec.thermal(16.0).weights()
     for ms in (np.array([5, 0, 2, 1]), hot, np.array([3])):
         direct = dynamics._coefficient_rows(np.arange(ms.max() + 1, dtype=float))[:, ms]
-        freq, base, cos_w, sin_w = dynamics._coefficients(ms)
-        read = np.concatenate([freq, base.reshape(16, -1), cos_w.reshape(16, -1), sin_w.reshape(16, -1)])
+        read = np.concatenate([weights.reshape(16, -1) for weights in dynamics._coefficients(ms)])
         assert read.tobytes() == direct.tobytes()
-    assert dynamics._COEFFICIENT_TABLE.shape == (51, hot.max() + 1)
+    assert dynamics._COEFFICIENT_TABLE.shape == (48, hot.max() + 1)
 
 
 def test_a_high_fock_level_leaves_the_table_small(monkeypatch):
@@ -135,7 +134,7 @@ def test_a_high_fock_level_leaves_the_table_small(monkeypatch):
     pair, field = dynamics.BellPairSpec(dynamics.BellType.PSI, 0.6), dynamics.FieldSpec.fock(10**9)
     rho = dynamics.assemble_atomic_state(pair, pair, field, dynamics.FieldSpec.vacuum(), 1.3)
     assert np.isfinite(rho.matrix).all()
-    assert dynamics._COEFFICIENT_TABLE.shape == (51, 1)  # the vacuum's level only
+    assert dynamics._COEFFICIENT_TABLE.shape == (48, 1)  # the vacuum's level only
 
 
 def test_rows_built_apart_match_the_tables(monkeypatch):
@@ -143,9 +142,9 @@ def test_rows_built_apart_match_the_tables(monkeypatch):
     empty_table(monkeypatch)
     high = np.array([1000])
     apart = dynamics._coefficients(high)
-    assert dynamics._COEFFICIENT_TABLE.shape == (51, 0)
+    assert dynamics._COEFFICIENT_TABLE.shape == (48, 0)
     dynamics._coefficients(np.arange(1001))
-    assert dynamics._COEFFICIENT_TABLE.shape == (51, 1001)
+    assert dynamics._COEFFICIENT_TABLE.shape == (48, 1001)
     for a, b in zip(apart, dynamics._coefficients(high)):
         assert a.tobytes() == b.tobytes()
 
@@ -162,10 +161,10 @@ def test_a_narrower_build_never_replaces_a_wider_table(monkeypatch):
         return build(m)
 
     monkeypatch.setattr(dynamics, "_coefficient_rows", racing)
-    freq, _, _, sin_w = dynamics._coefficients(np.array([3, 9]))
+    base, _, sin_w = dynamics._coefficients(np.array([3, 9]))
     assert dynamics._COEFFICIENT_TABLE is wide
-    assert freq.tobytes() == wide[:3, [3, 9]].tobytes()
-    assert sin_w.reshape(16, 2).tobytes() == wide[35:, [3, 9]].tobytes()
+    assert base.reshape(16, 2).tobytes() == wide[:16, [3, 9]].tobytes()
+    assert sin_w.reshape(16, 2).tobytes() == wide[32:, [3, 9]].tobytes()
 
 
 def test_coefficient_table_cannot_be_changed_through_a_result():
@@ -194,6 +193,79 @@ def test_photon_numbers_must_be_nonnegative_integers(read, ms):
 
 @pytest.mark.parametrize("empty", ([], np.array([], dtype=int)), ids=("list", "int-array"))
 def test_no_photon_numbers_give_an_empty_table(empty):
-    freq, base, _, _ = dynamics._coefficients(empty)
-    assert freq.shape == (3, 0) and base.shape == (4, 4, 0)
+    weights = dynamics._coefficients(empty)
+    assert len(weights) == 3 and all(w.shape == (4, 4, 0) for w in weights)
     assert dynamics._x_block_table(empty, np.array([0.5, 1.0])).shape == (4, 4, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# The table as three photon-number families computed it, before the weights
+# and frequencies were written in the excitation number N = m + e: family f
+# (0 for a ground pair, 1 for one excitation, 2 for two) at level m is N = m + f.
+# ---------------------------------------------------------------------------
+
+FAMILY = np.array([0, 1, 1, 2])
+
+
+def family_rows(m):
+    rows = np.zeros((51, m.size))
+    freq = rows[:3]
+    base, cos_w, sin_w = rows[3:].reshape(3, 4, 4, m.size)
+    freq[2] = np.sqrt(2.0 * (2.0 * m + 3.0))
+    base[3, 0] = 1.0
+    cos_w[3, 0] = (m + 1.0) / (2.0 * m + 3.0)
+    sin_w[3, 1] = sin_w[3, 2] = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 3.0)))
+    cos_w[3, 3] = np.sqrt((m + 1.0) * (m + 2.0)) / (2.0 * m + 3.0)
+    freq[1] = np.sqrt(2.0 * (2.0 * m + 1.0))
+    emit = -np.sqrt((m + 1.0) / (2.0 * (2.0 * m + 1.0)))
+    absorb = -np.sqrt(m / (2.0 * (2.0 * m + 1.0)))
+    for pair_in, own, other in ((1, 1, 2), (2, 2, 1)):
+        base[pair_in, 0] = 1.0
+        cos_w[pair_in, 0] = cos_w[pair_in, 3] = 0.5
+        sin_w[pair_in, own] = emit
+        sin_w[pair_in, other] = absorb
+    base[0, 0] = 1.0
+    live = m >= 1.0
+    n = m[live]
+    freq[0, live] = np.sqrt(2.0 * (2.0 * n - 1.0))
+    cos_w[0, 0, live] = n / (2.0 * n - 1.0)
+    sin_w[0, 1, live] = sin_w[0, 2, live] = -np.sqrt(n / (2.0 * (2.0 * n - 1.0)))
+    cos_w[0, 3, live] = np.sqrt(n * (n - 1.0)) / (2.0 * n - 1.0)
+    return rows
+
+
+def family_table(m, tau):
+    rows = family_rows(np.asarray(m, dtype=float))
+    freq, (base, cos_w, sin_w) = rows[:3], rows[3:].reshape(3, 4, 4, -1)
+    angles = freq[:, :, None] * tau
+    X = np.empty(base.shape + tau.shape)
+    even, odd = X[:, ::3], X[:, 1:3]
+    np.multiply(cos_w[:, ::3, :, None], (np.cos(angles) - 1.0)[FAMILY][:, None], out=even)
+    even += base[:, ::3, :, None]
+    np.multiply(sin_w[:, 1:3, :, None], np.sin(angles)[FAMILY][:, None], out=odd)
+    return X
+
+
+LEVELS = {
+    "vacuum": dynamics.FieldSpec.vacuum().weights()[0],
+    "fock0": np.array([0]),
+    "fock1": np.array([1]),
+    "fock2": np.array([2]),
+    "fock5": np.array([5]),
+    "0..34": np.arange(35),
+    "3..8": np.arange(3, 9),
+    "[0,2,7]": np.array([0, 2, 7]),
+    "[7,0,3]": np.array([7, 0, 3]),
+    "0..299": np.arange(300),
+    "1e6": np.array([10**6]),
+    "empty": np.array([], dtype=int),
+    "thermal16": dynamics.FieldSpec.thermal(16.0).weights()[0],
+}
+
+
+@pytest.mark.parametrize("n_tau", (0, 1, 7, 120))
+@pytest.mark.parametrize("levels", LEVELS, ids=str)
+def test_excitation_number_table_has_the_family_tables_bits(levels, n_tau):
+    m, tau = LEVELS[levels], np.linspace(0.37, 40.0, n_tau)
+    table, reference = dynamics._x_block_table(m, tau), family_table(m, tau)
+    assert table.shape == reference.shape and table.tobytes() == reference.tobytes()
