@@ -186,8 +186,8 @@ class FieldSpec:
 # flipping a ground atom absorbs one.  The start state's excitation number
 # N = m + i + k (photons plus excited atoms) is conserved, so it evolves in
 # the three-level block |11,N-2> <-> |psi+,N-1> <-> |00,N> with Rabi
-# frequency sqrt(2(2N-1)) (Tavis & Cummings 1968), and every amplitude is a
-# closed form of N.
+# frequency sqrt(2(2N-1)) (Tavis & Cummings 1968), and every amplitude is one
+# of seven closed functions of N and tau, evaluated once per N.
 # ---------------------------------------------------------------------------
 
 
@@ -213,77 +213,40 @@ class XCoefficientKey:
         _as_tau_grid(self.tau)
 
 
-# Each two-atom amplitude is base + cos_w (cos(om tau) - 1) + 1j sin_w sin(om tau),
-# with om = sqrt(max(2(2N-1), 0)) for the start state's N = m + e.
-_EXCITED = np.array([0, 1, 1, 2])  # e, the excited atoms of each initial pair state
-
-# The form of each base, cos and sin weight [pair_in, flips], an index into
-# 0, 1/2, 1, N/(2N-1), (N-1)/(2N-1), sqrt(N(N-1))/(2N-1), -sqrt(N/(2(2N-1)))
-# and -sqrt((N-1)/(2(2N-1))).  At N = 0, om = 0 leaves the stay 1 and every
-# other amplitude 0; sqrt(N(N-1)) closes the double absorption at N = 1.
-_FORM = np.array(
-    [
-        [[2, 0, 0, 0]] * 4,  # base: 1 for the stay
-        [[3, 0, 0, 5], [1, 0, 0, 1], [1, 0, 0, 1], [4, 0, 0, 5]],  # cos: the stay and the double flip
-        [[0, 6, 6, 0], [0, 6, 7, 0], [0, 7, 6, 0], [0, 7, 7, 0]],  # sin: the single flips
-    ]
-)
-
 # The phase of an amplitude by its flips: an even number of flips (a stay or
-# a double flip) gives a real amplitude, its cos term, an odd number a purely
-# imaginary one, its sin term.  The amplitude tables hold the amplitude over
-# this phase; the one-atom flips 0 and 1 read its first two entries.
+# a double flip) gives a real amplitude, an odd number a purely imaginary
+# one.  The amplitude tables hold the amplitude over this phase; the one-atom
+# flips 0 and 1 read its first two entries.
 _FLIP_PHASE = np.array([1.0, 1j, 1j, 1.0])
 
+_EXCITED = np.array([0, 1, 1, 2])  # e, the excited atoms of each initial pair state
 
-def _coefficient_rows(m: np.ndarray) -> np.ndarray:
-    """The weights of photon numbers ``m`` (floats), as rows ``[48, photon]``:
-    the base, cos and sin weights of the 16 amplitudes, each flattened from
-    ``[pair_in, flips]``.  Every form is elementwise in N = m + e, so a
-    level's column does not depend on its neighbours."""
-    n = m + _EXCITED[:, None]  # [pair_in, photon]
-    d = 2.0 * n - 1.0
-    ratios = (n / d, (n - 1.0) / d, np.sqrt(n * (n - 1.0)) / d, -np.sqrt(n / (2.0 * d)), -np.sqrt((n - 1.0) / (2.0 * d)))
-    forms = np.stack(np.broadcast_arrays(0.0, 0.5, 1.0, *ratios))  # [form, pair_in, photon]
-    return forms[_FORM, np.arange(4)[:, None]].reshape(48, m.size)
-
-
-# The rows of photon levels 0 .. top-1, shared by every call in the process.
-# Built on first use and grown to exactly the highest level asked for (48
-# floats a level); read-only, so no caller can change what later calls read.
-# A request that would grow it by more than its own levels plus
-# _GROWTH_SLACK (a high Fock level, say) builds just its own rows instead,
-# so the table's size follows the levels asked for, not their height.  A
-# build's cost is mostly fixed, so a growth by that slack costs little more
-# than a build of the requested levels alone.
-_COEFFICIENT_TABLE = np.zeros((48, 0))
-_COEFFICIENT_TABLE.setflags(write=False)
-_GROWTH_SLACK = 256
+# Over its phase, each two-atom amplitude is one of seven functions of the
+# start state's N = m + e and tau.  With c = cos(om tau) - 1, s = sin(om tau)
+# and om = sqrt(max(4N - 2, 0)) they are, for a stay or a double flip,
+#   0: 1 + N/(2N-1) c   1: 1 + (N-1)/(2N-1) c   2: 1 + c/2   3: c/2
+#   4: sqrt(N(N-1))/(2N-1) c
+# and for a single flip 5: -sqrt(N/(2(2N-1))) s and 6: -sqrt((N-1)/(2(2N-1))) s.
+# _AMPLITUDE[pair_in, flips] names each amplitude's function.  At N = 0,
+# om = 0 leaves the stay 1 and every other amplitude 0; sqrt(N(N-1)) closes
+# the double absorption at N = 1.
+_AMPLITUDE = np.array([[0, 5, 5, 4], [2, 5, 6, 3], [2, 6, 5, 3], [1, 6, 6, 4]])[:, :, None]
+_BASE = np.array([1.0, 1.0, 1.0, 0.0, 0.0])[:, None, None]  # the constant of functions 0-4
+_BELOW = np.array([[0.0], [1.0]])  # N - _BELOW holds N and N - 1 as rows
 
 
-def _coefficients(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The base, cos and sin weights of the 16 amplitudes, each
-    ``[pair_in, flips, photon]``; read from the process-wide table, or built
-    apart for levels far past it, and never writable views of it."""
-    global _COEFFICIENT_TABLE
+def _ladder(m: np.ndarray, excited: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The excitation numbers N = min(m) .. max(m) + max(excited), as floats,
+    and each start state's rung ``[state, photon]``: its N = m + excited[state],
+    less min(m).  Photon numbers ``m`` must be a 1-d array of nonnegative
+    integers (an empty one may be float)."""
     m = np.asarray(m)
-    if m.ndim != 1 or (m.size and (m.dtype.kind not in "iu" or m.min() < 0)):
+    levels = m.tolist() if m.ndim == 1 else None
+    if levels is None or (levels and (m.dtype.kind not in "iu" or min(levels) < 0)):
         raise ValueError("photon numbers must be a 1-d array of nonnegative integers")
-    table = _COEFFICIENT_TABLE  # read once: another thread may replace it meanwhile
-    top = int(m.max()) + 1 if m.size else 0
-    missing = top - table.shape[1]
-    if missing > m.size + _GROWTH_SLACK:
-        rows = _coefficient_rows(m.astype(float))  # the same expressions, so the same bits
-    else:
-        if missing > 0:
-            table = _coefficient_rows(np.arange(top, dtype=float))
-            table.setflags(write=False)
-            # never replace a wider table; a race lost here only leaves a
-            # narrower one for a later call to grow, as this call reads its own
-            if top > _COEFFICIENT_TABLE.shape[1]:
-                _COEFFICIENT_TABLE = table
-        rows = table[:, m.astype(np.intp, copy=False)]  # an empty m may be float
-    return tuple(rows.reshape(3, 4, 4, m.size))
+    low = min(levels, default=0)
+    n = np.arange(low, max(levels, default=0) + excited[-1] + 1, dtype=float)
+    return n, m.astype(np.intp, copy=False) - low + excited[:, None]
 
 
 def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -291,24 +254,22 @@ def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
     Returns a float array indexed ``[pair_in, flips, photon, time]`` where
     ``pair_in = 2i + k`` and ``flips = 2p + q``; the amplitude is the entry
-    times ``_FLIP_PHASE[flips]``: a stay or a double flip holds the real
-    base + cos_w (cos(om tau) - 1), a single flip the coefficient of i,
-    sin_w sin(om tau).  Every entry reads one cos/sin evaluation per
-    excitation number N = m + e in ``min(m) .. max(m) + 2``.
+    times ``_FLIP_PHASE[flips]``.  Each of the seven functions is evaluated
+    once per excitation number N in ``min(m) .. max(m) + 2``, weights, cos
+    and sin alike, and every entry reads its function at its start state's N.
     """
-    tau = np.asarray(tau, dtype=float)
-    base, cos_w, sin_w = _coefficients(m)
-    m = np.asarray(m, dtype=np.intp)
-    low, high = (int(m.min()), int(m.max()) + 2) if m.size else (0, 0)
-    # om^2 = 4N - 2 for N = low .. high, exact integers in one arange; om(0) = 0
-    angles = np.sqrt(np.maximum(np.arange(4.0 * low - 2.0, 4.0 * high - 1.0, 4.0), 0.0))[:, None] * tau
-    rung = m - low + _EXCITED[:, None]  # [pair_in, photon]: each start state's N, less low
-    X = np.empty(base.shape + tau.shape)
-    even, odd = X[:, ::3], X[:, 1:3]  # flips 0 and 3, flips 1 and 2
-    np.multiply(cos_w[:, ::3, :, None], (np.cos(angles) - 1.0)[rung][:, None], out=even)
-    even += base[:, ::3, :, None]
-    np.multiply(sin_w[:, 1:3, :, None], np.sin(angles)[rung][:, None], out=odd)
-    return X
+    n, rung = _ladder(m, _EXCITED)
+    both, d = n - _BELOW, 2.0 * n - 1.0  # [N and N - 1, rung], 2N - 1
+    squared = 2.0 * d  # om^2 = 4N - 2, exact
+    angles = np.sqrt(np.maximum(squared, 0.0))[:, None] * np.asarray(tau, dtype=float)
+    c, s = np.cos(angles) - 1.0, np.sin(angles)
+    amps = np.empty((7,) + angles.shape)  # [function, rung, time]
+    np.multiply((both / d)[:, :, None], c, out=amps[:2])
+    np.multiply(0.5, c, out=amps[2:4])
+    np.multiply((np.sqrt(n * both[1]) / d)[:, None], c, out=amps[4])
+    amps[:5] += _BASE  # + 0.0 too, which turns a -0.0 product into 0.0
+    np.multiply(-np.sqrt(both / squared)[:, :, None], s, out=amps[5:])
+    return amps[_AMPLITUDE, rung[:, None]]
 
 
 def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -321,17 +282,10 @@ def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     ground atom in an empty cavity stays put by itself.  Both rows read one
     cos/sin evaluation per N in ``min(m) .. max(m) + 1``.
     """
-    m = np.asarray(m).astype(np.intp)
-    tau = np.asarray(tau, dtype=float)
-    low = int(m.min())
-    angles = np.sqrt(np.arange(low, int(m.max()) + 2, dtype=float))[:, None] * tau
-    c, s = np.cos(angles), np.sin(angles)
-    Y = np.empty((2, 2, m.size, tau.size))
-    for i in (0, 1):
-        level = m - low + i  # the excitation number N = m + i, less min(m)
-        Y[i, 0] = c[level]
-        Y[i, 1] = -s[level]
-    return Y
+    n, rung = _ladder(m, _EXCITED[:2])  # an atom in state i has i excitations, as pair 0i has
+    angles = np.sqrt(n)[:, None] * np.asarray(tau, dtype=float)
+    amps = np.stack((np.cos(angles), -np.sin(angles)))  # [flip, N, time]
+    return amps[np.arange(2)[:, None], rung[:, None]]
 
 
 def x_coeff(key: XCoefficientKey) -> complex:

@@ -111,91 +111,35 @@ def test_key_validation():
         XCoefficientKey(0, 0, 0, 0, 0, np.nan)
 
 
-def empty_table(monkeypatch):
-    empty = np.zeros((48, 0))
-    empty.setflags(write=False)
-    monkeypatch.setattr(dynamics, "_COEFFICIENT_TABLE", empty)
-
-
-def test_coefficient_table_rows_match_a_direct_build(monkeypatch):
-    # start from an empty table, then grow it out of order, past a hot thermal
-    # field's levels, and read a level that is already there
-    empty_table(monkeypatch)
-    hot, _ = dynamics.FieldSpec.thermal(16.0).weights()
-    for ms in (np.array([5, 0, 2, 1]), hot, np.array([3])):
-        direct = dynamics._coefficient_rows(np.arange(ms.max() + 1, dtype=float))[:, ms]
-        read = np.concatenate([weights.reshape(16, -1) for weights in dynamics._coefficients(ms)])
-        assert read.tobytes() == direct.tobytes()
-    assert dynamics._COEFFICIENT_TABLE.shape == (48, hot.max() + 1)
-
-
-def test_a_high_fock_level_leaves_the_table_small(monkeypatch):
-    empty_table(monkeypatch)
+def test_a_high_fock_level_leaves_the_table_small():
     pair, field = dynamics.BellPairSpec(dynamics.BellType.PSI, 0.6), dynamics.FieldSpec.fock(10**9)
     rho = dynamics.assemble_atomic_state(pair, pair, field, dynamics.FieldSpec.vacuum(), 1.3)
     assert np.isfinite(rho.matrix).all()
-    assert dynamics._COEFFICIENT_TABLE.shape == (48, 1)  # the vacuum's level only
-
-
-def test_rows_built_apart_match_the_tables(monkeypatch):
-    # a level far past the table is built on its own, then read from the grown table
-    empty_table(monkeypatch)
-    high = np.array([1000])
-    apart = dynamics._coefficients(high)
-    assert dynamics._COEFFICIENT_TABLE.shape == (48, 0)
-    dynamics._coefficients(np.arange(1001))
-    assert dynamics._COEFFICIENT_TABLE.shape == (48, 1001)
-    for a, b in zip(apart, dynamics._coefficients(high)):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_a_narrower_build_never_replaces_a_wider_table(monkeypatch):
-    # another thread publishes a wider table while this call builds its own
-    empty_table(monkeypatch)
-    wide = dynamics._coefficient_rows(np.arange(40.0))
-    wide.setflags(write=False)
-    build = dynamics._coefficient_rows
-
-    def racing(m):
-        dynamics._COEFFICIENT_TABLE = wide
-        return build(m)
-
-    monkeypatch.setattr(dynamics, "_coefficient_rows", racing)
-    base, _, sin_w = dynamics._coefficients(np.array([3, 9]))
-    assert dynamics._COEFFICIENT_TABLE is wide
-    assert base.reshape(16, 2).tobytes() == wide[:16, [3, 9]].tobytes()
-    assert sin_w.reshape(16, 2).tobytes() == wide[32:, [3, 9]].tobytes()
+    n, rung = dynamics._ladder(np.array([10**9]), dynamics._EXCITED)
+    assert n.tolist() == [10.0**9, 10.0**9 + 1, 10.0**9 + 2] and rung.tolist() == [[0], [1], [1], [2]]
 
 
 def test_coefficient_table_cannot_be_changed_through_a_result():
     ms, taus = np.array([0, 1, 4]), np.array([0.7, 2.3])
-    before = [a.copy() for a in dynamics._coefficients(ms)]
-    table = dynamics._x_block_table(ms, taus).copy()
-    for a in dynamics._coefficients(ms):
-        try:
-            a[...] = 7.0
-        except ValueError:  # a read-only result is fine too
-            pass
-    assert not dynamics._COEFFICIENT_TABLE.flags.writeable
-    for a, b in zip(dynamics._coefficients(ms), before):
-        assert a.tobytes() == b.tobytes()
-    assert dynamics._x_block_table(ms, taus).tobytes() == table.tobytes()
+    table = dynamics._x_block_table(ms, taus)
+    before = table.copy()
+    table[...] = 7.0
+    assert dynamics._x_block_table(ms, taus).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize(
-    "read", (dynamics._coefficients, lambda m: dynamics._x_block_table(m, np.array([0.5]))), ids=("coefficients", "x_block_table")
+    "table", (dynamics._x_block_table, dynamics._y_block_table), ids=("x_block_table", "y_block_table")
 )
 @pytest.mark.parametrize("ms", ([-1], [0, 2, -3], [1.5], [0.0, 1.0]), ids=str)
-def test_photon_numbers_must_be_nonnegative_integers(read, ms):
+def test_photon_numbers_must_be_nonnegative_integers(table, ms):
     with pytest.raises(ValueError, match="nonnegative integers"):
-        read(np.array(ms))
+        table(np.array(ms), np.array([0.5]))
 
 
 @pytest.mark.parametrize("empty", ([], np.array([], dtype=int)), ids=("list", "int-array"))
 def test_no_photon_numbers_give_an_empty_table(empty):
-    weights = dynamics._coefficients(empty)
-    assert len(weights) == 3 and all(w.shape == (4, 4, 0) for w in weights)
     assert dynamics._x_block_table(empty, np.array([0.5, 1.0])).shape == (4, 4, 0, 2)
+    assert dynamics._y_block_table(empty, np.array([0.5, 1.0])).shape == (2, 2, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,4 +212,25 @@ LEVELS = {
 def test_excitation_number_table_has_the_family_tables_bits(levels, n_tau):
     m, tau = LEVELS[levels], np.linspace(0.37, 40.0, n_tau)
     table, reference = dynamics._x_block_table(m, tau), family_table(m, tau)
+    assert table.shape == reference.shape and table.tobytes() == reference.tobytes()
+
+
+def one_atom_table(m, tau):
+    # the one-atom route before the shared ladder: cos and -sin per N = m + i
+    low = int(m.min())
+    angles = np.sqrt(np.arange(low, int(m.max()) + 2, dtype=float))[:, None] * tau
+    c, s = np.cos(angles), np.sin(angles)
+    Y = np.empty((2, 2, m.size, tau.size))
+    for i in (0, 1):
+        level = m - low + i
+        Y[i, 0] = c[level]
+        Y[i, 1] = -s[level]
+    return Y
+
+
+@pytest.mark.parametrize("n_tau", (0, 1, 7, 120))
+@pytest.mark.parametrize("levels", [name for name in LEVELS if LEVELS[name].size], ids=str)
+def test_one_atom_table_has_the_per_state_routes_bits(levels, n_tau):
+    m, tau = LEVELS[levels], np.linspace(0.37, 40.0, n_tau)
+    table, reference = dynamics._y_block_table(m, tau), one_atom_table(m, tau)
     assert table.shape == reference.shape and table.tobytes() == reference.tobytes()
