@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import _PSD_SLACK, _TOL_HERM, _TOL_TRACE, CANONICAL_LABELS, ValidationReport, _require_ok
-from .concurrence import _X_PATTERN, _X_SHAPE_TOL, _x_concurrence
+from .concurrence import _X_PATTERN, _x_concurrence
 from .dynamics import (
     BellPairSpec,
     BellType,
@@ -40,8 +40,8 @@ _PAIR_POSITIONS = {pair: tuple(CANONICAL_LABELS.index(q) for q in pair) for pair
 # then their mirrors <11|rho|00> and <10|rho|01>.
 _X_ENTRIES = np.array([0, 5, 10, 15, 3, 6, 12, 9])
 
-# the off-pattern entries of a flattened 4x4 state, as (row i < column j, mirror) pairs
-_OFF_MIRRORS = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i + 1, 4) if not _X_PATTERN[i, j])
+# the eight off-pattern entries of a flattened 4x4 state
+_OFF_ENTRIES = tuple(4 * i + j for i in range(4) for j in range(4) if not _X_PATTERN[i, j])
 
 
 @dataclass(frozen=True)
@@ -216,25 +216,20 @@ def _scenario_weights(scenario: Scenario, alphas: list[float]) -> np.ndarray:
     return np.stack([_branch_weights(scenario.model, spec, spec) for spec in specs], axis=1)
 
 
-def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """A pair kernel cut to its X entries, with bounds on what the cut drops.
+def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float]:
+    """A pair kernel cut to its X entries, and a bound on what the cut drops.
 
-    Returns ``KX[t, 8, branch]`` (the entries of :data:`_X_ENTRIES`), the
-    off-pattern bound max_t max_e sum_b |K[t, e, b]| and the off-pattern
-    symmetry residue max_t max_(e, e') sum_b |K[t, e, b] - K[t, e', b]| over
-    mirrored entries.  The preparation weights are real with
-    |w_b| <= 1, so these bound the off-pattern magnitude and residue of the
-    state at every alpha.  Each off-pattern entry is read as one [t, branch]
-    view, so the off-pattern part is never copied whole.
+    Returns ``KX[t, 8, branch]`` (the entries of :data:`_X_ENTRIES`) and the
+    off-pattern bound max_t max_e sum_b |K[t, e, b]|, read one [t, branch]
+    entry view at a time, so the off-pattern part is never copied.  Each
+    off-pattern entry has a cavity factor that sums only terms the selection
+    rule zeroed, so on a legitimate kernel the bound is exactly 0.0 and every
+    weighted state is an exact X state.
     """
     flat = kernel.reshape(kernel.shape[0], 16, kernel.shape[-1])
-    bounds, residues = [], []
-    for upper, lower in _OFF_MIRRORS:
-        bounds += [np.abs(flat[:, entry]).sum(axis=-1).max() for entry in (upper, lower)]
-        residues.append(np.abs(flat[:, upper] - flat[:, lower]).sum(axis=-1).max())
     # np.max, unlike the builtin max, carries a NaN through to the result
-    off_bound, off_residue = float(np.max(bounds)), float(np.max(residues))
-    return flat.take(_X_ENTRIES, axis=1), off_bound, off_residue  # C-contiguous, so the weighting reshapes it for free
+    off_bound = float(np.max([np.abs(flat[:, entry]).sum(axis=-1).max() for entry in _OFF_ENTRIES]))
+    return flat.take(_X_ENTRIES, axis=1), off_bound  # C-contiguous, so the weighting reshapes it for free
 
 
 def _x_margin_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,18 +249,15 @@ def _x_margin_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return herm, trace, block_min
 
 
-def _x_report(terms: tuple, off_bound: float, off_residue: float, tol_trace: float) -> ValidationReport:
-    """The validity margins of one state stack from its :func:`_x_margin_terms` and its kernel's bounds.
+def _x_report(terms: tuple, tol_trace: float) -> ValidationReport:
+    """The validity margins of one state stack from its :func:`_x_margin_terms`.
 
-    The off-pattern residue joins the symmetry residue, and Weyl's bound
-    sqrt(8) off_bound on the off-pattern part is subtracted from the block
-    minimum, so the reported minimum never exceeds the true one.  The bars
-    are those of :func:`dtcm.algebra._validate_batch`.
+    They are the full states' margins, as measured, only because the caller
+    has checked that the kernel's off-pattern bound (:func:`_x_kernel`) is
+    exactly 0.0.  The bars are those of :func:`dtcm.algebra._validate_batch`.
     """
     herm, trace_dev, block_min = terms
-    herm_dev = float(np.maximum(herm, off_residue))  # np.maximum carries a NaN from either
-    min_eig = float(block_min) - np.sqrt(8.0) * off_bound
-    return ValidationReport(herm_dev, float(trace_dev), min_eig, _TOL_HERM, tol_trace, _PSD_SLACK)
+    return ValidationReport(float(herm), float(trace_dev), float(block_min), _TOL_HERM, tol_trace, _PSD_SLACK)
 
 
 def _x_slice_concurrence(X: np.ndarray) -> np.ndarray:
@@ -296,9 +288,9 @@ def sweep_pairs(
     (:func:`_x_margin_terms`) and the X-form concurrence are taken over its
     [alpha, t, 8] view.  Margins and off-pattern bounds combine exactly
     across chunks, and after the last chunk each pair is checked in order:
-    a kernel whose off-pattern bound is not within the X-shape bar (NaN
-    included) raises, then the first invalid alpha does.  Each pair's
-    curves share the rows of one read-only [alphas, taus] block.
+    a kernel whose off-pattern bound is not exactly 0.0 (NaN included)
+    raises, then the first invalid alpha does.  Each pair's curves share
+    the rows of one read-only [alphas, taus] block.
     """
     pairs = _check_pairs(scenario.model, pairs)
     taus = _read_only(_as_tau_grid(_check_grid("tau", tau_grid))[0])  # one copy, shared by every curve
@@ -308,31 +300,31 @@ def sweep_pairs(
     n = len(alphas)
     step = max(1, _SWEEP_CELLS // max(256, 8 * n))
     values = {pair: np.empty((n, taus.size)) for pair in pairs}
-    extrema = {pair: [] for pair in pairs}  # per chunk: off-pattern bound and residue, then the margin terms
+    extrema = {pair: [] for pair in pairs}  # per chunk: the off-pattern bound, then the margin terms
     for start in range(0, taus.size, step):
         span = slice(start, start + step)
         # the last chunk's channels are freed only once these exist, so their
         # memory is reused: freed last, it would be handed back and faulted in again
         channels = _channels(scenario.model, scenario.field_a, scenario.field_b, taus[span])
         for pair in pairs:
-            KX, off_bound, off_residue = _x_kernel(_combine(scenario.model, scenario.bell_type, *channels, pair))
+            KX, off_bound = _x_kernel(_combine(scenario.model, scenario.bell_type, *channels, pair))
             X = np.moveaxis(_apply_weights(KX, weights), -1, 0)  # [alpha, t, 8]
             del KX
-            extrema[pair].append((off_bound, off_residue, *_x_margin_terms(X)))
+            extrema[pair].append((off_bound, *_x_margin_terms(X)))
             values[pair][:, span] = _x_slice_concurrence(X)
             del X  # freed before the next pair's product is made
     curves: dict[str, list[ConcurrenceCurve]] = {}
     for pair in pairs:
-        bound, residue, herm, trace, block_min = zip(*extrema.pop(pair))
-        off_bound, off_residue = float(np.max(bound)), float(np.max(residue))  # np.max carries a NaN
-        if not off_bound <= _X_SHAPE_TOL:
+        bound, herm, trace, block_min = zip(*extrema.pop(pair))
+        off_bound = float(np.max(bound))  # np.max carries a NaN
+        if not off_bound == 0.0:
             raise NumericalError(f"pair {pair}: reduced state left the X shape: off-pattern bound {off_bound:.3e}")
         block = values.pop(pair)
         block.setflags(write=False)  # every curve of the pair holds a row of it, not a copy
         terms = np.max(herm, axis=0), np.max(trace, axis=0), np.min(block_min, axis=0)
         curves[pair] = []
         for index, alpha in enumerate(alphas):
-            report = _x_report([t[index] for t in terms], off_bound, off_residue, tol_trace)
+            report = _x_report([t[index] for t in terms], tol_trace)
             _require_ok(report, f"pair {pair}, alpha={alpha}: reduced state")
             curves[pair].append(ConcurrenceCurve(pair, alpha, taus, block[index]))
     return curves

@@ -133,8 +133,8 @@ def _field_levels(field: FieldSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]
     return ms, ps
 
 
-def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
-    """Numerically traced per-cavity map G[t, ket_out, bra_out, ket_in, bra_in].
+def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerically traced per-cavity map G[t, ket_out, bra_out, ket_in, bra_in], and its leak table.
 
     Contracts the evolution operator against itself over the emitted photon
     index and the input photon levels, each level weighted by the field
@@ -142,24 +142,17 @@ def _cavity_channel(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
     by (photon out, photon in) block of U, its columns scaled by the square
     roots of the photon probabilities.  One batched Gram product serves
     every time of ``U5[t, atoms out, photon out, atoms in, photon in]``.
+    The leak table ``leak[t, atoms in]`` is the field-weighted population
+    that block carries into the top two photon levels; a preparation's leak
+    is this table times its atom populations.
     """
     ms, ps = _field_levels(field, n_max)
     n_t, dim, n_ph = U5.shape[:3]
-    X = (U5[..., ms] * np.sqrt(ps)).transpose(0, 1, 3, 2, 4).reshape(n_t, dim * dim, n_ph * ms.size)
+    X = U5[..., ms] * np.sqrt(ps)  # [t, atoms out, photon out, atoms in, photon in]
+    leak = (np.abs(X[:, :, n_max - 1 :]) ** 2).sum(axis=(1, 2, 4))
+    X = X.transpose(0, 1, 3, 2, 4).reshape(n_t, dim * dim, n_ph * ms.size)
     G = X @ X.conj().transpose(0, 2, 1)  # [t, (a, s), (b, z)]
-    return G.reshape(n_t, dim, dim, dim, dim).transpose(0, 1, 3, 2, 4)
-
-
-def _leak_table(U5: np.ndarray, field: FieldSpec, n_max: int) -> np.ndarray:
-    """Leak table ``leak[t, atoms in]``: the population within one photon of the cutoff.
-
-    For each time and start configuration of the register's atoms, the
-    field-weighted population that ``U5`` carries into the top two photon
-    levels; a preparation's leak is this table times its atom populations.
-    """
-    ms, ps = _field_levels(field, n_max)
-    top = U5[:, :, n_max - 1 :][..., ms]  # [t, atoms out, top photon, atoms in, photon in]
-    return (np.abs(top) ** 2).sum(axis=(1, 2)) @ ps
+    return G.reshape(n_t, dim, dim, dim, dim).transpose(0, 1, 3, 2, 4), leak
 
 
 def _bell_vector(spec: BellPairSpec) -> np.ndarray:
@@ -199,8 +192,8 @@ def _oracle_maps(
     walks the grid in chunks of at most ``_CHUNK_CELLS`` cells of
     exp(-i H tau), one tau where a single operator holds more.  Each chunk
     is evolved (:func:`_evolution_grid`), and each distinct field's
-    :func:`_cavity_channel` and :func:`_leak_table` fill that chunk's
-    rows, so no evolution of the whole grid is ever held: beyond one chunk,
+    :func:`_cavity_channel` fills that chunk's rows of its map and leak
+    table, so no evolution of the whole grid is ever held: beyond one chunk,
     memory is the maps' dim^4 and the tables' dim cells per tau.  Returns
     ``(Ga, Gb, leak_a, leak_b)``; equal fields share one map and one table
     (``Gb is Ga``).  A field beyond the cutoff raises before the eigensolve.
@@ -219,8 +212,7 @@ def _oracle_maps(
         span = slice(start, start + chunk)
         U5 = _evolution_grid(spectrum, taus[span]).reshape(-1, dim, n_ph, dim, n_ph)
         for fld, (G, leak) in zip(fields, maps):
-            G[span] = _cavity_channel(U5, fld, n_max)
-            leak[span] = _leak_table(U5, fld, n_max)
+            G[span], leak[span] = _cavity_channel(U5, fld, n_max)
     (Ga, leak_a), (Gb, leak_b) = maps[0], maps[-1]
     return Ga, Gb, leak_a, leak_b
 

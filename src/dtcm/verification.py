@@ -254,8 +254,9 @@ def suite_state_validity() -> SuiteResult:
     """Reduced states across representative sweeps must be physical, and the sweep's X route must agree.
 
     Full states: Hermiticity, trace and eigenvalue floor at the validation
-    bars, X-pattern residue (and the kernel's off-pattern bound) at the
-    X-shape bar, and agreement of the X-form and general concurrence at 1e-9.
+    bars, X-pattern residue at the X-shape bar, and agreement of the X-form
+    and general concurrence at 1e-9.  The kernel's off-pattern bound must be
+    exactly 0.0, as the sweep requires (a ratio of 0, else inf).
     The X route on the same kernels: its concurrence against the general
     one at 1e-9, its closed-form Hermiticity and trace against the full
     states' at 1e-15, and its closed-form minimum eigenvalue at most 1e-15
@@ -284,19 +285,19 @@ def suite_state_validity() -> SuiteResult:
             channels = dynamics._channels(scenario.model, scenario.field_a, scenario.field_b, taus)
             for pair in PAIR_CHOICES:
                 kernel = dynamics._combine(scenario.model, scenario.bell_type, *channels, pair)
-                KX, off_bound, off_residue = _x_kernel(kernel)
+                KX, off_bound = _x_kernel(kernel)
                 full = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
                 slices = np.moveaxis(dynamics._apply_weights(KX, weights), -1, 0)
                 for alpha, reduced, X in zip(alphas.tolist(), full, slices):
                     report, c_general = _validated(reduced)
-                    closed = _x_report(_x_margin_terms(X), off_bound, off_residue, report.tol_trace)
+                    closed = _x_report(_x_margin_terms(X), report.tol_trace)
                     # np.maximum carries a NaN, where the builtin max keeps only a leading one
                     ratios = {
                         "hermiticity": report.hermiticity_deviation / report.tol_herm,
                         "trace": report.trace_deviation / report.tol_trace,
                         "psd": np.maximum(0.0, -report.min_eigenvalue) / report.psd_slack,
                         "x-shape": x_pattern_deviation(reduced) / _X_SHAPE_TOL,
-                        "off-bound": off_bound / _X_SHAPE_TOL,
+                        "off-bound": 0.0 if off_bound == 0.0 else math.inf,
                         "x-form concurrence": float(np.abs(_concurrence_x_batch(reduced) - c_general).max()) / 1e-9,
                         "x-route concurrence": float(np.abs(_x_slice_concurrence(X) - c_general).max()) / 1e-9,
                         "x-route hermiticity": abs(closed.hermiticity_deviation - report.hermiticity_deviation) / 1e-15,

@@ -255,6 +255,13 @@ def test_sweep_validates_inputs():
         sweep_concurrence(sc, "AB", np.array([-0.1]), tau)
     with pytest.raises(ValueError):
         sweep_concurrence(sc, "AB", np.array([0.3]), np.array([1.0, 0.5]))
+    for grid in (np.array([[0.3, 0.6]]), np.array([])):
+        with pytest.raises(ValueError, match="^alpha: expected a nonempty 1-d grid$"):
+            sweep_concurrence(sc, "AB", grid, tau)
+        with pytest.raises(ValueError, match="^tau: expected a nonempty 1-d grid$"):
+            sweep_concurrence(sc, "AB", np.array([0.3]), grid)
+    with pytest.raises(ValueError, match="^tau and values must be 1-d arrays of equal length$"):
+        curve([0.5, 0.4], tau=[0.0, 1.0, 2.0])
     djcm = Scenario(Model.DJCM, BellType.PSI, VAC, VAC)
     with pytest.raises(ValueError):
         sweep_concurrence(djcm, "CD", np.array([0.3]), tau)
@@ -366,30 +373,22 @@ def test_closed_form_margins_match_the_full_states(model, bell):
             channels = dynamics._channels(model, field_a, field_b, tau)
             for pair in analysis._model_pairs(model):
                 kernel = dynamics._combine(model, bell, *channels, pair)
-                KX, off_bound, off_residue = analysis._x_kernel(kernel)
-                assert off_bound == 0.0 and off_residue == 0.0
+                KX, off_bound = analysis._x_kernel(kernel)
+                assert off_bound == 0.0
                 states = np.moveaxis(dynamics._apply_weights(kernel, W), -1, 0)
                 slices = np.moveaxis(dynamics._apply_weights(KX, W), -1, 0)
                 for alpha, state, X in zip(alphas.tolist(), states, slices):
                     full = _validate_batch(state)
-                    closed = analysis._x_report(analysis._x_margin_terms(X), off_bound, off_residue, full.tol_trace)
+                    closed = analysis._x_report(analysis._x_margin_terms(X), full.tol_trace)
                     assert closed.hermiticity_deviation == full.hermiticity_deviation
                     assert closed.trace_deviation == full.trace_deviation
                     assert closed.min_eigenvalue <= full.min_eigenvalue + 1e-15, (pair, alpha)
 
 
-def test_closed_form_minimum_subtracts_the_off_pattern_bound():
-    # an X state with both blocks at eigenvalues {0, 1/2}, then an off-pattern bound
-    terms = analysis._x_margin_terms(np.full((1, 8), 0.25))
-    assert analysis._x_report(terms, 0.0, 0.0, 1e-12).min_eigenvalue == 0.0
-    report = analysis._x_report(terms, 1e-3, 0.0, 1e-12)
-    assert report.min_eigenvalue == -np.sqrt(8.0) * 1e-3 and not report.psd_ok
-
-
 def test_closed_form_hermiticity_carries_a_nan_inner_coherence():
     # a NaN in the second of the two coherence residues must not be dropped
     X = np.array([[0.25, 0.25, 0.25, 0.25, 0.25, np.nan, 0.25, 0.25]])
-    report = analysis._x_report(analysis._x_margin_terms(X), 0.0, 0.0, 1e-12)
+    report = analysis._x_report(analysis._x_margin_terms(X), 1e-12)
     assert np.isnan(report.hermiticity_deviation) and not report.hermitian_ok
 
 
@@ -401,7 +400,7 @@ def test_closed_form_margins_of_an_asymmetric_x_slice():
     state = np.zeros((1, 16))
     state[:, analysis._X_ENTRIES] = X
     state = state.reshape(1, 4, 4)
-    closed = analysis._x_report(analysis._x_margin_terms(X), 0.0, 0.0, 1e-12)
+    closed = analysis._x_report(analysis._x_margin_terms(X), 1e-12)
     full = _validate_batch(state)
     assert closed.hermiticity_deviation == full.hermiticity_deviation == abs(0.25 - 0.251)
     assert closed.trace_deviation == full.trace_deviation
@@ -457,11 +456,13 @@ def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
     assert [pair for pair, _ in weighted] == ["AB", "BD"] * 4
 
 
-@pytest.mark.parametrize(("value", "bound"), [(1e-9, "1.000e-09"), (np.nan, "nan")], ids=["1e-9", "nan"])
+@pytest.mark.parametrize(
+    ("value", "bound"), [(1e-9, "1.000e-09"), (1e-300, "1.000e-300"), (np.nan, "nan")], ids=["1e-9", "1e-300", "nan"]
+)
 def test_sweep_pairs_x_shape_failure_names_its_pair(monkeypatch, value, bound):
-    # a Hermitian off-pattern entry on CD's first branch: at 1e-9 its weight
-    # sin^4(alpha) keeps the state under the X-shape bar at alpha=0.2, but the
-    # kernel's bound is over it, so the pair raises
+    # a Hermitian off-pattern entry on CD's first branch: its weight sin^4(alpha)
+    # keeps the state under the full states' X-shape bar at alpha=0.2, but any
+    # off-pattern kernel entry that is not exactly 0.0 makes the pair raise
     def off_pattern(pair, taus, kernel):
         if pair == "CD":
             kernel[:, 0, 1, 0] += value
@@ -536,11 +537,11 @@ def test_sweep_chunk_seams_are_bitwise_invisible(monkeypatch, model, bell, fld):
     W = analysis._scenario_weights(sc, alphas.tolist())
     channels = dynamics._channels(model, fld, fld, tau)
     for pair in analysis._model_pairs(model):
-        KX, *bounds = analysis._x_kernel(dynamics._combine(model, bell, *channels, pair))
+        KX, _ = analysis._x_kernel(dynamics._combine(model, bell, *channels, pair))
         stack = np.moveaxis(dynamics._apply_weights(KX, W), -1, 0)  # the all-alpha product, whole grid
         reference[pair] = analysis._x_slice_concurrence(stack)
         reference_reports += [
-            (f"pair {pair}, alpha={alpha}: reduced state", analysis._x_report(analysis._x_margin_terms(X), *bounds, tol_trace))
+            (f"pair {pair}, alpha={alpha}: reduced state", analysis._x_report(analysis._x_margin_terms(X), tol_trace))
             for alpha, X in zip(alphas.tolist(), stack)
         ]
     whole, whole_reports = sweep_with_reports(monkeypatch, sc, alphas, tau)
@@ -583,11 +584,11 @@ def test_sweep_memory_is_bounded_by_a_chunk():
     assert peak < 32 * 2**20
 
 
-def test_x_kernel_carries_nan_to_bound_and_residue():
+def test_x_kernel_carries_nan_to_the_bound():
     kernel = np.zeros((3, 4, 4, 16))
     kernel[1, 0, 2, 5] = np.nan
-    _, off_bound, off_residue = analysis._x_kernel(kernel)
-    assert np.isnan(off_bound) and np.isnan(off_residue)
+    _, off_bound = analysis._x_kernel(kernel)
+    assert np.isnan(off_bound)
 
 
 def test_sweep_pairs_validates_pairs():

@@ -78,6 +78,7 @@ def test_parse_config_happy_path():
         (rewrite(field_b="thermal:1,1e-10,3"), "too many thermal parameters"),
         (rewrite(pairs="AB,XY"), "unknown pair names"),
         (rewrite(pairs="AB,AB"), "duplicate pair names"),
+        (rewrite(pairs="AB,"), "expected a comma list of pair names"),
         (rewrite(model="DJCM", pairs="AB,CD"), "only provides the AB pair"),
     ],
 )

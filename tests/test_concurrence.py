@@ -62,6 +62,10 @@ def test_xform_validation():
         XFormMatrix((0.7, 0.5, 0.0, 0.0), outer=0.0, inner=0.0)  # trace off
     with pytest.raises(ValueError):
         XFormMatrix((-0.1, 0.6, 0.25, 0.25), outer=0.0, inner=0.0)  # negative population
+    with pytest.raises(ValueError, match="^populations must hold four entries$"):
+        XFormMatrix((0.5, 0.25, 0.25), outer=0.0, inner=0.0)
+    with pytest.raises(ValueError, match="^outer coherence exceeds its population bound$"):
+        XFormMatrix((0.25, 0.25, 0.25, 0.25), outer=0.3, inner=0.0)
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,11 @@ def test_hamiltonian_rejects_a_non_integer_cutoff(n_max):
         build_tc_hamiltonian(n_max)
 
 
+def test_hamiltonian_holds_one_or_two_atoms():
+    with pytest.raises(ValueError, match="^n_atoms must be 1 or 2$"):
+        build_tc_hamiltonian(3, n_atoms=3)
+
+
 @pytest.mark.parametrize("n_max", ("6", None, True, 6.5), ids=repr)
 def test_compare_pipelines_checks_the_cutoff_before_using_it(monkeypatch, n_max):
     def no_assembly(*args):
@@ -493,7 +498,8 @@ def test_single_state_with_unequal_pair_angles_matches_oracle(bell):
     "field", [FieldSpec.vacuum(), FieldSpec.fock(2), FieldSpec.thermal(0.5)], ids=["vacuum", "fock2", "thermal0.5"]
 )
 def test_cavity_channel_is_the_literal_photon_trace(field, n_atoms):
-    # the per-time Gram product against the plain sum over output and input photons
+    # the per-time Gram product against the plain sum over output and input photons,
+    # and the leak table against the plain sum over the top two output photons
     n_max = oracle._required_cutoff(field, n_atoms)
     H = build_tc_hamiltonian(n_max, n_atoms)
     taus = np.linspace(0.0, 6.0, 7)
@@ -501,12 +507,16 @@ def test_cavity_channel_is_the_literal_photon_trace(field, n_atoms):
     U5 = oracle._evolution_grid(oracle._spectrum(H), taus).reshape(taus.size, dim, n_max + 1, dim, n_max + 1)
     ms, ps = field.weights()
     expected = np.zeros((taus.size, dim, dim, dim, dim), dtype=complex)
+    expected_leak = np.zeros((taus.size, dim))
     for m, p in zip(ms, ps):
         for photon_out in range(n_max + 1):
             block = U5[:, :, photon_out, :, m]  # [t, atoms out, atoms in]
             expected += p * block[:, :, None, :, None] * block.conj()[:, None, :, None, :]
-    G = oracle._cavity_channel(U5, field, n_max)
+            if photon_out >= n_max - 1:
+                expected_leak += p * (np.abs(block) ** 2).sum(axis=1)
+    G, leak = oracle._cavity_channel(U5, field, n_max)
     np.testing.assert_allclose(G, expected, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(leak, expected_leak, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

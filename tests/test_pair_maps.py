@@ -42,6 +42,42 @@ def test_thermal_trace_deficit():
     np.testing.assert_allclose(np.trace(E).real, 1.0 - deficit, atol=1e-12)
 
 
+def smallest_level(q, eps):
+    """The smallest N with q**(N+1) <= eps, counted up from 0."""
+    n = 0
+    while q ** (n + 1) > eps:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize(
+    ("nbar", "eps", "level"),
+    [(0.1, float(np.nextafter(0.1 / 1.1, 0.0)), 1), (1.0, 2.0**-29, 28)],
+    ids=["estimate-below", "estimate-above"],
+)
+def test_truncation_level_corrects_its_log_estimate(nbar, eps, level):
+    # ceil(log(eps)/log(q) - 1) rounds to 0 in the first case and to 29 in the second
+    q = nbar / (1.0 + nbar)
+    assert FieldSpec.thermal(nbar, eps).truncation_level() == smallest_level(q, eps) == level
+
+
+def test_truncation_level_at_a_power_of_q_and_its_float_neighbours():
+    for nbar in (0.1, 0.3, 1.0, 4.0):
+        q = nbar / (1.0 + nbar)
+        for k in (1, 2, 5, 17, 29):
+            power = q**k
+            for eps in (np.nextafter(power, 0.0), power, np.nextafter(power, 1.0)):
+                assert FieldSpec.thermal(nbar, eps).truncation_level() == smallest_level(q, eps), (nbar, k, eps)
+
+
+def test_max_photon_is_the_highest_weighted_level():
+    assert FieldSpec.vacuum().max_photon() == 0
+    assert FieldSpec.fock(0).max_photon() == 0
+    assert FieldSpec.fock(3).max_photon() == 3
+    thermal = FieldSpec.thermal(1.0)
+    assert thermal.max_photon() == thermal.truncation_level() == thermal.weights()[0].max()
+
+
 def test_hermiticity_pairing():
     taus = np.linspace(0.0, 7.0, 13)
     for field in (FieldSpec.vacuum(), FieldSpec.thermal(0.5)):
@@ -106,6 +142,10 @@ def test_input_validation():
         pair_map(2, 0, 0, 0, FieldSpec.vacuum(), 1.0)
     with pytest.raises(ValueError):
         pair_map(0, 0, 0, 0, FieldSpec.vacuum(), -1.0)
+    with pytest.raises(ValueError, match="^tau must be a scalar or a 1-d grid$"):
+        pair_map(0, 0, 0, 0, FieldSpec.vacuum(), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^unknown field kind 'laser'$"):
+        FieldSpec("laser")
     with pytest.raises(ValueError):
         FieldSpec.thermal(-0.3)
     with pytest.raises(ValueError):

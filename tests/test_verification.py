@@ -119,3 +119,22 @@ def test_a_state_that_is_not_finite_gets_nan_without_a_spectrum(monkeypatch):
     report, c_general = verification._validated(states)
     assert math.isnan(report.min_eigenvalue) and math.isnan(c_general)
     assert not report.ok
+
+
+def test_state_validity_fails_any_off_pattern_bound_that_is_not_zero(monkeypatch):
+    # the sweep's rule: an off-pattern bound of 1e-300 is as far off the X shape as 1
+    real = verification._x_kernel
+
+    def tiny_bound(kernel):
+        KX, _ = real(kernel)
+        return KX, 1e-300
+
+    monkeypatch.setattr(verification, "_x_kernel", tiny_bound)
+    result = verification.suite_state_validity()
+    assert not result.passed and result.max_deviation == math.inf, result.line()
+    assert result.detail.endswith("; worst: DTCM psi vacuum/vacuum AB alpha=0.1571 off-bound"), result.line()
+
+
+def test_run_verification_rejects_an_unknown_level():
+    with pytest.raises(ValueError, match="^level must be 'quick' or 'full'$"):
+        verification.run_verification("medium")
