@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -162,17 +163,111 @@ def load_preset(name: str) -> ScenarioConfig:
 def _fmt(values) -> list[str]:
     """Every number the CLI writes, as ``.12g`` text (None gives an empty field).
 
-    The curve writers format with ``"%.12g" % value``, which gives the same
-    text as ``format(value, ".12g")``.
+    The curve writers format through :func:`_g12_bytes`, which gives the same
+    bytes as ``format(value, ".12g")``.
     """
     if isinstance(values, np.ndarray):
         values = values.tolist()  # one conversion to Python floats, not one per value
     return ["" if v is None else format(v, ".12g") for v in values]
 
 
+def _digit_words() -> np.ndarray:
+    """The groups 0000..9999 as uint32 words of their four ASCII digits.
+
+    Entry k + 10000 is group k in full; entry k is group k with its trailing
+    zeros as NUL bytes (group 0 is four NULs).  Built from uint8 arithmetic,
+    which keeps the import small.
+    """
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    full = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"), axis=-1).reshape(10000, 4)
+    trailing = np.logical_and.accumulate(full[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    stripped = np.where(trailing, np.uint8(0), full)
+    return np.concatenate([stripped, full]).view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+# [word, lead]: the text before the significand on each decade from 0.1 <= v < 1
+# down to 1e-4 <= v < 1e-3, then the whole text of +0.0, as two uint32 words
+_LEAD_WORDS = np.array([b"0.", b"0.0", b"0.00", b"0.000", b"0"], dtype="S8").view(np.uint32).reshape(5, 2).T.copy()
+_DECADE_SCALE = 10.0 ** np.arange(12, 16)  # v * 10**(11 - e) for e = -1 .. -4, each power exact
+_G12_WIDTH = 20  # bytes per value: two lead words, three digit words
+_WRITE_CELLS = 1 << 14  # numbers formatted per chunk of curves
+
+
+def _g12_bytes(values) -> np.ndarray:
+    """``format(v, ".12g")`` of every value as ASCII bytes: uint8 [*values.shape, 20].
+
+    NUL bytes are padding, anywhere in a row: a row with its NULs removed is
+    ``format(v, ".12g").encode()``, and that text never holds a NUL.
+
+    +0.0 and ``1e-4 <= v < 1`` are formatted in numpy.  Three comparisons give
+    the decade 10**e, and ``M = rint(y)`` of ``y = v * 10**(11 - e)`` the
+    significand: the power of ten is exact and ``y < 2**40``, so the product
+    is off by at most 2**-13, and ``|y - M| <= 0.499`` with
+    ``10**11 <= M < 10**12`` proves M the correctly rounded 12-digit
+    significand, as ``format`` finds it.  M is written as three groups of
+    four digits, the last nonzero group with its trailing zeros dropped.
+    Every other value (-0.0, 1.0, NaN, infinities, values outside the
+    domain, near-ties and values that round to the next decade) goes through
+    ``format``, whose ``.12g`` text of a float64 is at most 19 bytes long
+    (``-1.23456789012e-308``).
+    """
+    v = np.asarray(values, dtype=np.float64)
+    shape = v.shape
+    v = v.ravel()
+    zero = (v == 0.0) & ~np.signbit(v)
+    fast = (v >= 1e-4) & (v < 1.0)
+    decade = (v < 0.1).astype(np.intp) + (v < 0.01) + (v < 0.001)  # -1 - e on the fast domain
+    y = np.where(fast, v, 0.5) * _DECADE_SCALE[decade]  # masked first: no warning for any input
+    significand = np.rint(y)
+    fast &= (np.abs(y - significand) <= 0.499) & (significand >= 1e11) & (significand < 1e12)
+    groups = np.where(fast, significand, 0.0).astype(np.int64)
+    high, low = np.divmod(groups, 10**8)
+    middle, low = np.divmod(low, 10**4)
+    words = np.empty((v.size, _G12_WIDTH // 4), dtype=np.uint32)
+    lead = np.where(zero, 4, decade)
+    words[:, 0] = _LEAD_WORDS[0][lead]  # a 1-d gather per word: one 2-d gather is several times slower
+    words[:, 1] = _LEAD_WORDS[1][lead]
+    # a group is written in full when a later group is nonzero, else stripped
+    words[:, 2] = _DIGIT_WORDS[high + 10000 * ((middle | low) != 0)]
+    words[:, 3] = _DIGIT_WORDS[middle + 10000 * (low != 0)]
+    words[:, 4] = _DIGIT_WORDS[low]
+    text = words.view(np.uint8)
+    slow = ~(fast | zero)
+    if slow.any():
+        encoded = [format(x, ".12g").encode("ascii") for x in v[slow].tolist()]
+        text[slow] = np.array(encoded, dtype=f"S{_G12_WIDTH}").view(np.uint8).reshape(-1, _G12_WIDTH)
+    return text.reshape(shape + (_G12_WIDTH,))
+
+
+def _bytes_field(texts: Sequence[str]) -> np.ndarray:
+    """ASCII texts as NUL-padded rows: uint8 [len(texts), width]."""
+    field = np.array([text.encode("ascii") for text in texts], dtype=bytes)
+    return field.view(np.uint8).reshape(len(texts), field.itemsize)
+
+
+def _cells_text(*fields: np.ndarray) -> str:
+    """Join NUL-padded byte fields cell by cell into text, dropping every NUL.
+
+    Each field is uint8 [rows, cells, width], with 1 for a row or cell axis
+    that it shares across all of them.
+    """
+    shape = np.broadcast_shapes(*(field.shape[:2] for field in fields))
+    matrix = np.empty(shape + (sum(field.shape[2] for field in fields),), dtype=np.uint8)
+    start = 0
+    for field in fields:
+        matrix[:, :, start:start + field.shape[2]] = field
+        start += field.shape[2]
+    return matrix.tobytes().translate(None, b"\0").decode("ascii")
+
+
 @contextlib.contextmanager
 def _output(path: Optional[str]):
-    """A text handle on ``path``, or on stdout when it is None; a path that cannot be opened is a ``ConfigError``."""
+    """A text handle on ``path``, or on stdout when it is None.
+
+    A path that cannot be opened or written is a ``ConfigError``; a run that
+    fails after opening its path removes the partial file.
+    """
     if path is None:
         yield sys.stdout
         return
@@ -180,8 +275,15 @@ def _output(path: Optional[str]):
         handle = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
-    with handle:
-        yield handle
+    try:
+        with handle:
+            yield handle
+    except BaseException as exc:
+        if os.path.isfile(path):  # never a device such as /dev/full
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output: {exc}") from exc
+        raise
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -199,17 +301,19 @@ def cmd_simulate(cfg: ScenarioConfig, out: Optional[str]) -> None:
     """Write concurrence samples as CSV: tau,alpha,pair,concurrence.
 
     Rows are ordered alpha-major, then pair (lexicographic), then tau.  The
-    output is opened after the sweep and written one curve at a time.
+    output is opened after the sweep and written a few curves at a time.
     """
     pairs, curves = _sweep_all(cfg)
-    # the tau column once; each curve fills in its alpha and pair, then its values
-    template = "\n".join(t + "\x00%.12g" for t in _fmt(cfg.tau)) + "\n"
+    rows = [curves[pair][index].values for index in range(cfg.alphas.size) for pair in pairs]
+    heads = _bytes_field([f",{alpha},{pair}," for alpha in _fmt(cfg.alphas) for pair in pairs])[:, None]
+    taus = _bytes_field(_fmt(cfg.tau))[None]
+    newline = np.frombuffer(b"\n", dtype=np.uint8).reshape(1, 1, 1)
+    step = max(1, _WRITE_CELLS // cfg.tau.size)
     with _output(out) as handle:
         handle.write("tau,alpha,pair,concurrence\n")
-        for index, alpha_text in enumerate(_fmt(cfg.alphas)):
-            for pair in pairs:
-                values = curves[pair][index].values
-                handle.write(template.replace("\x00", f",{alpha_text},{pair},") % tuple(values.tolist()))
+        for start in range(0, len(rows), step):
+            values = _g12_bytes(np.stack(rows[start:start + step]))
+            handle.write(_cells_text(taus, heads[start:start + step], values, newline))
 
 
 def cmd_events(cfg: ScenarioConfig, out: Optional[str]) -> None:
@@ -234,11 +338,16 @@ def cmd_plotdata(cfg: ScenarioConfig, out: Optional[str]) -> None:
     if len(cfg.pairs) != 1:
         raise ConfigError("plotdata needs a config with exactly one pair")
     _, curves = _sweep_all(cfg)
-    row = " ".join(["%.12g"] * (cfg.tau.size + 1)) + "\n"
+    rows = curves[cfg.pairs[0]]
+    separators = np.full((1, cfg.tau.size + 1, 1), ord(" "), dtype=np.uint8)
+    separators[0, -1] = ord("\n")
+    step = max(1, _WRITE_CELLS // (cfg.tau.size + 1))
     with _output(out) as handle:
         handle.write(" ".join(_fmt(cfg.tau)) + "\n")
-        for curve in curves[cfg.pairs[0]]:
-            handle.write(row % (curve.alpha, *curve.values.tolist()))
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            values = np.column_stack([[curve.alpha for curve in chunk], [curve.values for curve in chunk]])
+            handle.write(_cells_text(_g12_bytes(values), separators))
 
 
 def cmd_verify(level: str = "quick") -> int:

@@ -1,9 +1,12 @@
 """Config parsing, CSV output and exit-code tests for the command line."""
 
+import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtcm import analysis, cli, dynamics
 from dtcm.analysis import Scenario, sweep_pairs
@@ -311,35 +314,110 @@ def test_validation_failure_leaves_no_output(tmp_path, capsys, monkeypatch, comm
     assert capsys.readouterr().out == ""
 
 
+def g12_texts(values):
+    """_g12_bytes of the values, each row with its NUL padding removed."""
+    text = cli._g12_bytes(np.asarray(values, dtype=float))
+    assert text.dtype == np.uint8 and text.shape == np.shape(values) + (text.shape[-1],)
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in text.reshape(-1, text.shape[-1])]
+
+
 @pytest.mark.parametrize(
     "value",
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308, 1e300, -1e300,
-     1.0 - 2.0**-53, 1.0 + 2.0**-52, 0.1, 1.0 / 3.0, 123456789012.5, np.pi / 2],
+     1.0 - 2.0**-53, 1.0 + 2.0**-52, 0.1, 1.0 / 3.0, 123456789012.5, np.pi / 2,
+     0.120000000005, 0.100000005, 0.1234, 0.000123, 0.99999999999949, 0.0999999999995, 1e-4, 9.99999999999e-5],
 )
 def test_curve_writers_format_as_fmt(value):
-    # the curve writers' "%.12g" and _fmt's format(v, ".12g") are one rule
-    assert "%.12g" % value == format(value, ".12g") == cli._fmt(np.array([value]))[0]
+    # the curve writers' _g12_bytes and _fmt's format(v, ".12g") are one rule
+    assert g12_texts([value]) == [format(value, ".12g")] == cli._fmt(np.array([value]))
 
 
-def test_curve_text_is_fmt_of_every_value(tmp_path):
-    # simulate and plotdata write each curve through a "%.12g" template: the
-    # text equals _fmt of every value, in the documented row order
-    cfg = write_cfg(tmp_path, rewrite(tau="0:2:7"))
-    parsed = cli.parse_config_text(open(cfg).read())
+def _ulps_away(value, steps):
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, np.inf if steps > 0 else -np.inf))
+    return value
+
+
+@st.composite
+def g12_inputs(draw):
+    """Any float; in a fast decade 10**e, a 12-digit value whose 4-digit groups
+    are often 0 or end in zeros, or a near-tie of the 12-digit rounding; or a
+    power of ten.  All but the first are moved a few ulps."""
+    kind = draw(st.sampled_from(["any", "digits", "tie", "power"]))
+    if kind == "any":
+        return draw(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    steps = draw(st.integers(-3, 3))
+    e = draw(st.integers(-4, -1))
+    if kind == "digits":
+        group = st.sampled_from([0, 5, 50, 500, 1200]) | st.integers(0, 9999)
+        k = draw(st.sampled_from([1000, 1200, 5000]) | st.integers(1000, 9999)) * 10**8 + draw(group) * 10**4 + draw(group)
+        return _ulps_away(k / 10.0 ** (11 - e), steps)  # k * 10**(e - 11), rounded once
+    if kind == "tie":
+        k = draw(st.integers(10**11, 10**12 - 1))
+        return _ulps_away((2 * k + 1) / (2 * 10.0 ** (11 - e)), steps)  # (k + 1/2) * 10**(e - 11), rounded once
+    return _ulps_away(10.0 ** -draw(st.integers(0, 20)), steps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(values=st.lists(g12_inputs(), min_size=1, max_size=40))
+def test_g12_bytes_is_format_byte_for_byte(values):
+    assert g12_texts(values) == [format(v, ".12g") for v in values]
+
+
+def test_curve_text_is_fmt_of_every_value(tmp_path, capsys):
+    # simulate and plotdata write each curve through _g12_bytes: the text
+    # equals _fmt of every value, in the documented row order, on both paths
+    # of the formatter (an exact 1.0 and values below 1e-4 take format();
+    # exact zeros and values in [1e-4, 1) are formatted in numpy)
+    alphas = f"0.00001,{np.pi / 4!r}"
+    cfg = write_cfg(tmp_path, rewrite(alpha=alphas, tau="0:2:7", pairs="AB,BD"))
+    parsed = cli.parse_config_text((tmp_path / "scenario.cfg").read_text())
     _, curves = cli._sweep_all(parsed)
+    values = np.concatenate([curve.values for pair in ("AB", "BD") for curve in curves[pair]])
+    assert np.any((values == 0.0) & ~np.signbit(values)) and np.any(values == 1.0)
+    assert np.any((values > 0.0) & (values < 1e-4)) and np.any((values >= 1e-4) & (values < 1.0))
     tau_text, alpha_text = cli._fmt(parsed.tau), cli._fmt(parsed.alphas)
     rows = ["tau,alpha,pair,concurrence"]
     for index, alpha in enumerate(alpha_text):
-        for pair in ("AB", "AC"):
+        for pair in ("AB", "BD"):
             rows += [f"{t},{alpha},{pair},{v}" for t, v in zip(tau_text, cli._fmt(curves[pair][index].values))]
     out = tmp_path / "curves.csv"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_text() == "\n".join(rows) + "\n"
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "\n".join(rows) + "\n"
 
     rows = [" ".join(tau_text)] + [" ".join([a] + cli._fmt(c.values)) for a, c in zip(alpha_text, curves["AB"])]
-    single = write_cfg(tmp_path, rewrite(tau="0:2:7", pairs="AB"), name="single.cfg")
+    single = write_cfg(tmp_path, rewrite(alpha=alphas, tau="0:2:7", pairs="AB"), name="single.cfg")
     assert cli.main(["plotdata", "--config", single, "--out", str(out)]) == 0
     assert out.read_text() == "\n".join(rows) + "\n"
+    assert cli.main(["plotdata", "--config", single]) == 0
+    assert capsys.readouterr().out == "\n".join(rows) + "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["simulate", "events", "plotdata"])
+def test_failed_write_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, BASE if command != "plotdata" else rewrite(pairs="AB"))
+    assert cli.main([command, "--config", cfg, "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+    assert os.path.exists("/dev/full")
+
+
+def test_failed_write_removes_the_partial_file(tmp_path, capsys, monkeypatch):
+    # the header is written, then the first chunk of curves fails
+    def disk_full(*fields):
+        raise OSError(28, "No space left on device")
+
+    cfg = write_cfg(tmp_path, BASE)
+    monkeypatch.setattr(cli, "_cells_text", disk_full)
+    out = tmp_path / "curves.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
+    assert not out.exists()
 
 
 def test_verify_quick_passes(capsys):
