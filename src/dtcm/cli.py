@@ -9,8 +9,9 @@ comment).  ``alpha`` accepts a single value, a comma list, or a
 ``start:stop:steps`` grid; ``tau`` must be a grid of at least two points.
 Bundled presets cover the standard parameter studies (fig2 .. fig11).
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(an output that cannot be written included), 3 numerical failure, and 141
+when the reader of stdout closes it early.
 """
 from __future__ import annotations
 
@@ -261,15 +262,47 @@ def _cells_text(*fields: np.ndarray) -> str:
     return matrix.tobytes().translate(None, b"\0").decode("ascii")
 
 
+# the exit code after the reader of stdout went away: 128 + SIGPIPE, as a
+# process stopped by that signal reports it in the shell
+_EXIT_CLOSED_PIPE = 141
+
+
+def _discard_stdout() -> None:
+    """Point the process's stdout at the null device after a failed write.
+
+    What the failed write left buffered is flushed again when the
+    interpreter exits; into the null device that cannot fail, so the exit
+    code stays the one ``main`` returned (a failed final flush exits 120).
+    A stdout with no file descriptor, such as a ``StringIO``, is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 @contextlib.contextmanager
 def _output(path: Optional[str]):
     """A text handle on ``path``, or on stdout when it is None.
 
     A path that cannot be opened or written is a ``ConfigError``; a run that
-    fails after opening its path removes the partial file.
+    fails after opening its path removes the partial file.  Stdout is
+    flushed before the run returns, and a write to it that fails is a
+    ``ConfigError`` as well, except a closed reader, which raises
+    ``BrokenPipeError`` for ``main`` to stop on quietly.
     """
     if path is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            _discard_stdout()
+            if isinstance(exc, BrokenPipeError):
+                raise
+            raise ConfigError(f"cannot write output: {exc}") from exc
         return
     try:
         handle = open(path, "w", encoding="utf-8", newline="\n")
@@ -351,10 +384,9 @@ def cmd_plotdata(cfg: ScenarioConfig, out: Optional[str]) -> None:
 
 
 def cmd_verify(level: str = "quick") -> int:
-    """Run the verification suites, print one line each, return 0/1."""
+    """Run the verification suites, write one line each to stdout, return 0/1."""
     results = run_verification(level)
-    for result in results:
-        print(result.line())
+    _write_text(None, "".join(result.line() + "\n" for result in results))
     return 0 if all(result.passed for result in results) else 1
 
 
@@ -415,6 +447,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             cmd_plotdata(cfg, out)
         return 0
+    except BrokenPipeError:
+        return _EXIT_CLOSED_PIPE
     except (NumericalError, np.linalg.LinAlgError, MemoryError) as exc:
         # before ValueError: LinAlgError subclasses it but is a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)

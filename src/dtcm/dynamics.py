@@ -230,7 +230,8 @@ _EXCITED = np.array([0, 1, 1, 2])  # e, the excited atoms of each initial pair s
 # _AMPLITUDE[pair_in, flips] names each amplitude's function.  At N = 0,
 # om = 0 leaves the stay 1 and every other amplitude 0; sqrt(N(N-1)) closes
 # the double absorption at N = 1.
-_AMPLITUDE = np.array([[0, 5, 5, 4], [2, 5, 6, 3], [2, 6, 5, 3], [1, 6, 6, 4]])[:, :, None]
+_AMPLITUDE = np.array([[0, 5, 5, 4], [2, 5, 6, 3], [2, 6, 5, 3], [1, 6, 6, 4]])
+_STAY_FLIP = np.array([[0, 1], [0, 1]])  # the one-atom functions: cos for a stay, -sin for a flip
 _BASE = np.array([1.0, 1.0, 1.0, 0.0, 0.0])[:, None, None]  # the constant of functions 0-4
 _BELOW = np.array([[0.0], [1.0]])  # N - _BELOW holds N and N - 1 as rows
 
@@ -249,27 +250,56 @@ def _ladder(m: np.ndarray, excited: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return n, m.astype(np.intp, copy=False) - low + excited[:, None]
 
 
-def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """All two-atom transition amplitudes on a (photon, time) grid, as real numbers.
+def _x_function_table(m: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The seven two-atom functions on the excitation-number ladder, as real
+    ``[function, rung, time]``, and each pair state's rung ``[pair_in, photon]``.
 
-    Returns a float array indexed ``[pair_in, flips, photon, time]`` where
-    ``pair_in = 2i + k`` and ``flips = 2p + q``; the amplitude is the entry
-    times ``_FLIP_PHASE[flips]``.  Each of the seven functions is evaluated
-    once per excitation number N in ``min(m) .. max(m) + 2``, weights, cos
-    and sin alike, and every entry reads its function at its start state's N.
+    The weights, cos and sin are evaluated once per excitation number N in
+    ``min(m) .. max(m) + 2``.
     """
     n, rung = _ladder(m, _EXCITED)
     both, d = n - _BELOW, 2.0 * n - 1.0  # [N and N - 1, rung], 2N - 1
     squared = 2.0 * d  # om^2 = 4N - 2, exact
     angles = np.sqrt(np.maximum(squared, 0.0))[:, None] * np.asarray(tau, dtype=float)
     c, s = np.cos(angles) - 1.0, np.sin(angles)
-    amps = np.empty((7,) + angles.shape)  # [function, rung, time]
+    amps = np.empty((7,) + angles.shape)
     np.multiply((both / d)[:, :, None], c, out=amps[:2])
     np.multiply(0.5, c, out=amps[2:4])
     np.multiply((np.sqrt(n * both[1]) / d)[:, None], c, out=amps[4])
     amps[:5] += _BASE  # + 0.0 too, which turns a -0.0 product into 0.0
     np.multiply(-np.sqrt(both / squared)[:, :, None], s, out=amps[5:])
-    return amps[_AMPLITUDE, rung[:, None]]
+    return amps, rung
+
+
+def _y_function_table(m: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and -sin of the one-atom Rabi angle on the excitation-number ladder,
+    as real ``[function, rung, time]``, and each atom state's rung ``[atom_in, photon]``.
+
+    An atom in state i over m photons has excitation number N = m + i and
+    Rabi frequency sqrt(N); each N in ``min(m) .. max(m) + 1`` takes one
+    cos/sin evaluation.
+    """
+    n, rung = _ladder(m, _EXCITED[:2])  # an atom in state i has i excitations, as pair 0i has
+    angles = np.sqrt(n)[:, None] * np.asarray(tau, dtype=float)
+    return np.stack((np.cos(angles), -np.sin(angles))), rung
+
+
+def _block_table(amps: np.ndarray, rung: np.ndarray, functions: np.ndarray) -> np.ndarray:
+    """Every entry ``[state_in, flips, photon, time]`` of a function table: function
+    ``functions[state_in, flips]`` at the start state's rung."""
+    return amps[functions[:, :, None], rung[:, None]]
+
+
+def _x_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """All two-atom transition amplitudes on a (photon, time) grid, as real numbers.
+
+    Returns a float array indexed ``[pair_in, flips, photon, time]`` where
+    ``pair_in = 2i + k`` and ``flips = 2p + q``; the amplitude is the entry
+    times ``_FLIP_PHASE[flips]``.  It is a gather of
+    :func:`_x_function_table`: every entry reads its function at its start
+    state's N.  The channel build reads that function table directly.
+    """
+    return _block_table(*_x_function_table(m, tau), _AMPLITUDE)
 
 
 def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -277,15 +307,11 @@ def _y_block_table(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
     Returns a float array indexed ``[atom_in, flip, photon, time]``; the
     amplitude is the entry times ``_FLIP_PHASE[flip]``, so the stay row holds
-    cos and the flip row -sin of the Rabi angle.  An atom in state i over m
-    photons has excitation number N = m + i and Rabi frequency sqrt(N), so a
-    ground atom in an empty cavity stays put by itself.  Both rows read one
-    cos/sin evaluation per N in ``min(m) .. max(m) + 1``.
+    cos and the flip row -sin of the Rabi angle, a gather of
+    :func:`_y_function_table`.  A ground atom in an empty cavity stays put
+    by itself.
     """
-    n, rung = _ladder(m, _EXCITED[:2])  # an atom in state i has i excitations, as pair 0i has
-    angles = np.sqrt(n)[:, None] * np.asarray(tau, dtype=float)
-    amps = np.stack((np.cos(angles), -np.sin(angles)))  # [flip, N, time]
-    return amps[np.arange(2)[:, None], rung[:, None]]
+    return _block_table(*_y_function_table(m, tau), _STAY_FLIP)
 
 
 def x_coeff(key: XCoefficientKey) -> complex:
@@ -295,30 +321,50 @@ def x_coeff(key: XCoefficientKey) -> complex:
     return complex(X[2 * key.i + key.k, flips, 0, 0] * _FLIP_PHASE[flips])
 
 
-def _selection_rule(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The table cell of each (row, ket_in), and the mask of terms the field trace keeps.
+def _selection_rule(n_atoms: int) -> np.ndarray:
+    """The mask ``same[(row, ket_in), (col, bra_in)]`` of the terms the field trace keeps.
 
-    |ket_in> -> |row> applies the flips ``row ^ ket_in``; ``cells`` holds,
-    for each (row, ket_in) in order, the index of (ket_in, flips) in an
-    amplitude table's two leading axes flattened.  Each flip moves one
-    photon (an excited atom emits, a ground atom absorbs), so the transition
-    takes exc(row) - exc(ket_in) photons from the field.
-    ``same[(row, ket_in), (col, bra_in)]`` is true where both transitions
-    take the same number; the field trace kills every other term.  That
-    number has the parity of the flips, so the rule only pairs transitions
-    of the same flip parity.  Bit strings are read as binary numbers, the
-    first atom most significant.
+    |ket_in> -> |row> applies the flips ``row ^ ket_in``.  Each flip moves
+    one photon (an excited atom emits, a ground atom absorbs), so the
+    transition takes exc(row) - exc(ket_in) photons from the field.  ``same``
+    is true where both transitions take the same number; the field trace
+    kills every other term.  That number has the parity of the flips, so the
+    rule only pairs transitions of the same flip parity.  Bit strings are
+    read as binary numbers, the first atom most significant.
     """
-    states = np.arange(2**n_atoms)
-    exc = np.array([bin(s).count("1") for s in states])
+    exc = _EXCITED[: 2**n_atoms]  # the bit count of each state
     taken = (exc[:, None] - exc[None, :]).ravel()
-    cells = states * states.size + (states[:, None] ^ states)
-    return cells.ravel(), taken[:, None] == taken[None, :]
+    return taken[:, None] == taken[None, :]
 
 
-_SELECTION = {n_atoms: _selection_rule(n_atoms) for n_atoms in (1, 2)}
+def _channel_plan(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct amplitude rows of one cavity's channel, and where each of its cells reads them.
 
-# float cells per chunk of taus, in the gathered amplitudes and in their
+    The transition |ket_in> -> |row> has amplitude function
+    ``functions[ket_in, row ^ ket_in]`` at rung offset exc(ket_in) of the
+    photon level, so many (row, ket_in) share a row of amplitudes: 10 of 16
+    for two atoms, 4 of 4 for one.  Returns each distinct row's function
+    and rung offset, and ``scatter``: for every channel cell
+    ``(row, col, ket_in, bra_in)`` in order, the cell ``a * rows + b`` of the
+    rows' Gram product that it equals, or ``rows**2``, a zero cell, where the
+    selection rule kills the term.
+    """
+    dim = 2**n_atoms
+    functions = _AMPLITUDE if n_atoms == 2 else _STAY_FLIP
+    states, exc = np.arange(dim), _EXCITED[:dim]
+    codes = (functions[states, states[:, None] ^ states] * 3 + exc).ravel().tolist()  # [row, ket_in], exc <= 2
+    distinct = sorted(set(codes))  # in Python: np.unique would page in about 0.7 MB of code at import
+    rows = len(distinct)
+    row_of = np.array([distinct.index(code) for code in codes])
+    cells = np.where(_selection_rule(n_atoms), row_of[:, None] * rows + row_of, rows * rows)
+    scatter = cells.reshape((dim,) * 4).transpose(0, 2, 1, 3).ravel()
+    function, offset = np.divmod(distinct, 3)
+    return function, offset, scatter
+
+
+_CHANNEL_PLANS = {n_atoms: _channel_plan(n_atoms) for n_atoms in (1, 2)}
+
+# float cells per chunk of taus, in the gathered amplitude rows and in their
 # product alike; bounds a channel build's working memory whatever the grid length
 _CHUNK_CELLS = 2**16
 
@@ -361,27 +407,35 @@ def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndar
 
     ``n_atoms`` is 1 (one atom per cavity) or 2 (two atoms sharing the mode).
     Tracing the field gives, per tau, the photon-weighted Gram product
-    G = (L p) L^T of the real table entries L[(row, ket_in), photon], kept
-    where the selection rule holds.  It equals the complex (K p) K^dagger of
-    the amplitudes K: an amplitude is its entry times i for an odd number of
-    flips, and the rule only pairs transitions of the same flip parity, so
-    the two phases cancel.  A chunk of taus holds at most ``_CHUNK_CELLS``
-    cells of L and of G each, or a single tau where one tau alone needs more.
+    H = (L p) L^T of the distinct real amplitude rows L[row, photon] (10
+    for two atoms, 4 for one), gathered in one ``take`` from the function
+    table; one more ``take`` through the plan's ``scatter`` reads every
+    cell of E from H, and every term the selection rule kills from H's
+    appended zero cell.  It equals the complex (K p) K^dagger of the
+    amplitudes K, masked by the rule: an amplitude is its entry times i for
+    an odd number of flips, and the rule only pairs transitions of the same
+    flip parity, so the two phases cancel.  A chunk of taus holds at most
+    ``_CHUNK_CELLS`` cells of L and of H each, or a single tau where one
+    tau alone needs more.
     """
     ms, ps = field.weights()
-    table = _x_block_table if n_atoms == 2 else _y_block_table
-    cells, same = _SELECTION[n_atoms]
-    dim = 2**n_atoms
-    E = np.empty((taus.size, dim, dim, dim, dim))
-    chunk = max(1, _CHUNK_CELLS // (dim * dim * max(ms.size, dim * dim)))
+    table = _x_function_table if n_atoms == 2 else _y_function_table
+    function, offset, scatter = _CHANNEL_PLANS[n_atoms]
+    rows, dim = function.size, 2**n_atoms
+    E = np.empty((taus.size, scatter.size))
+    chunk = max(1, _CHUNK_CELLS // max(rows * ms.size, rows * rows + 1))
+    H = np.zeros((min(chunk, taus.size), rows * rows + 1))  # the last cell stays 0.0
+    gram = H[:, :-1].reshape(-1, rows, rows)  # a view: the product is written into H
     for start in range(0, taus.size, chunk):
         span = slice(start, start + chunk)
-        amps = table(ms, taus[span]).transpose(3, 0, 1, 2).reshape(-1, dim * dim, ms.size)  # [t, (ket_in, flips), photon]
-        L = amps.take(cells, axis=1)  # [t, (row, ket_in), photon], C-contiguous
-        G = (L * ps) @ L.transpose(0, 2, 1)
-        G *= same
-        E[span] = G.reshape(-1, dim, dim, dim, dim).transpose(0, 1, 3, 2, 4)
-    return E
+        amps, rung = table(ms, taus[span])  # [function, rung, t]
+        t = amps.shape[2]
+        # rung[0] is each photon level's own rung, the ground state's
+        cells = ((function * amps.shape[1] + offset)[:, None] + rung[0]).ravel()
+        L = amps.reshape(-1, t).T.take(cells, axis=1).reshape(t, rows, ms.size)
+        np.matmul(L * ps, L.transpose(0, 2, 1), out=gram[:t])
+        H[:t].take(scatter, axis=1, out=E[span], mode="clip")  # "clip": an unbuffered out
+    return E.reshape((taus.size,) + (dim,) * 4)
 
 
 def pair_map(i: int, k: int, j: int, l: int, field: FieldSpec, tau: _TauLike) -> np.ndarray:

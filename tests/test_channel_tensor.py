@@ -1,5 +1,5 @@
-"""The per-cavity channel tensor against a plain per-term sum and the complex Gram product, the real
-amplitude tables it reads, its memory use, and the self-check on it."""
+"""The per-cavity channel tensor against a plain per-term sum, the complex Gram product and the
+16-row real build, the real amplitude tables it reads, its memory use, and the self-check on it."""
 
 import tracemalloc
 from itertools import product
@@ -114,22 +114,81 @@ def test_public_results_stay_complex():
 def test_selection_rule_pairs_transitions_of_one_flip_parity(n_atoms):
     # an odd number of flips makes an amplitude imaginary, so a kept term of
     # mixed parity would be imaginary and the real build wrong
-    cells, same = dynamics._SELECTION[n_atoms]
+    same = dynamics._selection_rule(n_atoms)
     dim = 2**n_atoms
     pairs = [(row, ket_in) for row in range(dim) for ket_in in range(dim)]
-    assert cells.tolist() == [ket_in * dim + (row ^ ket_in) for row, ket_in in pairs]
+    taken = np.array([excitations(row) - excitations(ket_in) for row, ket_in in pairs])
+    assert np.array_equal(same, taken[:, None] == taken[None, :])
     parity = np.array([excitations(row ^ ket_in) % 2 for row, ket_in in pairs])
     assert same.any()
     assert np.all(parity[:, None] == parity[None, :], where=same)
 
 
+BUILD_FIELDS = [
+    FieldSpec.vacuum(), FieldSpec.fock(1), FieldSpec.fock(3), FieldSpec.thermal(0.5), FieldSpec.thermal(1.0), FieldSpec.thermal(4.0)
+]
+BUILD_IDS = ["vacuum", "fock1", "fock3", "thermal0.5", "thermal1", "thermal4"]
+
+
+def in_channel_order(mask, n_atoms):
+    """A [(row, ket_in), (col, bra_in)] array in the channel's (row, col, ket_in, bra_in) order."""
+    dim = 2**n_atoms
+    return mask.reshape((dim,) * 4).transpose(0, 2, 1, 3)
+
+
+def sixteen_row_reference(field, taus, n_atoms):
+    """The channel from one amplitude row per (row, ket_in): gathered from the block table,
+    G = (L p) L^T, times the selection-rule mask, then stored in E's axis order."""
+    ms, ps = field.weights()
+    table = dynamics._x_block_table if n_atoms == 2 else dynamics._y_block_table
+    dim = 2**n_atoms
+    states = np.arange(dim)
+    cells = (states * dim + (states[:, None] ^ states)).ravel()  # (ket_in, flips) of each (row, ket_in)
+    amps = table(ms, taus).transpose(3, 0, 1, 2).reshape(-1, dim * dim, ms.size)
+    L = amps.take(cells, axis=1)
+    G = (L * ps) @ L.transpose(0, 2, 1)
+    G *= dynamics._selection_rule(n_atoms)
+    return G.reshape(-1, dim, dim, dim, dim).transpose(0, 1, 3, 2, 4)
+
+
 @pytest.mark.parametrize("n_atoms", (1, 2))
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("field", BUILD_FIELDS, ids=BUILD_IDS)
+def test_distinct_rows_build_the_sixteen_row_channel(field, n_atoms):
+    # 701 taus span two chunks even for vacuum; the rows' Gram product may
+    # round differently from the 16-row one, by an ulp of the entries at most
+    taus = np.linspace(0.0, 25.0, 701)
+    E = dynamics._channel_tensor(field, taus, n_atoms)
+    np.testing.assert_allclose(E, sixteen_row_reference(field, taus, n_atoms), rtol=0.0, atol=1e-16)
+    killed = E[:, ~in_channel_order(dynamics._selection_rule(n_atoms), n_atoms)]
+    assert killed.size and np.all(killed == 0.0) and not np.signbit(killed).any()
+
+
+@pytest.mark.parametrize("n_atoms", (1, 2))
+def test_scatter_reads_the_zero_cell_exactly_where_the_rule_kills(n_atoms):
+    function, offset, scatter = dynamics._CHANNEL_PLANS[n_atoms]
+    rows, dim = function.size, 2**n_atoms
+    assert rows == {1: 4, 2: 10}[n_atoms]
+    assert len(set(zip(function.tolist(), offset.tolist()))) == rows
+    same = in_channel_order(dynamics._selection_rule(n_atoms), n_atoms).ravel()
+    assert np.array_equal(scatter == rows * rows, ~same)
+    assert scatter.min() >= 0 and scatter.max() == rows * rows
+    # every kept cell reads the rows of its two transitions: function and rung offset of (row, ket_in)
+    functions = dynamics._AMPLITUDE if n_atoms == 2 else dynamics._STAY_FLIP
+    a, b = np.divmod(scatter[same], rows)
+    row, col, ket_in, bra_in = np.unravel_index(np.flatnonzero(same), (dim,) * 4)
+    for r, state, start in ((a, row, ket_in), (b, col, bra_in)):
+        assert np.array_equal(function[r], functions[start, state ^ start])
+        assert np.array_equal(offset[r], [excitations(s) for s in start])
+
+
+@pytest.mark.parametrize("n_atoms", (1, 2))
+@pytest.mark.parametrize("field", BUILD_FIELDS + FIELDS[1::2], ids=BUILD_IDS + FIELD_IDS[1::2])  # + fock2, thermal3
 def test_grid_matches_single_time_builds(field, n_atoms):
-    taus = np.linspace(0.0, 25.0, 37)
+    # bit for bit, across chunk seams: a tau's cells do not depend on its neighbours
+    taus = np.linspace(0.0, 25.0, 701)
     grid = dynamics._channel_tensor(field, taus, n_atoms)
     stacked = np.concatenate([dynamics._channel_tensor(field, taus[t : t + 1], n_atoms) for t in range(taus.size)])
-    np.testing.assert_allclose(grid, stacked, rtol=0.0, atol=1e-14)
+    assert grid.tobytes() == stacked.tobytes()
 
 
 @pytest.mark.parametrize("n_atoms", (1, 2))
@@ -159,9 +218,9 @@ def test_hot_thermal_build_has_bounded_memory():
 
 
 def test_explicit_maps_suite_checks_the_one_atom_channel(monkeypatch):
-    # scramble which one-atom terms survive; the two-atom path is untouched
-    flips, same = dynamics._SELECTION[1]
-    monkeypatch.setattr(dynamics, "_SELECTION", {**dynamics._SELECTION, 1: (flips, same[::-1].copy())})
+    # scramble where each one-atom cell reads its Gram product; the two-atom path is untouched
+    function, offset, scatter = dynamics._CHANNEL_PLANS[1]
+    monkeypatch.setattr(dynamics, "_CHANNEL_PLANS", {**dynamics._CHANNEL_PLANS, 1: (function, offset, scatter[::-1].copy())})
     result = verification.suite_explicit_maps()
     assert not result.passed
     assert result.max_deviation > 1e-3
@@ -171,14 +230,14 @@ def test_explicit_maps_suite_checks_the_one_atom_channel(monkeypatch):
 
 def test_explicit_maps_suite_catches_a_one_atom_amplitude_fault(monkeypatch):
     # the one-atom reference must not read the amplitude table it checks
-    table = dynamics._y_block_table
+    table = dynamics._y_function_table
 
     def faulty(m, tau):
-        Y = table(m, tau)
-        Y[:, 1] *= 0.9  # every flip amplitude
-        return Y
+        amps, rung = table(m, tau)
+        amps[1] *= 0.9  # every flip amplitude
+        return amps, rung
 
-    monkeypatch.setattr(dynamics, "_y_block_table", faulty)
+    monkeypatch.setattr(dynamics, "_y_function_table", faulty)
     result = verification.suite_explicit_maps()
     assert not result.passed
     assert result.max_deviation > 1e-3

@@ -1,7 +1,11 @@
 """Config parsing, CSV output and exit-code tests for the command line."""
 
+import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,7 +281,7 @@ def test_memory_failure_exits_3(tmp_path, capsys, monkeypatch):
     def out_of_memory(m, tau):
         raise MemoryError("Unable to allocate 8.23 GiB for the amplitude table")
 
-    monkeypatch.setattr(dynamics, "_x_block_table", out_of_memory)
+    monkeypatch.setattr(dynamics, "_x_function_table", out_of_memory)
     assert cli.main(["simulate", "--config", cfg]) == 3
     assert capsys.readouterr().err == "numerical failure: Unable to allocate 8.23 GiB for the amplitude table\n"
 
@@ -407,6 +411,42 @@ def test_failed_write_exits_2(tmp_path, capsys, command):
     assert os.path.exists("/dev/full")
 
 
+STDOUT_COMMANDS = ["simulate", "events", "plotdata", "verify"]
+
+
+def run_cli_to(tmp_path, command, stdout):
+    """``python -m dtcm.cli <command>`` in a fresh process writing to ``stdout``,
+    closing a pipe's reader before the process writes; returns (exit code, stderr)."""
+    cfg = write_cfg(tmp_path, BASE if command != "plotdata" else rewrite(pairs="AB"))
+    args = [command] + (["--config", cfg] if command != "verify" else [])
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, whose last flush must not fail after main returns
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "dtcm.cli", *args], stdout=stdout, stderr=subprocess.PIPE, env=env)
+    if stdout == subprocess.PIPE:
+        proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_full_stdout_exits_2(tmp_path, command):
+    # the write or the flush inside main fails, never the interpreter's final flush (exit 120)
+    with open("/dev/full", "w") as full:
+        code, err = run_cli_to(tmp_path, command, full)
+    assert code == 2
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_closed_stdout_pipe_stops_quietly(tmp_path, command):
+    code, err = run_cli_to(tmp_path, command, subprocess.PIPE)
+    assert code == cli._EXIT_CLOSED_PIPE == 141
+    assert err == ""
+
+
 def test_failed_write_removes_the_partial_file(tmp_path, capsys, monkeypatch):
     # the header is written, then the first chunk of curves fails
     def disk_full(*fields):
@@ -437,20 +477,25 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_catches_injected_fault(tmp_path, capsys, monkeypatch):
-    # corrupt the double-transfer amplitude: every downstream suite must
+    # corrupt the double-transfer amplitude in the function table that both the
+    # block tables and the channel build read: every downstream suite must
     # either measure the deviation or fail closed, and the exit code flips
-    real = dynamics._x_block_table
+    real = dynamics._x_function_table
 
     def crooked(m, tau):
-        table = real(m, tau).copy()
-        table[3, 3] *= 1.01
-        return table
+        amps, rung = real(m, tau)
+        amps[4] *= 1.01
+        return amps, rung
 
-    monkeypatch.setattr(dynamics, "_x_block_table", crooked)
+    monkeypatch.setattr(dynamics, "_x_function_table", crooked)
     assert cli.main(["verify", "--level", "quick"]) == 1
-    out = capsys.readouterr().out
-    norm_lines = [line for line in out.splitlines() if line.startswith("x-normalization")]
-    assert norm_lines and "FAIL" in norm_lines[0]
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines() if line.strip()}
+    assert "FAIL" in lines["x-normalization"]
+    # the channel path sees it too: the states' trace leaves its bar by a measured margin
+    assert "FAIL" in lines["oracle-agreement"]
+    validity = re.match(r"state-validity: max deviation (\S+) ", lines["state-validity"])
+    assert validity and 1.0 < float(validity.group(1)) < math.inf
+    assert "FAIL" in lines["state-validity"]
 
 
 def test_verify_fails_on_a_nan_and_names_its_case(capsys, monkeypatch):
