@@ -9,10 +9,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _PSD_SLACK, _TOL_HERM, _TOL_TRACE, CANONICAL_LABELS, ValidationReport, _require_ok
+from .algebra import (
+    _PSD_SLACK,
+    _TOL_HERM,
+    _TOL_TRACE,
+    CANONICAL_LABELS,
+    ValidationReport,
+    _require_ok,
+    _trace_subscripts,
+)
 from .concurrence import _X_PATTERN, _x_concurrence
 from .dynamics import (
     BellPairSpec,
@@ -23,9 +32,9 @@ from .dynamics import (
     _as_tau_grid,
     _branch_weights,
     _cavity_labels,
+    _CHANNEL_PLANS,
     _check_alpha,
-    _channels,
-    _combine,
+    _grams,
 )
 from .errors import NumericalError
 
@@ -232,6 +241,103 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float]:
     return flat.take(_X_ENTRIES, axis=1), off_bound  # C-contiguous, so the weighting reshapes it for free
 
 
+class _XPlan(NamedTuple):
+    """Where one pair's kernel reads both cavities' Gram cells; each field holds (cavity a, cavity b)."""
+
+    terms: tuple[np.ndarray, np.ndarray]  # every kernel cell's factor: its Gram cells [entry, branch, term]
+    rows: tuple[np.ndarray, np.ndarray]  # the distinct factors of the X cells kept, [row, term]
+    factors: tuple[np.ndarray, np.ndarray]  # each kept X cell's factor row
+    cells: np.ndarray  # the kept cells of a flat [8 * branch] X slice
+    others: tuple[np.ndarray, np.ndarray]  # the Gram cells a zero factor's partner reads, the zero cell left out
+
+
+def _x_plan(model: Model, bell_type: BellType, pair: str) -> _XPlan:
+    """The Gram cells behind each cell of ``pair``'s kernel, as :func:`dtcm.dynamics._combine` sums them.
+
+    The kernel is, cell by cell, the product of one traced factor per cavity.
+    Each factor sums the channel cells of its traced qubits' diagonal, and
+    each channel cell reads one Gram cell through ``_CHANNEL_PLANS``'s
+    scatter index, so this is :func:`dtcm.dynamics._combine` run on that
+    index: each cavity's cells are traced to the kept qubits (the traced
+    terms last, in the order the trace's einsum adds them), cavity b's
+    branches are reversed for psi, and the two factors are broadcast into
+    A<B<C<D order.  A factor whose terms all read the zero cell is zero.  The
+    X cells where neither factor is zero are kept, 32 for AB and CD, 36 for
+    AC and BD and 10 for the one-pair layout, and their factors are
+    deduplicated into rows.  Every off-pattern cell must have a zero factor;
+    a plan where one does not is rejected here.
+    """
+    labels = _cavity_labels(model)
+    n_atoms = len(labels[0])
+    dim = 2**n_atoms
+    function, _, scatter = _CHANNEL_PLANS[n_atoms]
+    zero = function.size**2
+    cells = scatter.reshape((2,) * (2 * n_atoms) + (dim, dim))  # [ket qubits, bra qubits, ket_in, bra_in]
+    flipped = cells[..., ::-1, ::-1] if bell_type is BellType.PSI else cells  # cavity b's branch bits, as _combine reads them
+    order = "".join(sorted(pair))
+    terms = []
+    for channel, qubits in zip((cells, flipped), labels):
+        kept = "".join(q for q in qubits if q in pair)
+        traced = "".join(q for q in qubits if q not in pair)
+        state, reduced = _trace_subscripts(qubits, kept)
+        factor = np.einsum(f"{state}sz->{reduced}sz{traced}", channel)  # each factor's terms on the last axes
+        shape = tuple(2 if q in reduced else 1 for q in order + order.lower())
+        factor = factor.reshape(shape + (dim, dim, 2 ** len(traced)))
+        terms.append(np.broadcast_to(factor, (2,) * 4 + factor.shape[-3:]).reshape(16, dim * dim, -1))
+    zero_a, zero_b = ((t == zero).all(axis=-1) for t in terms)  # [entry, branch]
+    if not (zero_a | zero_b)[list(_OFF_ENTRIES)].all():
+        raise AssertionError(f"{model.value} {bell_type.value} {pair}: an off-pattern kernel cell has no zero factor")
+    kept = np.flatnonzero(~(zero_a | zero_b)[_X_ENTRIES].ravel())
+    rows, factors, others = [], [], []
+    for t, partner_zero in zip(terms, (zero_b, zero_a)):
+        index: dict[tuple, int] = {}  # each distinct factor's row, in order of first use
+        cell_terms = t[_X_ENTRIES].reshape(-1, t.shape[-1])[kept].tolist()
+        factors.append(np.array([index.setdefault(tuple(key), len(index)) for key in cell_terms], dtype=np.intp))
+        rows.append(np.array(list(index), dtype=np.intp))
+        others.append(np.array(sorted(set(t[partner_zero].ravel().tolist()) - {zero}), dtype=np.intp))
+    return _XPlan(tuple(terms), tuple(rows), tuple(factors), kept, tuple(others))
+
+
+_X_PLANS = {
+    (model, bell_type, pair): _x_plan(model, bell_type, pair)
+    for model in Model
+    for bell_type in BellType
+    for pair in _model_pairs(model)
+}
+
+
+def _factor_sums(H: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The factors ``[..., term]`` of Gram cells ``H[t, cell]``, added term by term as the trace's einsum adds them."""
+    F = H[:, terms[..., 0]]  # an index, not take: about twice as fast on these short rows
+    for term in range(1, terms.shape[-1]):
+        F += H[:, terms[..., term]]
+    return F
+
+
+def _x_pair_kernel(plan: _XPlan, Ha: np.ndarray, Hb: np.ndarray) -> tuple[np.ndarray, float]:
+    """A pair's X kernel ``KX[t, 8, branch]`` from both cavities' Gram cells, and its off-pattern bound.
+
+    ``plan`` is the pair's :func:`_x_plan`, ``Ha`` and ``Hb`` are
+    :func:`dtcm.dynamics._grams`.  Each kept cell is the product of its two
+    factor rows, written into a zeroed slice; it is the cell
+    :func:`_x_kernel` cuts from :func:`dtcm.dynamics._combine`'s kernel,
+    bit for bit up to the sign of a zero.  Every off-pattern cell is a zero
+    factor times another, so the bound is exactly 0.0 while both zero cells
+    are 0.0 and every Gram cell an other factor reads is finite.  Where that
+    fails, the whole kernel is made from the plan and cut by
+    :func:`_x_kernel`, so the bound and the X cells are those of the dense
+    route.
+    """
+    exact = all(not H[:, -1].any() and np.isfinite(H[:, o]).all() for H, o in zip((Ha, Hb), plan.others))
+    if not exact:
+        return _x_kernel(_factor_sums(Ha, plan.terms[0]) * _factor_sums(Hb, plan.terms[1]))
+    t, branches = Ha.shape[0], plan.terms[0].shape[1]
+    KX = np.zeros((t, 8 * branches))
+    Fa, Fb = (_factor_sums(H, rows)[:, of] for H, rows, of in zip((Ha, Hb), plan.rows, plan.factors))
+    KX[:, plan.cells] = Fa * Fb
+    return KX.reshape(t, 8, branches), 0.0
+
+
 def _x_margin_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed-form margin terms of real X-sliced states ``X[..., t, 8]``, reduced over t.
 
@@ -265,8 +371,9 @@ def _x_slice_concurrence(X: np.ndarray) -> np.ndarray:
     return _x_concurrence(X[..., :4], X[..., 4], X[..., 5])
 
 
-# float cells in a sweep chunk's largest array: the channel tensors and the
-# pair kernel (256 a tau) or the weighted X slices (8 an alpha a tau)
+# float cells in a sweep chunk's largest array, counted as 256 a tau (a
+# channel tensor's size, which bounds the Gram cells, 101 a tau, and the X
+# kernel, at most 128) or as the weighted X slices (8 an alpha a tau)
 _SWEEP_CELLS = 2**18
 
 
@@ -280,17 +387,19 @@ def sweep_pairs(
 
     The taus are taken in chunks of at most ``_SWEEP_CELLS`` cells in the
     largest array, so the working memory does not grow with the grid.  In
-    each chunk the cavity channels are built once for all pairs, and each
-    pair's kernel is built once and cut to the 8 entries an X state
-    populates (:func:`_x_kernel`); that slice is weighted for every alpha at
-    once, as one product with the [branch, alpha] weight matrix
-    (:func:`_apply_weights`), and the closed-form margins
-    (:func:`_x_margin_terms`) and the X-form concurrence are taken over its
-    [alpha, t, 8] view.  Margins and off-pattern bounds combine exactly
-    across chunks, and after the last chunk each pair is checked in order:
-    a kernel whose off-pattern bound is not exactly 0.0 (NaN included)
-    raises, then the first invalid alpha does.  Each pair's curves share
-    the rows of one read-only [alphas, taus] block.
+    each chunk each distinct cavity field's Gram cells are built once for
+    all pairs (:func:`dtcm.dynamics._grams`), and each pair's X kernel, the
+    8 entries an X state populates, is read from them through the pair's
+    plan (:func:`_x_pair_kernel`), with no channel tensor or full kernel in
+    between.  That slice is weighted for every alpha at once, as one
+    product with the [branch, alpha] weight matrix (:func:`_apply_weights`),
+    and the closed-form margins (:func:`_x_margin_terms`) and the X-form
+    concurrence are taken over its [alpha, t, 8] view.  Margins and
+    off-pattern bounds combine exactly across chunks, and after the last
+    chunk each pair is checked in order: a kernel whose off-pattern bound is
+    not exactly 0.0 (NaN included) raises, then the first invalid alpha
+    does.  Each pair's curves share the rows of one read-only [alphas, taus]
+    block.
     """
     pairs = _check_pairs(scenario.model, pairs)
     taus = _read_only(_as_tau_grid(_check_grid("tau", tau_grid))[0])  # one copy, shared by every curve
@@ -301,13 +410,14 @@ def sweep_pairs(
     step = max(1, _SWEEP_CELLS // max(256, 8 * n))
     values = {pair: np.empty((n, taus.size)) for pair in pairs}
     extrema = {pair: [] for pair in pairs}  # per chunk: the off-pattern bound, then the margin terms
+    plans = {pair: _X_PLANS[scenario.model, scenario.bell_type, pair] for pair in pairs}
     for start in range(0, taus.size, step):
         span = slice(start, start + step)
-        # the last chunk's channels are freed only once these exist, so their
+        # the last chunk's Gram cells are freed only once these exist, so their
         # memory is reused: freed last, it would be handed back and faulted in again
-        channels = _channels(scenario.model, scenario.field_a, scenario.field_b, taus[span])
+        grams = _grams(scenario.model, scenario.field_a, scenario.field_b, taus[span])
         for pair in pairs:
-            KX, off_bound = _x_kernel(_combine(scenario.model, scenario.bell_type, *channels, pair))
+            KX, off_bound = _x_pair_kernel(plans[pair], *grams)
             X = np.moveaxis(_apply_weights(KX, weights), -1, 0)  # [alpha, t, 8]
             del KX
             extrema[pair].append((off_bound, *_x_margin_terms(X)))

@@ -426,14 +426,14 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-
-    try:
+        # argparse prints --help to stdout, then exits: the guard flushes it here, so a
+        # failed write exits as a command's output does, not in the interpreter's last flush
+        with _output(None):
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:
+                code = exc.code
+                return 0 if code is None else code if isinstance(code, int) else 2
         if args.command == "verify":
             return cmd_verify(args.level)
         cfg = _load_config(args)

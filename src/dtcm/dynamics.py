@@ -402,30 +402,27 @@ def _accumulate_terms(
     return out
 
 
-def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Every evolved operator |ket><bra| of one cavity's atoms, as real E[t, row, col, ket_in, bra_in].
+def _gram(field: FieldSpec, taus: np.ndarray, n_atoms: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The Gram cells of one cavity's distinct amplitude rows, as real H[t, rows**2 + 1].
 
     ``n_atoms`` is 1 (one atom per cavity) or 2 (two atoms sharing the mode).
     Tracing the field gives, per tau, the photon-weighted Gram product
-    H = (L p) L^T of the distinct real amplitude rows L[row, photon] (10
-    for two atoms, 4 for one), gathered in one ``take`` from the function
-    table; one more ``take`` through the plan's ``scatter`` reads every
-    cell of E from H, and every term the selection rule kills from H's
-    appended zero cell.  It equals the complex (K p) K^dagger of the
-    amplitudes K, masked by the rule: an amplitude is its entry times i for
-    an odd number of flips, and the rule only pairs transitions of the same
-    flip parity, so the two phases cancel.  A chunk of taus holds at most
-    ``_CHUNK_CELLS`` cells of L and of H each, or a single tau where one
-    tau alone needs more.
+    (L p) L^T of the distinct real amplitude rows L[row, photon] (10 for two
+    atoms, 4 for one, named by ``_CHANNEL_PLANS``), gathered in one ``take``
+    from the function table.  Cell ``a * rows + b`` holds entry (a, b); the
+    last cell is 0.0, the cell every term the selection rule kills reads.
+    The rows are gathered at most ``_CHUNK_CELLS`` cells of L at a time, or
+    a single tau where one tau alone needs more.  ``out``, when given,
+    receives H.
     """
     ms, ps = field.weights()
     table = _x_function_table if n_atoms == 2 else _y_function_table
-    function, offset, scatter = _CHANNEL_PLANS[n_atoms]
-    rows, dim = function.size, 2**n_atoms
-    E = np.empty((taus.size, scatter.size))
-    chunk = max(1, _CHUNK_CELLS // max(rows * ms.size, rows * rows + 1))
-    H = np.zeros((min(chunk, taus.size), rows * rows + 1))  # the last cell stays 0.0
+    function, offset, _ = _CHANNEL_PLANS[n_atoms]
+    rows = function.size
+    H = np.empty((taus.size, rows * rows + 1)) if out is None else out
+    H[:, -1] = 0.0
     gram = H[:, :-1].reshape(-1, rows, rows)  # a view: the product is written into H
+    chunk = max(1, _CHUNK_CELLS // (rows * ms.size))
     for start in range(0, taus.size, chunk):
         span = slice(start, start + chunk)
         amps, rung = table(ms, taus[span])  # [function, rung, t]
@@ -433,9 +430,43 @@ def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndar
         # rung[0] is each photon level's own rung, the ground state's
         cells = ((function * amps.shape[1] + offset)[:, None] + rung[0]).ravel()
         L = amps.reshape(-1, t).T.take(cells, axis=1).reshape(t, rows, ms.size)
-        np.matmul(L * ps, L.transpose(0, 2, 1), out=gram[:t])
-        H[:t].take(scatter, axis=1, out=E[span], mode="clip")  # "clip": an unbuffered out
-    return E.reshape((taus.size,) + (dim,) * 4)
+        np.matmul(L * ps, L.transpose(0, 2, 1), out=gram[span])
+    return H
+
+
+def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Every evolved operator |ket><bra| of one cavity's atoms, as real E[t, row, col, ket_in, bra_in].
+
+    ``n_atoms`` is 1 (one atom per cavity) or 2 (two atoms sharing the mode).
+    Each chunk of taus builds its Gram cells (:func:`_gram`), and
+    :func:`_scatter` reads every cell of E from them, every term the
+    selection rule kills from the zero cell.  E equals the complex
+    (K p) K^dagger of the amplitudes K, masked by the rule: an amplitude is
+    its entry times i for an odd number of flips, and the rule only pairs
+    transitions of the same flip parity, so the two phases cancel.  A chunk
+    holds at most ``_CHUNK_CELLS`` Gram cells, or a single tau.
+    """
+    function, _, scatter = _CHANNEL_PLANS[n_atoms]
+    cells = function.size**2 + 1
+    E = np.empty((taus.size, scatter.size))
+    chunk = max(1, _CHUNK_CELLS // cells)
+    H = np.empty((min(chunk, taus.size), cells))
+    for start in range(0, taus.size, chunk):
+        part = taus[start : start + chunk]
+        _scatter(_gram(field, part, n_atoms, H[: part.size]), n_atoms, E[start : start + chunk])
+    return E.reshape((taus.size,) + (2**n_atoms,) * 4)
+
+
+def _scatter(H: np.ndarray, n_atoms: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The channel tensor E[t, row, col, ket_in, bra_in] that Gram cells H[t, cell] (:func:`_gram`) hold.
+
+    One ``take`` through the plan's ``scatter`` reads every cell of E.
+    ``out``, when given, receives E as ``[t, cell]``.
+    """
+    scatter = _CHANNEL_PLANS[n_atoms][2]
+    E = np.empty((H.shape[0], scatter.size)) if out is None else out
+    H.take(scatter, axis=1, out=E, mode="clip")  # "clip": an unbuffered out
+    return E.reshape((H.shape[0],) + (2**n_atoms,) * 4)
 
 
 def pair_map(i: int, k: int, j: int, l: int, field: FieldSpec, tau: _TauLike) -> np.ndarray:
@@ -513,6 +544,14 @@ def _channels(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.nda
     Ea = _channel_tensor(field_a, taus, n_atoms)
     Eb = Ea if field_b == field_a else _channel_tensor(field_b, taus, n_atoms)
     return Ea, Eb
+
+
+def _grams(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both cavities' Gram cells (:func:`_gram`) on ``taus``; equal fields share one build (``Hb is Ha``)."""
+    n_atoms = len(_cavity_labels(model)[0])
+    Ha = _gram(field_a, taus, n_atoms)
+    Hb = Ha if field_b == field_a else _gram(field_b, taus, n_atoms)
+    return Ha, Hb
 
 
 def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, keep: str) -> np.ndarray:

@@ -22,11 +22,12 @@ import numpy as np
 from . import dynamics
 from .algebra import _PSD_SLACK, _TOL_HERM, _TOL_TRACE, ValidationReport, _deviations
 from .analysis import (
+    _X_PLANS,
     PAIR_CHOICES,
     Scenario,
     _scenario_weights,
-    _x_kernel,
     _x_margin_terms,
+    _x_pair_kernel,
     _x_report,
     _x_slice_concurrence,
     sweep_pairs,
@@ -253,16 +254,17 @@ def _validated(mats: np.ndarray) -> tuple[ValidationReport, np.ndarray]:
 def suite_state_validity() -> SuiteResult:
     """Reduced states across representative sweeps must be physical, and the sweep's X route must agree.
 
-    Full states: Hermiticity, trace and eigenvalue floor at the validation
-    bars, X-pattern residue at the X-shape bar, and agreement of the X-form
-    and general concurrence at 1e-9.  The kernel's off-pattern bound must be
-    exactly 0.0, as the sweep requires (a ratio of 0, else inf).
-    The X route on the same kernels: its concurrence against the general
-    one at 1e-9, its closed-form Hermiticity and trace against the full
-    states' at 1e-15, and its closed-form minimum eigenvalue at most 1e-15
-    above the full states' minimum.  One ``eigh`` of each state's Hermitian
-    part gives both that minimum and the general concurrence
-    (:func:`_validated`).  Each kernel and its X slice are weighted for all
+    Full states, from :func:`dtcm.dynamics._combine`'s kernels: Hermiticity,
+    trace and eigenvalue floor at the validation bars, X-pattern residue at
+    the X-shape bar, and agreement of the X-form and general concurrence at
+    1e-9.  The X route, the sweep's plan (:func:`dtcm.analysis._x_pair_kernel`)
+    on the same Gram cells: its off-pattern bound must be exactly 0.0, as the
+    sweep requires (a ratio of 0, else inf), its concurrence must match the
+    general one at 1e-9, its closed-form Hermiticity and trace the full
+    states' at 1e-15, and its closed-form minimum eigenvalue may lie at most
+    1e-15 above the full states' minimum.  One ``eigh`` of each state's
+    Hermitian part gives both that minimum and the general concurrence
+    (:func:`_validated`).  Each kernel and each X slice are weighted for all
     nine alphas in one product, as the sweep weights them.  A state that is
     not finite gets NaN ratios.  The thermal member uses a tail mass small
     enough not to disturb the trace bar.  The reported deviation is the
@@ -281,11 +283,13 @@ def suite_state_validity() -> SuiteResult:
         for scenario in scenarios:
             words = _scenario_words(scenario)
             weights = _scenario_weights(scenario, alphas.tolist())
-            # the kernels sweep_pairs slices, from one channel build per scenario
-            channels = dynamics._channels(scenario.model, scenario.field_a, scenario.field_b, taus)
+            # one Gram build per scenario: the sweep's X route reads it, and the full states its channels
+            grams = dynamics._grams(scenario.model, scenario.field_a, scenario.field_b, taus)
+            Ea = dynamics._scatter(grams[0], 2)
+            channels = (Ea, Ea if grams[1] is grams[0] else dynamics._scatter(grams[1], 2))
             for pair in PAIR_CHOICES:
                 kernel = dynamics._combine(scenario.model, scenario.bell_type, *channels, pair)
-                KX, off_bound = _x_kernel(kernel)
+                KX, off_bound = _x_pair_kernel(_X_PLANS[scenario.model, scenario.bell_type, pair], *grams)
                 full = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
                 slices = np.moveaxis(dynamics._apply_weights(KX, weights), -1, 0)
                 for alpha, reduced, X in zip(alphas.tolist(), full, slices):

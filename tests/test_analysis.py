@@ -268,14 +268,15 @@ def test_sweep_validates_inputs():
 
 
 def count_channel_builds(monkeypatch) -> list:
+    """Record the field of every Gram build, the step each channel build starts with."""
     calls = []
-    real = dynamics._channel_tensor
+    real = dynamics._gram
 
-    def counted(field, taus, n_atoms):
+    def counted(field, taus, n_atoms, out=None):
         calls.append(field)
-        return real(field, taus, n_atoms)
+        return real(field, taus, n_atoms, out)
 
-    monkeypatch.setattr(dynamics, "_channel_tensor", counted)
+    monkeypatch.setattr(dynamics, "_gram", counted)
     return calls
 
 
@@ -295,8 +296,8 @@ def test_sweep_pairs_builds_each_channel_once(monkeypatch):
 
 @pytest.mark.parametrize("model", (Model.DTCM, Model.DJCM))
 def test_sweep_runs_in_float64_from_the_channels_to_the_concurrence(monkeypatch, model):
-    # the channels are real, so every array the sweep makes from them is too
-    names = ("_channels", "_combine", "_x_kernel", "_apply_weights", "_x_margin_terms", "_x_slice_concurrence")
+    # the Gram cells are real, so every array the sweep makes from them is too
+    names = ("_grams", "_x_pair_kernel", "_apply_weights", "_x_margin_terms", "_x_slice_concurrence")
     seen = []
 
     def spied(name, real):
@@ -407,23 +408,29 @@ def test_closed_form_margins_of_an_asymmetric_x_slice():
     assert closed.min_eigenvalue <= full.min_eigenvalue + 1e-15
 
 
-def trace_weighting(monkeypatch, fault=None, kernel_fault=None):
-    """Record every (pair, first tau) whose X slice the sweep weights, optionally faulting the
-    pair kernels (``kernel_fault(pair, taus, kernel)``) or a chunk's weighted X slices
-    in place (``fault(pair, taus, X)``, X[t, 8, alpha]); returns the record list."""
-    channels, combine, apply_weights = analysis._channels, analysis._combine, analysis._apply_weights
+def plan_pair(plan):
+    """The pair whose sweep plan ``plan`` is."""
+    return next(pair for (_, _, pair), known in analysis._X_PLANS.items() if known is plan)
+
+
+def trace_weighting(monkeypatch, fault=None, gram_fault=None):
+    """Record every (pair, first tau) whose X slice the sweep weights, optionally faulting
+    copies of the Gram cells one pair's kernel reads (``gram_fault(pair, taus, Ha, Hb)``)
+    or a chunk's weighted X slices in place (``fault(pair, taus, X)``, X[t, 8, alpha]);
+    returns the record list."""
+    grams, pair_kernel, apply_weights = analysis._grams, analysis._x_pair_kernel, analysis._apply_weights
     current, weighted = {}, []
 
     def chunk(model, field_a, field_b, taus):
         current["taus"] = taus
-        return channels(model, field_a, field_b, taus)
+        return grams(model, field_a, field_b, taus)
 
-    def tagged(model, bell_type, Ea, Eb, keep):
-        kernel = combine(model, bell_type, Ea, Eb, keep)
-        if kernel_fault is not None:
-            kernel_fault(keep, current["taus"], kernel)
-        current["pair"] = keep
-        return kernel
+    def tagged(plan, Ha, Hb):
+        current["pair"] = plan_pair(plan)
+        if gram_fault is not None:
+            Ha, Hb = Ha.copy(), Hb.copy()
+            gram_fault(current["pair"], current["taus"], Ha, Hb)
+        return pair_kernel(plan, Ha, Hb)
 
     def recorded(KX, W):
         X = apply_weights(KX, W)
@@ -432,10 +439,26 @@ def trace_weighting(monkeypatch, fault=None, kernel_fault=None):
             fault(current["pair"], current["taus"], X)
         return X
 
-    monkeypatch.setattr(analysis, "_channels", chunk)
-    monkeypatch.setattr(analysis, "_combine", tagged)
+    monkeypatch.setattr(analysis, "_grams", chunk)
+    monkeypatch.setattr(analysis, "_x_pair_kernel", tagged)
     monkeypatch.setattr(analysis, "_apply_weights", recorded)
     return weighted
+
+
+def off_pattern_partner(plan, cavity):
+    """A Gram cell of ``cavity`` that the other factor of some off-pattern kernel cell reads."""
+    off = list(analysis._OFF_ENTRIES)
+    terms, partner = plan.terms[cavity][off], plan.terms[1 - cavity][off]
+    zero = partner.max()  # the zero cell comes after every Gram product cell
+    cells = terms[(partner == zero).all(axis=-1)]
+    return int(cells[cells != zero][0])
+
+
+def dense_bound(scenario, pair, Ha, Hb):
+    """The off-pattern bound ``_x_kernel(_combine(...))`` reads on the channels that Gram cells ``Ha``, ``Hb`` hold."""
+    n_atoms = len(dynamics._cavity_labels(scenario.model)[0])
+    Ea, Eb = dynamics._scatter(Ha, n_atoms), dynamics._scatter(Hb, n_atoms)
+    return analysis._x_kernel(dynamics._combine(scenario.model, scenario.bell_type, Ea, Eb, pair))[1]
 
 
 def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
@@ -456,22 +479,19 @@ def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
     assert [pair for pair, _ in weighted] == ["AB", "BD"] * 4
 
 
-@pytest.mark.parametrize(
-    ("value", "bound"), [(1e-9, "1.000e-09"), (1e-300, "1.000e-300"), (np.nan, "nan")], ids=["1e-9", "1e-300", "nan"]
-)
-def test_sweep_pairs_x_shape_failure_names_its_pair(monkeypatch, value, bound):
-    # a Hermitian off-pattern entry on CD's first branch: its weight sin^4(alpha)
-    # keeps the state under the full states' X-shape bar at alpha=0.2, but any
-    # off-pattern kernel entry that is not exactly 0.0 makes the pair raise
-    def off_pattern(pair, taus, kernel):
-        if pair == "CD":
-            kernel[:, 0, 1, 0] += value
-            kernel[:, 1, 0, 0] += value
-
-    weighted = trace_weighting(monkeypatch, kernel_fault=off_pattern)
+def test_sweep_pairs_x_shape_failure_names_its_pair(monkeypatch):
+    # a NaN in one Gram cell that an other factor of CD reads: CD's off-pattern
+    # cells are that factor times a zero factor, so its bound is NaN
     sc = Scenario(Model.DTCM, BellType.PHI, VAC, VAC)
+    cell = off_pattern_partner(analysis._X_PLANS[sc.model, sc.bell_type, "CD"], 1)
+
+    def poisoned(pair, taus, Ha, Hb):
+        if pair == "CD":
+            Hb[:, cell] = np.nan
+
+    weighted = trace_weighting(monkeypatch, gram_fault=poisoned)
     tau = np.linspace(0.0, 3.0, 31)
-    message = f"pair CD: reduced state left the X shape: off-pattern bound {bound}"
+    message = "pair CD: reduced state left the X shape: off-pattern bound nan"
     with pytest.raises(NumericalError, match=re.escape(message)):
         sweep_pairs(sc, ("CD",), np.array([0.2]), tau)
     assert weighted == [("CD", 0.0)]
@@ -482,17 +502,43 @@ def test_sweep_pairs_x_shape_failure_names_its_pair(monkeypatch, value, bound):
     assert weighted == [("AB", 0.0), ("CD", 0.0)]
 
 
+@pytest.mark.parametrize("bell", list(BellType), ids=lambda b: b.value)
+@pytest.mark.parametrize("pair", ["AB", "AC"])
+def test_a_nonzero_zero_cell_raises_the_dense_routes_bound(monkeypatch, bell, pair):
+    # the cell every killed term reads holds 1e-3 in both cavities: the pair raises
+    # with the bound the dense route reads on the same faulty channels
+    sc = Scenario(Model.DTCM, bell, FieldSpec.fock(1), VAC)
+    tau = np.linspace(0.0, 3.0, 31)
+
+    def leaky(pair, taus, Ha, Hb):
+        Ha[:, -1] = Hb[:, -1] = 1e-3
+
+    trace_weighting(monkeypatch, gram_fault=leaky)
+    Ha, Hb = dynamics._grams(sc.model, sc.field_a, sc.field_b, tau)
+    leaky(pair, tau, Ha, Hb)
+    bound = dense_bound(sc, pair, Ha, Hb)
+    assert 0.0 < bound < np.inf
+    with pytest.raises(NumericalError, match=re.escape(f"pair {pair}: reduced state left the X shape: off-pattern bound {bound:.3e}")):
+        sweep_pairs(sc, (pair,), np.array([0.3]), tau)
+
+
 def test_sweep_pairs_raises_the_whole_grid_bound_of_one_failing_chunk(monkeypatch):
     # BD leaves the X shape in the second of four chunks only: the raised bound is the whole grid's
-    def off_pattern(pair, taus, kernel):
+    def leaky(pair, taus, Ha, Hb):
         if pair == "BD" and taus[0] == 0.8:
-            kernel[:, 0, 1, 0] += 1e-3
+            Ha[:, -1] = 1e-3
 
-    trace_weighting(monkeypatch, kernel_fault=off_pattern)
+    trace_weighting(monkeypatch, gram_fault=leaky)
     monkeypatch.setattr(analysis, "_SWEEP_CELLS", 256 * 8)
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
-    with pytest.raises(NumericalError, match=re.escape("pair BD: reduced state left the X shape: off-pattern bound 1.000e-03")):
-        sweep_pairs(sc, ("BD",), np.array([0.3, 0.9]), np.linspace(0.0, 3.0, 31))
+    tau = np.linspace(0.0, 3.0, 31)
+    Ha, Hb = dynamics._grams(sc.model, sc.field_a, sc.field_b, tau[8:16])
+    Ha = Ha.copy()
+    leaky("BD", tau[8:16], Ha, Hb)
+    bound = dense_bound(sc, "BD", Ha, Hb)
+    assert 0.0 < bound < np.inf
+    with pytest.raises(NumericalError, match=re.escape(f"pair BD: reduced state left the X shape: off-pattern bound {bound:.3e}")):
+        sweep_pairs(sc, ("BD",), np.array([0.3, 0.9]), tau)
 
 
 def test_sweep_pairs_double_fault_keeps_pair_order(monkeypatch):
@@ -501,20 +547,23 @@ def test_sweep_pairs_double_fault_keeps_pair_order(monkeypatch):
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
     alphas = np.array([0.3, 0.9, 1.2])
 
-    def off_pattern(pair, taus, kernel):
+    def leaky(pair, taus, Ha, Hb):
         if pair == "BD" and taus[0] == 0.0:
-            kernel[:, 0, 1, 0] += 1e-3
+            Ha[:, -1] = 1e-3
 
     def doubled(pair, taus, X):
         if pair == "AB" and taus[-1] == 3.0:
             X[..., 1] *= 2.0
 
-    trace_weighting(monkeypatch, fault=doubled, kernel_fault=off_pattern)
+    trace_weighting(monkeypatch, fault=doubled, gram_fault=leaky)
     message = f"pair AB, alpha={alphas[1]}: reduced state failed validation"
     for cells in (256 * 8, analysis._SWEEP_CELLS):  # four chunks, then one
         monkeypatch.setattr(analysis, "_SWEEP_CELLS", cells)
         with pytest.raises(NumericalError, match=re.escape(message)):
             sweep_pairs(sc, ("AB", "BD"), alphas, np.linspace(0.0, 3.0, 31))
+    # BD alone raises its X-shape error
+    with pytest.raises(NumericalError, match="^pair BD: reduced state left the X shape: off-pattern bound "):
+        sweep_pairs(sc, ("BD",), alphas, np.linspace(0.0, 3.0, 31))
 
 
 def sweep_with_reports(monkeypatch, sc, alphas, tau):

@@ -192,6 +192,20 @@ def test_grid_matches_single_time_builds(field, n_atoms):
 
 
 @pytest.mark.parametrize("n_atoms", (1, 2))
+@pytest.mark.parametrize("field", BUILD_FIELDS + FIELDS[1::2], ids=BUILD_IDS + FIELD_IDS[1::2])
+def test_channel_is_the_scatter_of_its_whole_grid_gram(field, n_atoms):
+    # the sweep's route: one Gram build over 2501 taus, whose amplitude-row chunks
+    # do not line up with the channel's own chunks, scattered in one take
+    taus = np.linspace(0.0, 25.0, 2501)
+    H = dynamics._gram(field, taus, n_atoms)
+    rows = dynamics._CHANNEL_PLANS[n_atoms][0].size
+    assert H.shape == (taus.size, rows * rows + 1) and H.dtype == np.float64
+    assert np.all(H[:, -1] == 0.0) and not np.signbit(H[:, -1]).any()
+    E = dynamics._channel_tensor(field, taus, n_atoms)
+    assert dynamics._scatter(H, n_atoms).tobytes() == E.tobytes()
+
+
+@pytest.mark.parametrize("n_atoms", (1, 2))
 @pytest.mark.parametrize("nbar", (0.3, 1.0))
 def test_thermal_channel_is_the_photon_weighted_sum_of_fock_channels(nbar, n_atoms):
     # the field trace is linear in the photon distribution; no oracle involved

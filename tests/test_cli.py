@@ -286,18 +286,38 @@ def test_memory_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "numerical failure: Unable to allocate 8.23 GiB for the amplitude table\n"
 
 
+def off_pattern_partner(plan, cavity):
+    """A Gram cell of ``cavity`` that the other factor of some off-pattern kernel cell reads."""
+    off = list(analysis._OFF_ENTRIES)
+    terms, partner = plan.terms[cavity][off], plan.terms[1 - cavity][off]
+    zero = partner.max()  # the zero cell comes after every Gram product cell
+    cells = terms[(partner == zero).all(axis=-1)]
+    return int(cells[cells != zero][0])
+
+
+def fault_pair_grams(monkeypatch, pair, fault):
+    """Hand BASE's sweep of ``pair`` (DTCM psi) the Gram cells ``fault(Ha, Hb)`` returns from copies."""
+    real, plan = analysis._x_pair_kernel, analysis._X_PLANS[Model.DTCM, BellType.PSI, pair]
+
+    def faulty(p, Ha, Hb):
+        if p is plan:
+            Ha, Hb = fault(Ha.copy(), Hb.copy())
+        return real(p, Ha, Hb)
+
+    monkeypatch.setattr(analysis, "_x_pair_kernel", faulty)
+
+
 def test_x_shape_failure_exits_3(tmp_path, capsys, monkeypatch):
-    # a NaN off-pattern entry in AC's kernel: the bound fails closed, and no CSV is written
+    # a NaN in a Gram cell that an other factor of AC reads: AC's off-pattern
+    # cells are NaN, the bound fails closed, and no CSV is written
     cfg = write_cfg(tmp_path, BASE)
-    real = analysis._combine
+    cell = off_pattern_partner(analysis._X_PLANS[Model.DTCM, BellType.PSI, "AC"], 0)
 
-    def faulty(model, bell_type, Ea, Eb, keep):
-        kernel = real(model, bell_type, Ea, Eb, keep)
-        if keep == "AC":
-            kernel[:, 0, 1] = np.nan
-        return kernel
+    def poisoned(Ha, Hb):
+        Ha[:, cell] = np.nan
+        return Ha, Hb
 
-    monkeypatch.setattr(analysis, "_combine", faulty)
+    fault_pair_grams(monkeypatch, "AC", poisoned)
     out = tmp_path / "curves.csv"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == "numerical failure: pair AC: reduced state left the X shape: off-pattern bound nan\n"
@@ -308,8 +328,7 @@ def test_x_shape_failure_exits_3(tmp_path, capsys, monkeypatch):
 def test_validation_failure_leaves_no_output(tmp_path, capsys, monkeypatch, command):
     # AC's states trace to 2: the sweep raises before any output is opened
     cfg = write_cfg(tmp_path, BASE if command != "plotdata" else rewrite(pairs="AC"))
-    real = analysis._combine
-    monkeypatch.setattr(analysis, "_combine", lambda m, b, Ea, Eb, keep: real(m, b, Ea, Eb, keep) * (2.0 if keep == "AC" else 1.0))
+    fault_pair_grams(monkeypatch, "AC", lambda Ha, Hb: (2.0 * Ha, Hb))  # doubles every cavity-a factor
     out = tmp_path / "out.txt"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
     assert "pair AC, alpha=0.2: reduced state failed validation" in capsys.readouterr().err
@@ -418,7 +437,11 @@ def run_cli_to(tmp_path, command, stdout):
     """``python -m dtcm.cli <command>`` in a fresh process writing to ``stdout``,
     closing a pipe's reader before the process writes; returns (exit code, stderr)."""
     cfg = write_cfg(tmp_path, BASE if command != "plotdata" else rewrite(pairs="AB"))
-    args = [command] + (["--config", cfg] if command != "verify" else [])
+    return run_args_to([command] + (["--config", cfg] if command != "verify" else []), stdout)
+
+
+def run_args_to(args, stdout):
+    """``python -m dtcm.cli <args>`` as :func:`run_cli_to` runs it."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, whose last flush must not fail after main returns
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
@@ -445,6 +468,31 @@ def test_closed_stdout_pipe_stops_quietly(tmp_path, command):
     code, err = run_cli_to(tmp_path, command, subprocess.PIPE)
     assert code == cli._EXIT_CLOSED_PIPE == 141
     assert err == ""
+
+
+HELP_ARGS = [["--help"], ["simulate", "--help"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", HELP_ARGS, ids=" ".join)
+def test_help_to_a_full_stdout_exits_2(args):
+    # argparse prints the help and exits inside main, which flushes it there
+    with open("/dev/full", "w") as full:
+        code, err = run_args_to(args, full)
+    assert code == 2
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("args", HELP_ARGS, ids=" ".join)
+def test_help_to_a_closed_pipe_stops_quietly(args):
+    code, err = run_args_to(args, subprocess.PIPE)
+    assert code == cli._EXIT_CLOSED_PIPE
+    assert err == ""
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: dtcm ")
 
 
 def test_failed_write_removes_the_partial_file(tmp_path, capsys, monkeypatch):
@@ -515,8 +563,10 @@ def test_verify_fails_on_a_nan_and_names_its_case(capsys, monkeypatch):
 
 
 def test_verify_catches_swapped_x_coherences(capsys, monkeypatch):
-    # the sweep's X slice with its outer and inner coherence columns (and mirrors) swapped
+    # the sweep's X slice with its outer and inner coherence columns (and mirrors) swapped in every plan
     monkeypatch.setattr(analysis, "_X_ENTRIES", np.array([0, 5, 10, 15, 6, 3, 9, 12]))
+    for key in analysis._X_PLANS:
+        monkeypatch.setitem(analysis._X_PLANS, key, analysis._x_plan(*key))
     assert cli.main(["verify", "--level", "quick"]) == 1
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("state-validity")]
     assert lines and "FAIL" in lines[0]

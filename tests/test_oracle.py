@@ -236,19 +236,22 @@ def test_compare_pipelines_rejects_a_bad_grid_before_any_eigensolve(monkeypatch)
         compare_pipelines(sc, 0.4, np.array([0.0, 2.0, 1.0]), n_max=6)
 
 
-@pytest.mark.parametrize(
-    ("name", "fault"),
-    [
-        # the X slice with its outer and inner coherence columns (and mirrors) swapped:
-        # the sweep's closed-form validation rejects the states
-        ("_X_ENTRIES", np.array([0, 5, 10, 15, 6, 3, 9, 12])),
-        # valid states whose concurrence reads the two coherences swapped: a disagreement
-        ("_x_slice_concurrence", lambda X: _x_concurrence(X[..., :4].real, X[..., 5], X[..., 4])),
-    ],
-    ids=["x-entries", "x-concurrence"],
-)
-def test_oracle_agreement_checks_the_sweeps_x_route(monkeypatch, name, fault):
-    monkeypatch.setattr(analysis, name, fault)
+def swap_x_coherences(monkeypatch):
+    # the X slice with its outer and inner coherence columns (and mirrors) swapped in
+    # every plan: the sweep's closed-form validation rejects the states
+    monkeypatch.setattr(analysis, "_X_ENTRIES", np.array([0, 5, 10, 15, 6, 3, 9, 12]))
+    for key in analysis._X_PLANS:
+        monkeypatch.setitem(analysis._X_PLANS, key, analysis._x_plan(*key))
+
+
+def swap_concurrence_coherences(monkeypatch):
+    # valid states whose concurrence reads the two coherences swapped: a disagreement
+    monkeypatch.setattr(analysis, "_x_slice_concurrence", lambda X: _x_concurrence(X[..., :4].real, X[..., 5], X[..., 4]))
+
+
+@pytest.mark.parametrize("fault", [swap_x_coherences, swap_concurrence_coherences], ids=["x-entries", "x-concurrence"])
+def test_oracle_agreement_checks_the_sweeps_x_route(monkeypatch, fault):
+    fault(monkeypatch)
     assert not verification.suite_oracle_agreement(verification.QUICK).passed
 
 
@@ -599,10 +602,10 @@ def test_verify_catches_a_preparation_weight_fault(monkeypatch):
 
 
 def test_verify_catches_a_swapped_cavity_combine(monkeypatch):
-    # the sweeps trace each cavity's channel to the pair before the product;
-    # handing cavity b's channel to cavity a's qubits must show in verify
-    original = analysis._combine
-    monkeypatch.setattr(analysis, "_combine", lambda m, b, Ea, Eb, keep: original(m, b, Eb, Ea, keep))
+    # the sweeps read each cavity's factors from its own Gram cells;
+    # handing cavity b's cells to cavity a's factors must show in verify
+    original = analysis._x_pair_kernel
+    monkeypatch.setattr(analysis, "_x_pair_kernel", lambda plan, Ha, Hb: original(plan, Hb, Ha))
     result = verification.suite_oracle_agreement(verification.FULL)
     assert not result.passed
     assert result.max_deviation > 0.1

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from dtcm import analysis, cli, verification
+from dtcm.dynamics import Model
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+SCENARIOS = SCRIPT.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +50,23 @@ def test_rejects_a_tree_without_the_package(tmp_path, compare_outputs):
     with pytest.raises(SystemExit) as exc:
         compare_outputs.main([str(tmp_path), str(tmp_path)])
     assert exc.value.code == 2
+
+
+def scenario_configs():
+    return [cli.parse_config_text(path.read_text(encoding="utf-8")) for path in sorted(SCENARIOS.glob("*.cfg"))]
+
+
+def test_fixed_scenarios_and_presets_cover_every_sweep_plan():
+    configs = scenario_configs() + [cli.load_preset(name) for name in cli.available_presets()]
+    covered = {(cfg.model, cfg.bell_type, pair) for cfg in configs for pair in cfg.pairs}
+    assert covered == set(analysis._X_PLANS)
+
+
+def test_fixed_scenarios_hold_the_unequal_field_pairs():
+    words = {(cfg.model, verification._field_words(cfg.field_a), verification._field_words(cfg.field_b)) for cfg in scenario_configs()}
+    for model in (Model.DTCM, Model.DJCM):
+        assert any(m is model and a != b for m, a, b in words), model
+    unequal = {(a, b) for _, a, b in words}
+    assert {("vacuum", "fock:2"), ("thermal:0.5", "vacuum"), ("thermal:1", "thermal:2")} <= unequal
+    # short grids: the comparison stays quick
+    assert all(cfg.tau.size * cfg.alphas.size <= 2000 for cfg in scenario_configs())

@@ -72,7 +72,7 @@ CASES = [
     (
         # a state that is not finite: the general concurrence is not asked, and the first ratio is named
         verification.suite_state_validity,
-        dynamics, "_channel_tensor", lambda real: with_nan(real, (0, 0, 0, 0, 0)),
+        dynamics, "_gram", lambda real: with_nan(real, (0, dynamics._CHANNEL_PLANS[2][2][0])),
         "DTCM psi vacuum/vacuum AB alpha=0.1571 hermiticity",
     ),
 ]
@@ -123,13 +123,13 @@ def test_a_state_that_is_not_finite_gets_nan_without_a_spectrum(monkeypatch):
 
 def test_state_validity_fails_any_off_pattern_bound_that_is_not_zero(monkeypatch):
     # the sweep's rule: an off-pattern bound of 1e-300 is as far off the X shape as 1
-    real = verification._x_kernel
+    real = verification._x_pair_kernel
 
-    def tiny_bound(kernel):
-        KX, _ = real(kernel)
+    def tiny_bound(plan, Ha, Hb):
+        KX, _ = real(plan, Ha, Hb)
         return KX, 1e-300
 
-    monkeypatch.setattr(verification, "_x_kernel", tiny_bound)
+    monkeypatch.setattr(verification, "_x_pair_kernel", tiny_bound)
     result = verification.suite_state_validity()
     assert not result.passed and result.max_deviation == math.inf, result.line()
     assert result.detail.endswith("; worst: DTCM psi vacuum/vacuum AB alpha=0.1571 off-bound"), result.line()

@@ -1,12 +1,13 @@
-"""Compare every preset output and the full verify report of two dtcm source trees.
+"""Compare every preset output, the fixed scenarios' outputs and the full verify report of two dtcm source trees.
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
 Each tree is a directory holding the ``dtcm`` package (a checkout's ``src``).
 For each tree, one fresh Python process imports ``dtcm`` from it and writes
-``simulate``, ``events`` and ``plotdata`` of every bundled preset (33 outputs)
-and the stdout of ``verify --level full`` into a scratch directory, with each
-run's exit code.  The seconds each verify suite took are replaced by ``<s>``,
+``simulate``, ``events`` and ``plotdata`` of every bundled preset (33 outputs),
+``simulate`` and ``events`` of every config in ``tools/scenarios`` (pairs,
+layouts and unequal fields the presets leave out) and the stdout of
+``verify --level full`` into a scratch directory, with each run's exit code.  The seconds each verify suite took are replaced by ``<s>``,
 since they differ from run to run.  The script prints each differing line
 (at most 20 per output, then a count) and exits 1 if any output or
 exit code differs, else 0.
@@ -28,12 +29,16 @@ import contextlib, io, json, sys
 from pathlib import Path
 from dtcm import cli
 
-out = Path(sys.argv[1])
+out, scenarios = Path(sys.argv[1]), Path(sys.argv[2])
 codes = {}
 for preset in cli.available_presets():
     for command in ("simulate", "events", "plotdata"):
         name = f"{preset}.{command}"
         codes[name] = cli.main([command, "--preset", preset, "--out", str(out / name)])
+for config in sorted(scenarios.glob("*.cfg")):
+    for command in ("simulate", "events"):
+        name = f"{config.stem}.{command}"
+        codes[name] = cli.main([command, "--config", str(config), "--out", str(out / name)])
 report = io.StringIO()
 with contextlib.redirect_stdout(report):
     codes["verify-full"] = cli.main(["verify", "--level", "full"])
@@ -41,6 +46,7 @@ with contextlib.redirect_stdout(report):
 (out / "codes.json").write_text(json.dumps(codes), encoding="utf-8")
 """
 
+_SCENARIOS = Path(__file__).resolve().parent / "scenarios"  # fixed configs, read by both trees
 _SECONDS = re.compile(r" in \d+\.\d+ s")
 _SHOW = 20  # differing lines printed per output
 
@@ -48,7 +54,7 @@ _SHOW = 20  # differing lines printed per output
 def write_outputs(src: Path, out: Path) -> dict[str, int]:
     """Every output of the tree at ``src`` into ``out``; returns each run's exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", _CHILD, str(out)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", _CHILD, str(out), str(_SCENARIOS)], env=env, check=True)
     return json.loads((out / "codes.json").read_text(encoding="utf-8"))
 
 
