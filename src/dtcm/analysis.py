@@ -20,10 +20,10 @@ from .algebra import (
     CANONICAL_LABELS,
     ValidationReport,
     _require_ok,
-    _trace_subscripts,
 )
 from .concurrence import _X_PATTERN, _x_concurrence
 from .dynamics import (
+    PAIR_CHOICES,
     BellPairSpec,
     BellType,
     FieldSpec,
@@ -34,11 +34,12 @@ from .dynamics import (
     _cavity_labels,
     _CHANNEL_PLANS,
     _check_alpha,
+    _factor_sums,
     _grams,
+    _kernel_terms,
+    _model_pairs,
 )
 from .errors import NumericalError
-
-PAIR_CHOICES = ("AB", "CD", "AC", "BD")
 
 _ZERO_TOL = 1e-9  # concurrence below this counts as zero for event detection
 
@@ -197,12 +198,6 @@ def _check_alphas(values: np.ndarray) -> np.ndarray:
     return alphas
 
 
-def _model_pairs(model: Model) -> tuple[str, ...]:
-    """The pairs of :data:`PAIR_CHOICES` whose two atoms both sit in the model's cavities."""
-    qubits = "".join(_cavity_labels(model))
-    return tuple(pair for pair in PAIR_CHOICES if set(pair) <= set(qubits))
-
-
 def _check_pairs(model: Model, pairs: tuple[str, ...]) -> tuple[str, ...]:
     """``pairs`` as a tuple: at least one, each known, none repeated, all offered by the layout."""
     pairs = tuple(pairs)
@@ -231,9 +226,9 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float]:
     Returns ``KX[t, 8, branch]`` (the entries of :data:`_X_ENTRIES`) and the
     off-pattern bound max_t max_e sum_b |K[t, e, b]|, read one [t, branch]
     entry view at a time, so the off-pattern part is never copied.  Each
-    off-pattern entry has a cavity factor that sums only terms the selection
-    rule zeroed, so on a legitimate kernel the bound is exactly 0.0 and every
-    weighted state is an exact X state.
+    off-pattern entry has a cavity factor whose terms all read the zero Gram
+    cell (:func:`dtcm.dynamics._kernel_terms`), so on legitimate Gram cells
+    the bound is exactly 0.0 and every weighted state is an exact X state.
     """
     flat = kernel.reshape(kernel.shape[0], 16, kernel.shape[-1])
     # np.max, unlike the builtin max, carries a NaN through to the result
@@ -244,7 +239,7 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float]:
 class _XPlan(NamedTuple):
     """Where one pair's kernel reads both cavities' Gram cells; each field holds (cavity a, cavity b)."""
 
-    terms: tuple[np.ndarray, np.ndarray]  # every kernel cell's factor: its Gram cells [entry, branch, term]
+    terms: tuple[np.ndarray, np.ndarray]  # the pair's kernel terms: every kernel cell's Gram cells [entry, branch, term]
     rows: tuple[np.ndarray, np.ndarray]  # the distinct factors of the X cells kept, [row, term]
     factors: tuple[np.ndarray, np.ndarray]  # each kept X cell's factor row
     cells: np.ndarray  # the kept cells of a flat [8 * branch] X slice
@@ -252,38 +247,16 @@ class _XPlan(NamedTuple):
 
 
 def _x_plan(model: Model, bell_type: BellType, pair: str) -> _XPlan:
-    """The Gram cells behind each cell of ``pair``'s kernel, as :func:`dtcm.dynamics._combine` sums them.
+    """Which of ``pair``'s kernel terms (:func:`dtcm.dynamics._kernel_terms`) its X kernel reads.
 
-    The kernel is, cell by cell, the product of one traced factor per cavity.
-    Each factor sums the channel cells of its traced qubits' diagonal, and
-    each channel cell reads one Gram cell through ``_CHANNEL_PLANS``'s
-    scatter index, so this is :func:`dtcm.dynamics._combine` run on that
-    index: each cavity's cells are traced to the kept qubits (the traced
-    terms last, in the order the trace's einsum adds them), cavity b's
-    branches are reversed for psi, and the two factors are broadcast into
-    A<B<C<D order.  A factor whose terms all read the zero cell is zero.  The
-    X cells where neither factor is zero are kept, 32 for AB and CD, 36 for
-    AC and BD and 10 for the one-pair layout, and their factors are
-    deduplicated into rows.  Every off-pattern cell must have a zero factor;
-    a plan where one does not is rejected here.
+    A factor whose terms all read the zero cell is zero.  The X cells where
+    neither factor is zero are kept, 32 for AB and CD, 36 for AC and BD and
+    10 for the one-pair layout, and their factors are deduplicated into
+    rows.  Every off-pattern cell must have a zero factor; a plan where one
+    does not is rejected here.
     """
-    labels = _cavity_labels(model)
-    n_atoms = len(labels[0])
-    dim = 2**n_atoms
-    function, _, scatter = _CHANNEL_PLANS[n_atoms]
-    zero = function.size**2
-    cells = scatter.reshape((2,) * (2 * n_atoms) + (dim, dim))  # [ket qubits, bra qubits, ket_in, bra_in]
-    flipped = cells[..., ::-1, ::-1] if bell_type is BellType.PSI else cells  # cavity b's branch bits, as _combine reads them
-    order = "".join(sorted(pair))
-    terms = []
-    for channel, qubits in zip((cells, flipped), labels):
-        kept = "".join(q for q in qubits if q in pair)
-        traced = "".join(q for q in qubits if q not in pair)
-        state, reduced = _trace_subscripts(qubits, kept)
-        factor = np.einsum(f"{state}sz->{reduced}sz{traced}", channel)  # each factor's terms on the last axes
-        shape = tuple(2 if q in reduced else 1 for q in order + order.lower())
-        factor = factor.reshape(shape + (dim, dim, 2 ** len(traced)))
-        terms.append(np.broadcast_to(factor, (2,) * 4 + factor.shape[-3:]).reshape(16, dim * dim, -1))
+    terms = _kernel_terms(model, bell_type, pair)
+    zero = _CHANNEL_PLANS[len(_cavity_labels(model)[0])][0].size ** 2  # the cell after every Gram product cell
     zero_a, zero_b = ((t == zero).all(axis=-1) for t in terms)  # [entry, branch]
     if not (zero_a | zero_b)[list(_OFF_ENTRIES)].all():
         raise AssertionError(f"{model.value} {bell_type.value} {pair}: an off-pattern kernel cell has no zero factor")
@@ -295,7 +268,7 @@ def _x_plan(model: Model, bell_type: BellType, pair: str) -> _XPlan:
         factors.append(np.array([index.setdefault(tuple(key), len(index)) for key in cell_terms], dtype=np.intp))
         rows.append(np.array(list(index), dtype=np.intp))
         others.append(np.array(sorted(set(t[partner_zero].ravel().tolist()) - {zero}), dtype=np.intp))
-    return _XPlan(tuple(terms), tuple(rows), tuple(factors), kept, tuple(others))
+    return _XPlan(terms, tuple(rows), tuple(factors), kept, tuple(others))
 
 
 _X_PLANS = {
@@ -304,14 +277,6 @@ _X_PLANS = {
     for bell_type in BellType
     for pair in _model_pairs(model)
 }
-
-
-def _factor_sums(H: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The factors ``[..., term]`` of Gram cells ``H[t, cell]``, added term by term as the trace's einsum adds them."""
-    F = H[:, terms[..., 0]]  # an index, not take: about twice as fast on these short rows
-    for term in range(1, terms.shape[-1]):
-        F += H[:, terms[..., term]]
-    return F
 
 
 def _x_pair_kernel(plan: _XPlan, Ha: np.ndarray, Hb: np.ndarray) -> tuple[np.ndarray, float]:
@@ -324,9 +289,8 @@ def _x_pair_kernel(plan: _XPlan, Ha: np.ndarray, Hb: np.ndarray) -> tuple[np.nda
     bit for bit up to the sign of a zero.  Every off-pattern cell is a zero
     factor times another, so the bound is exactly 0.0 while both zero cells
     are 0.0 and every Gram cell an other factor reads is finite.  Where that
-    fails, the whole kernel is made from the plan and cut by
-    :func:`_x_kernel`, so the bound and the X cells are those of the dense
-    route.
+    fails, the pair kernel is summed from the plan's terms as ``_combine``
+    sums it and cut by :func:`_x_kernel`: the dense route's bound and cells.
     """
     exact = all(not H[:, -1].any() and np.isfinite(H[:, o]).all() for H, o in zip((Ha, Hb), plan.others))
     if not exact:

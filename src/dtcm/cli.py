@@ -390,8 +390,15 @@ def cmd_verify(level: str = "quick") -> int:
     return 0 if all(result.passed for result in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a help write that fails raises (an unbuffered stdout fails there, not at the flush); subparsers inherit it."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dtcm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="dtcm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scenario_command(name: str, help_text: str) -> argparse.ArgumentParser:

@@ -438,13 +438,13 @@ def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndar
     """Every evolved operator |ket><bra| of one cavity's atoms, as real E[t, row, col, ket_in, bra_in].
 
     ``n_atoms`` is 1 (one atom per cavity) or 2 (two atoms sharing the mode).
-    Each chunk of taus builds its Gram cells (:func:`_gram`), and
-    :func:`_scatter` reads every cell of E from them, every term the
-    selection rule kills from the zero cell.  E equals the complex
-    (K p) K^dagger of the amplitudes K, masked by the rule: an amplitude is
-    its entry times i for an odd number of flips, and the rule only pairs
-    transitions of the same flip parity, so the two phases cancel.  A chunk
-    holds at most ``_CHUNK_CELLS`` Gram cells, or a single tau.
+    Each chunk of taus builds its Gram cells (:func:`_gram`), and one
+    ``take`` through ``_CHANNEL_PLANS``'s scatter index reads every cell of
+    E from them, every term the selection rule kills from the zero cell.  E
+    equals the complex (K p) K^dagger of the amplitudes K, masked by the
+    rule: an amplitude is its entry times i for an odd number of flips, and
+    the rule only pairs transitions of one flip parity, so the phases
+    cancel.  A chunk holds at most ``_CHUNK_CELLS`` Gram cells, or one tau.
     """
     function, _, scatter = _CHANNEL_PLANS[n_atoms]
     cells = function.size**2 + 1
@@ -453,20 +453,8 @@ def _channel_tensor(field: FieldSpec, taus: np.ndarray, n_atoms: int) -> np.ndar
     H = np.empty((min(chunk, taus.size), cells))
     for start in range(0, taus.size, chunk):
         part = taus[start : start + chunk]
-        _scatter(_gram(field, part, n_atoms, H[: part.size]), n_atoms, E[start : start + chunk])
+        _gram(field, part, n_atoms, H[: part.size]).take(scatter, axis=1, out=E[start : start + chunk], mode="clip")
     return E.reshape((taus.size,) + (2**n_atoms,) * 4)
-
-
-def _scatter(H: np.ndarray, n_atoms: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The channel tensor E[t, row, col, ket_in, bra_in] that Gram cells H[t, cell] (:func:`_gram`) hold.
-
-    One ``take`` through the plan's ``scatter`` reads every cell of E.
-    ``out``, when given, receives E as ``[t, cell]``.
-    """
-    scatter = _CHANNEL_PLANS[n_atoms][2]
-    E = np.empty((H.shape[0], scatter.size)) if out is None else out
-    H.take(scatter, axis=1, out=E, mode="clip")  # "clip": an unbuffered out
-    return E.reshape((H.shape[0],) + (2**n_atoms,) * 4)
 
 
 def pair_map(i: int, k: int, j: int, l: int, field: FieldSpec, tau: _TauLike) -> np.ndarray:
@@ -528,6 +516,19 @@ def _cavity_labels(model: Model) -> tuple[str, str]:
     return _CAVITY_LABELS[model]
 
 
+def _layout_qubits(model: Model) -> str:
+    """Every qubit ``model``'s cavities hold, in A<B<C<D order."""
+    return "".join(sorted("".join(_cavity_labels(model))))
+
+
+PAIR_CHOICES = ("AB", "CD", "AC", "BD")
+
+
+def _model_pairs(model: Model) -> tuple[str, ...]:
+    """The pairs of :data:`PAIR_CHOICES` whose two atoms both sit in the model's cavities."""
+    return tuple(pair for pair in PAIR_CHOICES if set(pair) <= set(_layout_qubits(model)))
+
+
 def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) -> np.ndarray:
     """W = outer(amp, amp) over cavity a's preparation branches, flattened to match a kernel."""
     if pair_ab.bell_type is not pair_cd.bell_type:
@@ -538,14 +539,6 @@ def _branch_weights(model: Model, pair_ab: BellPairSpec, pair_cd: BellPairSpec) 
     return np.outer(amp, amp).ravel()
 
 
-def _channels(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both cavities' channel tensors on ``taus``; equal fields share one build (``Eb is Ea``)."""
-    n_atoms = len(_cavity_labels(model)[0])
-    Ea = _channel_tensor(field_a, taus, n_atoms)
-    Eb = Ea if field_b == field_a else _channel_tensor(field_b, taus, n_atoms)
-    return Ea, Eb
-
-
 def _grams(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both cavities' Gram cells (:func:`_gram`) on ``taus``; equal fields share one build (``Hb is Ha``)."""
     n_atoms = len(_cavity_labels(model)[0])
@@ -554,37 +547,74 @@ def _grams(model: Model, field_a: FieldSpec, field_b: FieldSpec, taus: np.ndarra
     return Ha, Hb
 
 
-def _combine(model: Model, bell_type: BellType, Ea: np.ndarray, Eb: np.ndarray, keep: str) -> np.ndarray:
-    """Alpha-free kernel K[t, row, col, branch] of the atomic state reduced to ``keep``.
+def _kernel_terms(model: Model, bell_type: BellType, keep: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram cells behind every cell of the kernel reduced to ``keep``, per cavity as ``[entry, branch, term]``.
 
-    Each cavity acts on its own atoms as an independent channel (``Ea``,
-    ``Eb`` from :func:`_channels`), so the state is
-    sum_sz W[s, z] Ea[t, :, :, s, z] (x) Eb[t, :, :, s', z'], with W the
-    preparation weights and s' the branch bits of cavity b's atoms (flipped
-    for psi, repeated for phi).  Every axis is named after its qubit, as
-    :func:`dtcm.algebra._trace_subscripts` names them.  Each channel is
-    traced down to its kept qubits, then the two are multiplied elementwise,
-    broadcast over each other's qubits, into A<B<C<D order.
-    ``_apply_weights(K, _branch_weights(...))`` is the reduced state.
+    Each cavity is an independent channel on its own atoms, so the state is
+    sum_sz W[s, z] Ea[t, :, :, s, z] (x) Eb[t, :, :, s', z'], W the
+    preparation weights and s' cavity b's branch bits (flipped for psi).
+    This runs on the scatter index of ``_CHANNEL_PLANS``, through which each
+    channel cell reads one Gram cell: each cavity's axes are named after its
+    qubits (:func:`dtcm.algebra._trace_subscripts`) and traced to the kept
+    ones, the terms last in the order a trace's einsum adds them, and each
+    factor is broadcast over the other's qubits into A<B<C<D order.  A factor
+    whose terms all read the zero cell is zero.
     """
-    if bell_type is BellType.PSI:
-        Eb = Eb[..., ::-1, ::-1]  # cavity b's branch bits are cavity a's, flipped
-    traced, order = [], ""
-    for E, labels in zip((Ea, Eb), _cavity_labels(model)):
-        kept = "".join(lab for lab in labels if lab in keep)
-        state, reduced = _trace_subscripts(labels, kept)
-        qubits = E.reshape(E.shape[:1] + (2,) * (2 * len(labels)) + E.shape[-2:])
-        traced.append((reduced, np.einsum(f"t{state}sz->t{reduced}sz", qubits)))
-        order += kept
-    order = "".join(sorted(order))
-    # each cavity's axes already run in the joint order, so unit axes line the two factors up
-    a, b = (
-        x.reshape(x.shape[:1] + tuple(2 if q in reduced else 1 for q in order + order.lower()) + x.shape[-2:])
-        for reduced, x in traced
-    )
-    K = np.multiply(a, b, order="C")
-    d = 2 ** len(order)
-    return K.reshape(Ea.shape[0], d, d, Ea.shape[-1] ** 2)
+    labels = _cavity_labels(model)
+    n_atoms = len(labels[0])
+    dim = 2**n_atoms
+    cells = _CHANNEL_PLANS[n_atoms][2].reshape((2,) * (2 * n_atoms) + (dim, dim))  # [ket qubits, bra qubits, ket_in, bra_in]
+    flipped = cells[..., ::-1, ::-1] if bell_type is BellType.PSI else cells  # cavity b's branch bits are cavity a's, flipped
+    order = "".join(sorted(keep))
+    terms = []
+    for channel, qubits in zip((cells, flipped), labels):
+        kept = "".join(q for q in qubits if q in keep)
+        traced = "".join(q for q in qubits if q not in keep)
+        state, reduced = _trace_subscripts(qubits, kept)
+        factor = np.einsum(f"{state}sz->{reduced}sz{traced}", channel)  # each factor's terms on the last axis
+        shape = tuple(2 if q in reduced else 1 for q in order + order.lower())  # unit axes line the two up
+        factor = factor.reshape(shape + (dim, dim, 2 ** len(traced)))
+        terms.append(np.broadcast_to(factor, (2,) * len(shape) + factor.shape[-3:]).reshape(4 ** len(order), dim * dim, -1))
+    return terms[0], terms[1]
+
+
+# the kernels callers ask for: every pair of each layout, and its whole state
+_KERNEL_TERMS = {
+    (model, bell_type, keep): _kernel_terms(model, bell_type, keep)
+    for model in Model
+    for bell_type in BellType
+    for keep in dict.fromkeys(_model_pairs(model) + (_layout_qubits(model),))
+}
+
+
+# float cells per tau chunk of a combine's factors: at 64 KB they reuse heap memory, not fresh pages
+_COMBINE_CELLS = 2**13
+
+
+def _factor_sums(H: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The factors ``[t, ...]`` of Gram cells ``H[t, cell]`` that ``terms[..., term]`` name, added term by term as a trace's einsum adds them."""
+    F = H.take(terms[..., 0], axis=1)
+    for term in range(1, terms.shape[-1]):
+        F += H.take(terms[..., term], axis=1)
+    return F
+
+
+def _combine(model: Model, bell_type: BellType, Ha: np.ndarray, Hb: np.ndarray, keep: str) -> np.ndarray:
+    """Alpha-free kernel K[t, row, col, branch] of the atomic state reduced to ``keep``, a key of ``_KERNEL_TERMS``.
+
+    Each cell is the product of both cavities' factors, summed from their Gram
+    cells ``Ha``, ``Hb`` (:func:`_grams`) as :func:`_kernel_terms` names them,
+    a chunk of taus at a time.  ``_apply_weights(K, _branch_weights(...))``
+    is the reduced state.
+    """
+    terms_a, terms_b = _KERNEL_TERMS[model, bell_type, keep]
+    K = np.empty((Ha.shape[0],) + terms_a.shape[:2])
+    step = max(1, _COMBINE_CELLS // terms_a[..., 0].size)
+    for start in range(0, K.shape[0], step):
+        span = slice(start, start + step)
+        np.multiply(_factor_sums(Ha[span], terms_a), _factor_sums(Hb[span], terms_b), out=K[span])
+    d = 2 ** len(keep)
+    return K.reshape(K.shape[0], d, d, K.shape[-1])
 
 
 def _apply_weights(K: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -599,20 +629,20 @@ def _assemble_grid(
     field_a: FieldSpec,
     field_b: FieldSpec,
     taus: np.ndarray,
-    channels: tuple[np.ndarray, np.ndarray] | None = None,
+    grams: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Joint state of every atom the layout holds on a time grid, qubits in A<B<C<D order.
 
-    ``channels``, when given, is :func:`_channels` of the same layout, fields
-    and grid, built once for several preparations.
+    ``grams``, when given, is :func:`_grams` of the same layout, fields and
+    grid, built once for several preparations.
     """
-    qubits = "".join(_cavity_labels(model))
+    qubits = _layout_qubits(model)
     if "C" not in qubits and pair_cd != pair_ab:
         raise ValueError("the single-pair layout has no (C,D) pair; pass pair_cd equal to pair_ab")
     w = _branch_weights(model, pair_ab, pair_cd)
-    if channels is None:
-        channels = _channels(model, field_a, field_b, taus)
-    return _apply_weights(_combine(model, pair_ab.bell_type, *channels, qubits), w)
+    if grams is None:
+        grams = _grams(model, field_a, field_b, taus)
+    return _apply_weights(_combine(model, pair_ab.bell_type, *grams, qubits), w)
 
 
 def _assemble_dtcm_grid(
@@ -645,4 +675,4 @@ def assemble_atomic_state(
     taus, _ = _as_tau_grid(float(tau))
     grid = _assemble_grid(model, pair_ab, pair_cd, field_a, field_b, taus)
     _require_valid(grid, field_a.weight_deficit() + field_b.weight_deficit(), "assembled state")
-    return DensityMatrix(grid[0], tuple(sorted("".join(_cavity_labels(model)))))
+    return DensityMatrix(grid[0], tuple(_layout_qubits(model)))

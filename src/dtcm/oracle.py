@@ -26,7 +26,7 @@ from .dynamics import (
     Model,
     _as_tau_grid,
     _assemble_grid,
-    _channels,
+    _grams,
 )
 from .errors import CutoffLeakageError
 
@@ -325,7 +325,7 @@ def _compare_group(
 
     Each cavity is an independent environment, so the maps on both sides
     depend on neither the Bell type nor the angle: the oracle's cavity
-    maps and leak tables (:func:`_oracle_maps`) and the analytic channels are
+    maps and leak tables (:func:`_oracle_maps`) and the analytic Gram cells are
     built once for the group, and :func:`dtcm.analysis.sweep_pairs` runs
     once per Bell type over that type's angles.  Each preparation keeps its
     own start vector, leak checks, assembled state and general
@@ -345,12 +345,12 @@ def _compare_group(
         # which imports numpy.ma (about 1 MB resident) on its first call
         alphas[bell] = sorted({spec.alpha for spec in specs if spec.bell_type is bell})
         curves[bell] = sweep_pairs(Scenario(model, bell, field_a, field_b), pairs, alphas[bell], taus)
-    channels = _channels(model, field_a, field_b, taus)
+    grams = _grams(model, field_a, field_b, taus)
     maps = _oracle_maps(model, field_a, field_b, taus, n_max)
 
     reports = []
     for spec in specs:
-        analytic = _assemble_grid(model, spec, spec, field_a, field_b, taus, channels)
+        analytic = _assemble_grid(model, spec, spec, field_a, field_b, taus, grams)
         reference = _prepared_state(model, _start_vector(model, spec, spec), maps, n_max)
         state_dev = float(np.abs(analytic - reference).max())
         # the oracle orders the layout's qubits A<B<C<D, and every layout starts

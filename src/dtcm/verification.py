@@ -283,12 +283,10 @@ def suite_state_validity() -> SuiteResult:
         for scenario in scenarios:
             words = _scenario_words(scenario)
             weights = _scenario_weights(scenario, alphas.tolist())
-            # one Gram build per scenario: the sweep's X route reads it, and the full states its channels
+            # one Gram build per scenario, read by both the full states and the sweep's X route
             grams = dynamics._grams(scenario.model, scenario.field_a, scenario.field_b, taus)
-            Ea = dynamics._scatter(grams[0], 2)
-            channels = (Ea, Ea if grams[1] is grams[0] else dynamics._scatter(grams[1], 2))
             for pair in PAIR_CHOICES:
-                kernel = dynamics._combine(scenario.model, scenario.bell_type, *channels, pair)
+                kernel = dynamics._combine(scenario.model, scenario.bell_type, *grams, pair)
                 KX, off_bound = _x_pair_kernel(_X_PLANS[scenario.model, scenario.bell_type, pair], *grams)
                 full = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
                 slices = np.moveaxis(dynamics._apply_weights(KX, weights), -1, 0)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import dense_route
 from dtcm import analysis, dynamics, verification
 from dtcm.algebra import _validate_batch
 from dtcm.analysis import (
@@ -336,9 +337,8 @@ def test_sweep_concurrence_is_sweep_pairs_for_one_pair():
 
 
 def stacked_route(scenario, pair, alphas, taus):
-    """Per alpha, the stacked product of the pair kernel with that alpha's weights."""
-    channels = dynamics._channels(scenario.model, scenario.field_a, scenario.field_b, taus)
-    kernel = dynamics._combine(scenario.model, scenario.bell_type, *channels, pair)
+    """Per alpha, the stacked product of the dense route's pair kernel with that alpha's weights."""
+    kernel = dense_route.dense_kernel(scenario.model, scenario.bell_type, scenario.field_a, scenario.field_b, taus, pair)
     states = []
     for alpha in alphas:
         spec = BellPairSpec(scenario.bell_type, float(alpha))
@@ -371,9 +371,9 @@ def test_closed_form_margins_match_the_full_states(model, bell):
         for field_b in fields:
             sc = Scenario(model, bell, field_a, field_b)
             W = analysis._scenario_weights(sc, alphas.tolist())
-            channels = dynamics._channels(model, field_a, field_b, tau)
+            channels = dense_route.channels(model, field_a, field_b, tau)
             for pair in analysis._model_pairs(model):
-                kernel = dynamics._combine(model, bell, *channels, pair)
+                kernel = dense_route.einsum_combine(model, bell, *channels, pair)
                 KX, off_bound = analysis._x_kernel(kernel)
                 assert off_bound == 0.0
                 states = np.moveaxis(dynamics._apply_weights(kernel, W), -1, 0)
@@ -454,11 +454,17 @@ def off_pattern_partner(plan, cavity):
     return int(cells[cells != zero][0])
 
 
-def dense_bound(scenario, pair, Ha, Hb):
-    """The off-pattern bound ``_x_kernel(_combine(...))`` reads on the channels that Gram cells ``Ha``, ``Hb`` hold."""
+def dense_bound(scenario, pair, taus, leak_a, leak_b):
+    """The off-pattern bound ``_x_kernel`` reads on the dense route's pair kernel when every channel
+    cell the selection rule kills holds ``leak_a`` in cavity a and ``leak_b`` in cavity b, as it
+    does where the Gram cells' zero cell holds that leak."""
     n_atoms = len(dynamics._cavity_labels(scenario.model)[0])
-    Ea, Eb = dynamics._scatter(Ha, n_atoms), dynamics._scatter(Hb, n_atoms)
-    return analysis._x_kernel(dynamics._combine(scenario.model, scenario.bell_type, Ea, Eb, pair))[1]
+    dim = 2**n_atoms
+    # the rule's mask [(row, ket_in), (col, bra_in)] in channel order [row, col, ket_in, bra_in]
+    killed = ~dynamics._selection_rule(n_atoms).reshape((dim,) * 4).transpose(0, 2, 1, 3)
+    Ea, Eb = dense_route.channels(scenario.model, scenario.field_a, scenario.field_b, taus)
+    Ea[:, killed], Eb[:, killed] = leak_a, leak_b
+    return analysis._x_kernel(dense_route.einsum_combine(scenario.model, scenario.bell_type, Ea, Eb, pair))[1]
 
 
 def test_sweep_pairs_validation_failure_names_its_pair_and_alpha(monkeypatch):
@@ -514,9 +520,7 @@ def test_a_nonzero_zero_cell_raises_the_dense_routes_bound(monkeypatch, bell, pa
         Ha[:, -1] = Hb[:, -1] = 1e-3
 
     trace_weighting(monkeypatch, gram_fault=leaky)
-    Ha, Hb = dynamics._grams(sc.model, sc.field_a, sc.field_b, tau)
-    leaky(pair, tau, Ha, Hb)
-    bound = dense_bound(sc, pair, Ha, Hb)
+    bound = dense_bound(sc, pair, tau, 1e-3, 1e-3)
     assert 0.0 < bound < np.inf
     with pytest.raises(NumericalError, match=re.escape(f"pair {pair}: reduced state left the X shape: off-pattern bound {bound:.3e}")):
         sweep_pairs(sc, (pair,), np.array([0.3]), tau)
@@ -532,10 +536,7 @@ def test_sweep_pairs_raises_the_whole_grid_bound_of_one_failing_chunk(monkeypatc
     monkeypatch.setattr(analysis, "_SWEEP_CELLS", 256 * 8)
     sc = Scenario(Model.DTCM, BellType.PSI, VAC, VAC)
     tau = np.linspace(0.0, 3.0, 31)
-    Ha, Hb = dynamics._grams(sc.model, sc.field_a, sc.field_b, tau[8:16])
-    Ha = Ha.copy()
-    leaky("BD", tau[8:16], Ha, Hb)
-    bound = dense_bound(sc, "BD", Ha, Hb)
+    bound = dense_bound(sc, "BD", tau[8:16], 1e-3, 0.0)
     assert 0.0 < bound < np.inf
     with pytest.raises(NumericalError, match=re.escape(f"pair BD: reduced state left the X shape: off-pattern bound {bound:.3e}")):
         sweep_pairs(sc, ("BD",), np.array([0.3, 0.9]), tau)
@@ -584,9 +585,9 @@ def test_sweep_chunk_seams_are_bitwise_invisible(monkeypatch, model, bell, fld):
     tol_trace = analysis._TOL_TRACE + 2.0 * fld.weight_deficit()
     reference, reference_reports = {}, []
     W = analysis._scenario_weights(sc, alphas.tolist())
-    channels = dynamics._channels(model, fld, fld, tau)
+    channels = dense_route.channels(model, fld, fld, tau)
     for pair in analysis._model_pairs(model):
-        KX, _ = analysis._x_kernel(dynamics._combine(model, bell, *channels, pair))
+        KX, _ = analysis._x_kernel(dense_route.einsum_combine(model, bell, *channels, pair))
         stack = np.moveaxis(dynamics._apply_weights(KX, W), -1, 0)  # the all-alpha product, whole grid
         reference[pair] = analysis._x_slice_concurrence(stack)
         reference_reports += [

@@ -1,12 +1,11 @@
 """Unit tests for the assembled multi-atom density matrices."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 
-from dtcm import dynamics
-from dtcm.algebra import _trace_subscripts, partial_trace
+from dense_route import dense_kernel
+from dtcm import analysis, dynamics
+from dtcm.algebra import partial_trace
 from dtcm.analysis import Scenario, classify_regime, sweep_concurrence, sweep_pairs
 from dtcm.concurrence import XFormMatrix, concurrence_x
 from dtcm.dynamics import (
@@ -200,36 +199,29 @@ def test_hot_thermal_weights_stay_finite(nbar):
     assert np.isfinite(rho.matrix).all()
 
 
-def einsum_combine(model, bell_type, Ea, Eb, keep):
-    """The kernel as one optimized einsum over the traced channels, the way it was first written."""
-    if bell_type is BellType.PSI:
-        Eb = Eb[..., ::-1, ::-1]
-    traced, axes, order = [], [], ""
-    for E, labels in zip((Ea, Eb), dynamics._cavity_labels(model)):
-        kept = "".join(lab for lab in labels if lab in keep)
-        state, reduced = _trace_subscripts(labels, kept)
-        qubits = E.reshape(E.shape[:1] + (2,) * (2 * len(labels)) + E.shape[-2:])
-        axes.append(f"t{reduced}sz")
-        traced.append(np.einsum(f"t{state}sz->{axes[-1]}", qubits))
-        order += kept
-    order = "".join(sorted(order))
-    K = np.einsum(f"{axes[0]},{axes[1]}->t{order}{order.lower()}sz", *traced, optimize=True)
-    d = 2 ** len(order)
-    return K.reshape(Ea.shape[0], d, d, Ea.shape[-1] ** 2)
+KERNEL_KEYS = list(dynamics._KERNEL_TERMS)
 
 
+@pytest.mark.parametrize("fields", [(FieldSpec.thermal(1.0), FieldSpec.fock(1)), (FieldSpec.fock(2), FieldSpec.thermal(0.5))], ids=["thermal1-fock1", "fock2-thermal0.5"])
 @pytest.mark.parametrize("n_tau", (1, 251))
-@pytest.mark.parametrize("bell", (BellType.PSI, BellType.PHI))
-@pytest.mark.parametrize("model", (Model.DTCM, Model.DJCM))
-def test_combine_is_bitwise_the_optimized_einsum(model, bell, n_tau):
+@pytest.mark.parametrize("key", KERNEL_KEYS, ids=[f"{m.value}-{b.value}-{keep}" for m, b, keep in KERNEL_KEYS])
+def test_combine_is_bitwise_the_optimized_einsum(key, n_tau, fields):
+    # the term index on the Gram cells against the dense einsum on the channel tensors
+    model, bell, keep = key
     taus = np.linspace(0.0, 25.0, n_tau) + 1.3
-    Ea, Eb = dynamics._channels(model, FieldSpec.thermal(1.0), FieldSpec.fock(1), taus)
-    qubits = "".join(sorted("".join(dynamics._cavity_labels(model))))
-    for size in range(1, len(qubits) + 1):
-        for keep in map("".join, combinations(qubits, size)):
-            K = dynamics._combine(model, bell, Ea, Eb, keep)
-            assert K.flags.c_contiguous
-            assert K.tobytes() == einsum_combine(model, bell, Ea, Eb, keep).tobytes(), keep
+    K = dynamics._combine(model, bell, *dynamics._grams(model, *fields, taus), keep)
+    assert K.flags.c_contiguous
+    assert K.tobytes() == dense_kernel(model, bell, *fields, taus, keep).tobytes()
+
+
+def test_kernel_terms_cover_every_pair_and_the_whole_layout():
+    assert sorted(f"{m.value}-{b.value}-{keep}" for m, b, keep in KERNEL_KEYS) == sorted(
+        f"{m.value}-{b.value}-{keep}"
+        for m in Model
+        for b in BellType
+        for keep in dict.fromkeys(analysis._model_pairs(m) + ("".join(sorted("".join(dynamics._cavity_labels(m)))),))
+    )
+    assert len(KERNEL_KEYS) == 12
 
 
 @pytest.mark.parametrize("n_tau", (1, 251))
@@ -238,11 +230,11 @@ def test_weight_matrix_gives_each_column_its_vector_product(model, n_tau):
     # a [branch, alpha] matrix puts one state per column on a trailing axis; a
     # weight vector keeps the single-time path's shape and values, bit for bit
     taus = np.linspace(0.0, 25.0, n_tau) + 1.3
-    channels = dynamics._channels(model, FieldSpec.thermal(1.0), FieldSpec.fock(1), taus)
+    grams = dynamics._grams(model, FieldSpec.thermal(1.0), FieldSpec.fock(1), taus)
     specs = [BellPairSpec(BellType.PSI, alpha) for alpha in np.linspace(0.0, np.pi, 7).tolist()]
     W = np.stack([dynamics._branch_weights(model, spec, spec) for spec in specs], axis=1)
-    for keep in ("AB", "".join(dynamics._cavity_labels(model))):
-        K = dynamics._combine(model, BellType.PSI, *channels, "".join(sorted(keep)))
+    for keep in ("AB", "".join(sorted("".join(dynamics._cavity_labels(model))))):
+        K = dynamics._combine(model, BellType.PSI, *grams, keep)
         states = dynamics._apply_weights(K, W)
         assert states.shape == K.shape[:-1] + (len(specs),)
         for column, w in enumerate(W.T):

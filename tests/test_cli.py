@@ -440,10 +440,13 @@ def run_cli_to(tmp_path, command, stdout):
     return run_args_to([command] + (["--config", cfg] if command != "verify" else []), stdout)
 
 
-def run_args_to(args, stdout):
-    """``python -m dtcm.cli <args>`` as :func:`run_cli_to` runs it."""
+def run_args_to(args, stdout, unbuffered=False):
+    """``python -m dtcm.cli <args>`` as :func:`run_cli_to` runs it, on an unbuffered stdout if asked."""
     env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, whose last flush must not fail after main returns
+    # a buffered stdout's last flush must not fail after main returns; an unbuffered one fails at the write
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "dtcm.cli", *args], stdout=stdout, stderr=subprocess.PIPE, env=env)
     if stdout == subprocess.PIPE:
@@ -471,21 +474,25 @@ def test_closed_stdout_pipe_stops_quietly(tmp_path, command):
 
 
 HELP_ARGS = [["--help"], ["simulate", "--help"]]
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@BUFFERING
 @pytest.mark.parametrize("args", HELP_ARGS, ids=" ".join)
-def test_help_to_a_full_stdout_exits_2(args):
-    # argparse prints the help and exits inside main, which flushes it there
+def test_help_to_a_full_stdout_exits_2(args, unbuffered):
+    # argparse prints the help and exits inside main, which flushes it there; unbuffered,
+    # the write itself fails, and argparse's own printer would drop that error
     with open("/dev/full", "w") as full:
-        code, err = run_args_to(args, full)
+        code, err = run_args_to(args, full, unbuffered)
     assert code == 2
     assert err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
+@BUFFERING
 @pytest.mark.parametrize("args", HELP_ARGS, ids=" ".join)
-def test_help_to_a_closed_pipe_stops_quietly(args):
-    code, err = run_args_to(args, subprocess.PIPE)
+def test_help_to_a_closed_pipe_stops_quietly(args, unbuffered):
+    code, err = run_args_to(args, subprocess.PIPE, unbuffered)
     assert code == cli._EXIT_CLOSED_PIPE
     assert err == ""
 

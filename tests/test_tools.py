@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dtcm import analysis, cli, verification
-from dtcm.dynamics import Model
+from dtcm.dynamics import BellPairSpec, BellType, Model, assemble_atomic_state
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 SCENARIOS = SCRIPT.parent / "scenarios"
@@ -70,3 +70,36 @@ def test_fixed_scenarios_hold_the_unequal_field_pairs():
     assert {("vacuum", "fock:2"), ("thermal:0.5", "vacuum"), ("thermal:1", "thermal:2")} <= unequal
     # short grids: the comparison stays quick
     assert all(cfg.tau.size * cfg.alphas.size <= 2000 for cfg in scenario_configs())
+
+
+def test_single_states_cover_layouts_bell_types_fields_and_angles(compare_outputs):
+    states = compare_outputs.STATES
+    for model in ("DTCM", "DJCM"):
+        for bell in ("psi", "phi"):
+            mine = [s for s in states if s[:2] == (model, bell)]
+            assert any(a == b for _, _, a, b, *_ in mine) and any(a != b for _, _, a, b, *_ in mine)
+            assert any("thermal" in a and a != b for _, _, a, b, *_ in mine)
+    # unequal angles exist only where there is a (C,D) pair
+    assert {s[0] for s in states if s[4] != s[5]} == {"DTCM"}
+    assert any(s[4] == s[5] for s in states if s[0] == "DTCM")
+
+
+def test_single_states_are_each_matrix_byte_for_byte(tmp_path, capsys, compare_outputs):
+    path = tmp_path / "new" / "single-states"
+    path.parent.mkdir()
+    compare_outputs.write_single_states(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for model, bell, field_a, field_b, alpha_ab, alpha_cd, tau in compare_outputs.STATES:
+        pair_ab, pair_cd = BellPairSpec(BellType(bell), alpha_ab), BellPairSpec(BellType(bell), alpha_cd)
+        fields = cli._parse_field("field_a", field_a), cli._parse_field("field_b", field_b)
+        rho = assemble_atomic_state(pair_ab, pair_cd, *fields, tau, Model(model))
+        assert lines.pop(0) == f"{model} {bell} {field_a}/{field_b} alpha={alpha_ab}/{alpha_cd} tau={tau}"
+        rows = [bytes.fromhex(lines.pop(0)) for _ in range(rho.matrix.shape[0])]
+        assert b"".join(rows) == rho.matrix.tobytes()
+    assert lines == []
+    # one flipped bit in one state's row is a difference
+    text = path.read_text(encoding="utf-8")
+    at = text.index("\n") + 1
+    old = write_set(tmp_path / "old", {"single-states": text[:at] + ("1" if text[at] == "0" else "0") + text[at + 1 :]})
+    assert compare_outputs.compare(old, path.parent, {"single-states": 0}, {"single-states": 0}) == 1
+    assert capsys.readouterr().out.startswith("single-states:2:\n")

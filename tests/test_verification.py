@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dense_route
 from dtcm import analysis, dynamics, oracle, verification
 from dtcm.algebra import _validate_batch
 from dtcm.concurrence import _concurrence_general_batch
@@ -93,14 +94,14 @@ def test_a_nan_fails_the_suite_and_is_named(monkeypatch, suite, module, name, fa
 
 
 def test_state_validity_takes_one_spectrum_for_both_results():
-    # one scenario's kernels, weighted as the suite weights them
+    # one scenario's dense-route kernels, weighted as the suite weights them
     scenario = analysis.Scenario(Model.DTCM, BellType.PHI, FieldSpec.thermal(1.0, 1e-13), FieldSpec.thermal(1.0, 1e-13))
     alphas = np.linspace(0.05, 0.45, 3) * np.pi
     taus = np.linspace(0.0, 25.0, 61)
     weights = analysis._scenario_weights(scenario, alphas.tolist())
-    channels = dynamics._channels(scenario.model, scenario.field_a, scenario.field_b, taus)
+    channels = dense_route.channels(scenario.model, scenario.field_a, scenario.field_b, taus)
     for pair in analysis.PAIR_CHOICES:
-        kernel = dynamics._combine(scenario.model, scenario.bell_type, *channels, pair)
+        kernel = dense_route.einsum_combine(scenario.model, scenario.bell_type, *channels, pair)
         for reduced in np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0):
             report, c_general = verification._validated(reduced)
             alone = _validate_batch(reduced)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_route import dense_kernel
 from dtcm import analysis, dynamics, verification
 from dtcm.dynamics import BellType, FieldSpec, Model
 
@@ -20,20 +21,20 @@ PLAN_KEYS = list(analysis._X_PLANS)
 PLAN_IDS = [f"{model.value}-{bell.value}-{pair}" for model, bell, pair in PLAN_KEYS]
 
 
-def dense_kernel(model, bell, pair, grams):
-    """The pair kernel ``[t, 16, branch]`` of the full-state route, from the channels the Gram cells hold."""
-    n_atoms = len(dynamics._cavity_labels(model)[0])
-    Ea = dynamics._scatter(grams[0], n_atoms)
-    Eb = Ea if grams[1] is grams[0] else dynamics._scatter(grams[1], n_atoms)
-    K = dynamics._combine(model, bell, Ea, Eb, pair)
-    return K.reshape(K.shape[0], 16, K.shape[-1])
-
-
 def test_every_layout_pair_and_bell_type_has_a_plan():
     assert sorted(PLAN_IDS) == sorted(
         f"{model.value}-{bell.value}-{pair}" for model in Model for bell in BellType for pair in analysis._model_pairs(model)
     )
     assert len(PLAN_KEYS) == 10
+
+
+@pytest.mark.parametrize("key", PLAN_KEYS, ids=PLAN_IDS)
+def test_plan_reads_the_pairs_kernel_terms(key):
+    # the sweep's plan and the full-state combine read one term index
+    plan = analysis._X_PLANS[key]
+    for plan_terms, kernel_terms in zip(plan.terms, dynamics._KERNEL_TERMS[key]):
+        assert plan_terms.dtype == kernel_terms.dtype
+        np.testing.assert_array_equal(plan_terms, kernel_terms)
 
 
 @pytest.mark.parametrize("key", PLAN_KEYS, ids=PLAN_IDS)
@@ -57,7 +58,7 @@ def test_plan_kernel_is_the_dense_kernels_x_cut(key, fields):
     plan = analysis._X_PLANS[key]
     taus = np.linspace(0.0, 25.0, 701)
     grams = dynamics._grams(model, *fields, taus)
-    kernel = dense_kernel(model, bell, pair, grams)
+    kernel = dense_kernel(model, bell, *fields, taus, pair).reshape(taus.size, 16, -1)
     dense_KX, dense_bound = analysis._x_kernel(kernel)
     KX, off_bound = analysis._x_pair_kernel(plan, *grams)
     assert off_bound == dense_bound == 0.0
@@ -81,7 +82,7 @@ def test_a_plan_whose_off_pattern_cell_reads_a_nonzero_gram_cell_is_rejected(mon
     function, offset, scatter = dynamics._CHANNEL_PLANS[2]
     faulty = scatter.copy()
     faulty[np.flatnonzero(scatter == function.size**2)[0]] = 0
-    monkeypatch.setattr(analysis, "_CHANNEL_PLANS", {**dynamics._CHANNEL_PLANS, 2: (function, offset, faulty)})
+    monkeypatch.setattr(dynamics, "_CHANNEL_PLANS", {**dynamics._CHANNEL_PLANS, 2: (function, offset, faulty)})
     with pytest.raises(AssertionError, match="^DTCM psi AB: an off-pattern kernel cell has no zero factor$"):
         analysis._x_plan(Model.DTCM, BellType.PSI, "AB")
     # the one-atom layout's scatter is untouched, and so are its plans
