@@ -34,9 +34,10 @@ from .dynamics import (
     _cavity_labels,
     _CHANNEL_PLANS,
     _check_alpha,
+    _combine,
     _factor_sums,
     _grams,
-    _kernel_terms,
+    _KERNEL_TERMS,
     _model_pairs,
 )
 from .errors import NumericalError
@@ -237,46 +238,44 @@ def _x_kernel(kernel: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class _XPlan(NamedTuple):
-    """Where one pair's kernel reads both cavities' Gram cells; each field holds (cavity a, cavity b)."""
+    """Where one pair's X kernel reads both cavities' Gram cells; each tuple holds (cavity a, cavity b)."""
 
-    terms: tuple[np.ndarray, np.ndarray]  # the pair's kernel terms: every kernel cell's Gram cells [entry, branch, term]
-    rows: tuple[np.ndarray, np.ndarray]  # the distinct factors of the X cells kept, [row, term]
+    key: tuple[Model, BellType, str]  # the pair's key of ``_KERNEL_TERMS``
+    rows: tuple[np.ndarray, np.ndarray]  # the factor rows the kept X cells read, [row, term]
     factors: tuple[np.ndarray, np.ndarray]  # each kept X cell's factor row
     cells: np.ndarray  # the kept cells of a flat [8 * branch] X slice
     others: tuple[np.ndarray, np.ndarray]  # the Gram cells a zero factor's partner reads, the zero cell left out
 
 
-def _x_plan(model: Model, bell_type: BellType, pair: str) -> _XPlan:
-    """Which of ``pair``'s kernel terms (:func:`dtcm.dynamics._kernel_terms`) its X kernel reads.
+def _x_plan(key: tuple[Model, BellType, str], kernel: tuple) -> _XPlan:
+    """Which factor rows of a pair's kernel (:func:`dtcm.dynamics._kernel_terms`) its X kernel reads.
 
     A factor whose terms all read the zero cell is zero.  The X cells where
     neither factor is zero are kept, 32 for AB and CD, 36 for AC and BD and
-    10 for the one-pair layout, and their factors are deduplicated into
-    rows.  Every off-pattern cell must have a zero factor; a plan where one
-    does not is rejected here.
+    10 for the one-pair layout, with the factor rows they read.  Every
+    off-pattern cell must have a zero factor; a plan where one does not is
+    rejected here.
     """
-    terms = _kernel_terms(model, bell_type, pair)
+    model, bell_type, pair = key
     zero = _CHANNEL_PLANS[len(_cavity_labels(model)[0])][0].size ** 2  # the cell after every Gram product cell
+    rows, products, index = kernel
+    terms = [distinct[of][index] for distinct, of in zip(rows, products.T)]  # each cell's factors, [entry, branch, term]
     zero_a, zero_b = ((t == zero).all(axis=-1) for t in terms)  # [entry, branch]
     if not (zero_a | zero_b)[list(_OFF_ENTRIES)].all():
         raise AssertionError(f"{model.value} {bell_type.value} {pair}: an off-pattern kernel cell has no zero factor")
     kept = np.flatnonzero(~(zero_a | zero_b)[_X_ENTRIES].ravel())
-    rows, factors, others = [], [], []
-    for t, partner_zero in zip(terms, (zero_b, zero_a)):
-        index: dict[tuple, int] = {}  # each distinct factor's row, in order of first use
-        cell_terms = t[_X_ENTRIES].reshape(-1, t.shape[-1])[kept].tolist()
-        factors.append(np.array([index.setdefault(tuple(key), len(index)) for key in cell_terms], dtype=np.intp))
-        rows.append(np.array(list(index), dtype=np.intp))
+    kept_products = index[_X_ENTRIES].ravel()[kept]
+    plan_rows, factors, others = [], [], []
+    for t, distinct, of, partner_zero in zip(terms, rows, products.T, (zero_b, zero_a)):
+        used: dict[int, int] = {}  # each factor row the kept cells read, in order of first use
+        factors.append(np.array([used.setdefault(row, len(used)) for row in of[kept_products].tolist()], dtype=np.intp))
+        plan_rows.append(distinct[list(used)])
         others.append(np.array(sorted(set(t[partner_zero].ravel().tolist()) - {zero}), dtype=np.intp))
-    return _XPlan(terms, tuple(rows), tuple(factors), kept, tuple(others))
+    return _XPlan(key, tuple(plan_rows), tuple(factors), kept, tuple(others))
 
 
-_X_PLANS = {
-    (model, bell_type, pair): _x_plan(model, bell_type, pair)
-    for model in Model
-    for bell_type in BellType
-    for pair in _model_pairs(model)
-}
+# every pair of each layout: the kernels that keep two qubits
+_X_PLANS = {key: _x_plan(key, kernel) for key, kernel in _KERNEL_TERMS.items() if len(key[2]) == 2}
 
 
 def _x_pair_kernel(plan: _XPlan, Ha: np.ndarray, Hb: np.ndarray) -> tuple[np.ndarray, float]:
@@ -289,13 +288,14 @@ def _x_pair_kernel(plan: _XPlan, Ha: np.ndarray, Hb: np.ndarray) -> tuple[np.nda
     bit for bit up to the sign of a zero.  Every off-pattern cell is a zero
     factor times another, so the bound is exactly 0.0 while both zero cells
     are 0.0 and every Gram cell an other factor reads is finite.  Where that
-    fails, the pair kernel is summed from the plan's terms as ``_combine``
-    sums it and cut by :func:`_x_kernel`: the dense route's bound and cells.
+    fails, ``_combine``'s pair kernel is cut by :func:`_x_kernel`: the dense
+    route's bound and cells.
     """
+    model, bell_type, pair = plan.key
     exact = all(not H[:, -1].any() and np.isfinite(H[:, o]).all() for H, o in zip((Ha, Hb), plan.others))
     if not exact:
-        return _x_kernel(_factor_sums(Ha, plan.terms[0]) * _factor_sums(Hb, plan.terms[1]))
-    t, branches = Ha.shape[0], plan.terms[0].shape[1]
+        return _x_kernel(_combine(model, bell_type, Ha, Hb, pair))
+    t, branches = Ha.shape[0], _KERNEL_TERMS[plan.key][2].shape[1]
     KX = np.zeros((t, 8 * branches))
     Fa, Fb = (_factor_sums(H, rows)[:, of] for H, rows, of in zip((Ha, Hb), plan.rows, plan.factors))
     KX[:, plan.cells] = Fa * Fb

@@ -448,7 +448,8 @@ def trace_weighting(monkeypatch, fault=None, gram_fault=None):
 def off_pattern_partner(plan, cavity):
     """A Gram cell of ``cavity`` that the other factor of some off-pattern kernel cell reads."""
     off = list(analysis._OFF_ENTRIES)
-    terms, partner = plan.terms[cavity][off], plan.terms[1 - cavity][off]
+    rows, products, index = dynamics._KERNEL_TERMS[plan.key]
+    terms, partner = (rows[c][products[index[off], c]] for c in (cavity, 1 - cavity))
     zero = partner.max()  # the zero cell comes after every Gram product cell
     cells = terms[(partner == zero).all(axis=-1)]
     return int(cells[cells != zero][0])

@@ -1,10 +1,15 @@
 """Unit tests for the assembled multi-atom density matrices."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dense_route import dense_kernel
-from dtcm import analysis, dynamics
+from dtcm import dynamics
 from dtcm.algebra import partial_trace
 from dtcm.analysis import Scenario, classify_regime, sweep_concurrence, sweep_pairs
 from dtcm.concurrence import XFormMatrix, concurrence_x
@@ -214,14 +219,24 @@ def test_combine_is_bitwise_the_optimized_einsum(key, n_tau, fields):
     assert K.tobytes() == dense_kernel(model, bell, *fields, taus, keep).tobytes()
 
 
-def test_kernel_terms_cover_every_pair_and_the_whole_layout():
-    assert sorted(f"{m.value}-{b.value}-{keep}" for m, b, keep in KERNEL_KEYS) == sorted(
-        f"{m.value}-{b.value}-{keep}"
-        for m in Model
-        for b in BellType
-        for keep in dict.fromkeys(analysis._model_pairs(m) + ("".join(sorted("".join(dynamics._cavity_labels(m)))),))
-    )
-    assert len(KERNEL_KEYS) == 12
+def test_kernel_terms_hold_each_distinct_factor_and_product_once():
+    assert len(KERNEL_KEYS) == 12  # every pair of each layout, and each whole layout
+    for rows, products, index in dynamics._KERNEL_TERMS.values():
+        for distinct, of in zip(rows, products.T):
+            assert len(set(map(tuple, distinct.tolist()))) == distinct.shape[0]
+            assert sorted(set(of.tolist())) == list(range(distinct.shape[0]))  # every row is used
+        assert len(set(map(tuple, products.tolist()))) == products.shape[0]
+        assert sorted(set(index.ravel().tolist())) == list(range(products.shape[0]))
+
+
+def test_import_leaves_numpy_ma_unloaded():
+    # the term index and the sweep plans are built at import; a plain np.unique or
+    # np.setdiff1d there would load numpy.ma, about 1 MB resident, into every process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dynamics.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    code = "import sys, dtcm, dtcm.oracle, dtcm.verification; print('numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("n_tau", (1, 251))

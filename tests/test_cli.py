@@ -289,7 +289,8 @@ def test_memory_failure_exits_3(tmp_path, capsys, monkeypatch):
 def off_pattern_partner(plan, cavity):
     """A Gram cell of ``cavity`` that the other factor of some off-pattern kernel cell reads."""
     off = list(analysis._OFF_ENTRIES)
-    terms, partner = plan.terms[cavity][off], plan.terms[1 - cavity][off]
+    rows, products, index = dynamics._KERNEL_TERMS[plan.key]
+    terms, partner = (rows[c][products[index[off], c]] for c in (cavity, 1 - cavity))
     zero = partner.max()  # the zero cell comes after every Gram product cell
     cells = terms[(partner == zero).all(axis=-1)]
     return int(cells[cells != zero][0])
@@ -573,7 +574,7 @@ def test_verify_catches_swapped_x_coherences(capsys, monkeypatch):
     # the sweep's X slice with its outer and inner coherence columns (and mirrors) swapped in every plan
     monkeypatch.setattr(analysis, "_X_ENTRIES", np.array([0, 5, 10, 15, 6, 3, 9, 12]))
     for key in analysis._X_PLANS:
-        monkeypatch.setitem(analysis._X_PLANS, key, analysis._x_plan(*key))
+        monkeypatch.setitem(analysis._X_PLANS, key, analysis._x_plan(key, dynamics._KERNEL_TERMS[key]))
     assert cli.main(["verify", "--level", "quick"]) == 1
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("state-validity")]
     assert lines and "FAIL" in lines[0]

@@ -241,7 +241,7 @@ def swap_x_coherences(monkeypatch):
     # every plan: the sweep's closed-form validation rejects the states
     monkeypatch.setattr(analysis, "_X_ENTRIES", np.array([0, 5, 10, 15, 6, 3, 9, 12]))
     for key in analysis._X_PLANS:
-        monkeypatch.setitem(analysis._X_PLANS, key, analysis._x_plan(*key))
+        monkeypatch.setitem(analysis._X_PLANS, key, analysis._x_plan(key, dynamics._KERNEL_TERMS[key]))
 
 
 def swap_concurrence_coherences(monkeypatch):

@@ -29,15 +29,6 @@ def test_every_layout_pair_and_bell_type_has_a_plan():
 
 
 @pytest.mark.parametrize("key", PLAN_KEYS, ids=PLAN_IDS)
-def test_plan_reads_the_pairs_kernel_terms(key):
-    # the sweep's plan and the full-state combine read one term index
-    plan = analysis._X_PLANS[key]
-    for plan_terms, kernel_terms in zip(plan.terms, dynamics._KERNEL_TERMS[key]):
-        assert plan_terms.dtype == kernel_terms.dtype
-        np.testing.assert_array_equal(plan_terms, kernel_terms)
-
-
-@pytest.mark.parametrize("key", PLAN_KEYS, ids=PLAN_IDS)
 def test_plan_keeps_the_x_cells_the_selection_rule_leaves(key):
     # kept cells and the distinct factor rows of cavities a and b
     expected = {"AB": (32, 20, 20), "CD": (32, 20, 20), "AC": (36, 12, 6), "BD": (36, 6, 12)}
@@ -83,10 +74,12 @@ def test_a_plan_whose_off_pattern_cell_reads_a_nonzero_gram_cell_is_rejected(mon
     faulty = scatter.copy()
     faulty[np.flatnonzero(scatter == function.size**2)[0]] = 0
     monkeypatch.setattr(dynamics, "_CHANNEL_PLANS", {**dynamics._CHANNEL_PLANS, 2: (function, offset, faulty)})
+    key = (Model.DTCM, BellType.PSI, "AB")
     with pytest.raises(AssertionError, match="^DTCM psi AB: an off-pattern kernel cell has no zero factor$"):
-        analysis._x_plan(Model.DTCM, BellType.PSI, "AB")
+        analysis._x_plan(key, dynamics._kernel_terms(*key))
     # the one-atom layout's scatter is untouched, and so are its plans
-    analysis._x_plan(Model.DJCM, BellType.PSI, "AB")
+    key = (Model.DJCM, BellType.PSI, "AB")
+    analysis._x_plan(key, dynamics._kernel_terms(*key))
 
 
 def test_a_misplaced_factor_row_fails_state_validity_and_oracle_agreement(monkeypatch):
