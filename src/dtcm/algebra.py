@@ -156,16 +156,20 @@ def _validate_batch(
     min_eig = float("nan")
     if math.isfinite(herm_dev):  # a float test, not another pass over the batch
         min_eig = float(np.linalg.eigvalsh((mats + adj) / 2.0).min().real)
-    return ValidationReport(herm_dev, trace_dev, min_eig, tol_herm, tol_trace, psd_slack)
+    return ValidationReport(float(herm_dev), float(trace_dev), min_eig, tol_herm, tol_trace, psd_slack)
 
 
-def _deviations(mats: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The batch's adjoint, and its worst Hermiticity and trace deviations: the validation that needs no spectrum."""
+def _deviations(mats: np.ndarray, lead: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch's adjoint, and its worst Hermiticity and trace deviations: the validation that needs no spectrum.
+
+    The deviations are taken over every axis after the first ``lead``, so
+    ``lead=1`` gives one of each per index of the first axis.
+    """
     adj = mats.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is a NaN that fails the bar
-        herm_dev = float(np.abs(mats - adj).max())
+        herm_dev = np.abs(mats - adj).max(axis=tuple(range(lead, mats.ndim)))
     traces = np.einsum("...ii->...", mats)
-    return adj, herm_dev, float(np.abs(traces - 1.0).max())
+    return adj, herm_dev, np.abs(traces - 1.0).max(axis=tuple(range(lead, traces.ndim)))
 
 
 def _require_ok(report: ValidationReport, what: str) -> None:

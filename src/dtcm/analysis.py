@@ -335,9 +335,9 @@ def _x_slice_concurrence(X: np.ndarray) -> np.ndarray:
     return _x_concurrence(X[..., :4], X[..., 4], X[..., 5])
 
 
-# float cells in a sweep chunk's largest array, counted as 256 a tau (a
-# channel tensor's size, which bounds the Gram cells, 101 a tau, and the X
-# kernel, at most 128) or as the weighted X slices (8 an alpha a tau)
+# float cells in a sweep chunk's largest array: a chunk holds the Gram cells
+# (101 a tau), the X kernel (8 x 16 a tau) and the weighted X slices (8 an
+# alpha a tau); the first two are counted as 256 a tau, a bound on both
 _SWEEP_CELLS = 2**18
 
 

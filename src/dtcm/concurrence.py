@@ -99,8 +99,13 @@ def x_pattern_deviation(rho: np.ndarray) -> float:
     mat = np.asarray(rho)
     if mat.shape[-2:] != (4, 4):
         raise ValueError("expected 4x4 matrices")
-    off = np.abs(mat[..., ~_X_PATTERN])
-    return float(off.max()) if off.size else 0.0
+    return float(_x_residue(mat)) if mat.size else 0.0
+
+
+def _x_residue(mats: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Largest off-pattern magnitude of 4x4 matrices, over every axis after the first ``lead``."""
+    off = np.abs(mats[..., ~_X_PATTERN])
+    return off.max(axis=tuple(range(lead, off.ndim)))
 
 
 def is_x_form(rho: np.ndarray, tol: float = _X_SHAPE_TOL) -> bool:

@@ -32,7 +32,7 @@ from .analysis import (
     _x_slice_concurrence,
     sweep_pairs,
 )
-from .concurrence import _X_SHAPE_TOL, _concurrence_x_batch, _general_spectrum, _wootters, x_pattern_deviation
+from .concurrence import _X_SHAPE_TOL, _concurrence_x_batch, _general_spectrum, _wootters, _x_residue
 from .dynamics import BellType, FieldSpec, Model
 from .oracle import _compare_group, _oracle_maps, _required_cutoff
 
@@ -93,13 +93,13 @@ def _scenario_words(sc: Scenario) -> str:
 def suite_x_normalization() -> SuiteResult:
     """Transition amplitudes must be normalized for every start state.
 
-    Photon numbers 0..50 against 200 seeded-random times: the squared
-    amplitudes of the four flip branches must sum to one.
+    Photon numbers 0..50 against 200 times spread over [0, 20) by the golden
+    ratio's fractional parts, a fixed sequence that needs no random numbers:
+    the squared amplitudes of the four flip branches must sum to one.
     """
 
     def worker():
-        rng = np.random.default_rng(20260819)
-        taus = rng.uniform(0.0, 20.0, size=200)
+        taus = 20.0 * ((np.arange(1, 201) * 0.6180339887498949) % 1.0)
         ms = np.arange(51)
         X = dynamics._x_block_table(ms, taus)
         sums = (np.abs(X) ** 2).sum(axis=1)
@@ -234,21 +234,68 @@ def suite_pair_symmetries() -> SuiteResult:
     return _timed("pair-symmetries", 1e-10, worker)
 
 
-def _validated(mats: np.ndarray) -> tuple[ValidationReport, np.ndarray]:
-    """The validation report of a state stack and its general concurrence, from one ``eigh``.
+def _validated(mats: np.ndarray) -> tuple[list[ValidationReport], np.ndarray]:
+    """Per angle, the validation report of a stack ``mats[alpha, t, 4, 4]``, and its general concurrence ``[alpha, t]``.
 
-    The Hermiticity and trace deviations are :func:`dtcm.algebra._validate_batch`'s,
-    and one :func:`dtcm.concurrence._general_spectrum` of the stack gives both
-    the minimum eigenvalue and the Wootters step, raising as the general route
-    does.  A stack that is not finite gets a NaN minimum eigenvalue and a NaN
-    concurrence, where the general route would raise without naming a case.
+    The Hermiticity and trace deviations are :func:`dtcm.algebra._validate_batch`'s
+    on each angle's states, and one :func:`dtcm.concurrence._general_spectrum`
+    of the stack gives both the minimum eigenvalues and the Wootters step,
+    raising as the general route does.  An angle whose states are not all
+    finite is left out of the spectrum and gets a NaN minimum eigenvalue and
+    NaN concurrences, where the general route would raise without naming a case.
     """
-    _, herm_dev, trace_dev = _deviations(mats)
-    min_eig = c_general = np.nan
-    if math.isfinite(herm_dev):
-        w, V = _general_spectrum(mats)
-        min_eig, c_general = float(w.min()), _wootters(w, V)
-    return ValidationReport(herm_dev, trace_dev, min_eig, _TOL_HERM, _TOL_TRACE, _PSD_SLACK), c_general
+    _, herm_dev, trace_dev = _deviations(mats, lead=1)
+    finite = np.isfinite(herm_dev)
+    min_eig = np.full(finite.shape, np.nan)
+    c_general = np.full(mats.shape[:2], np.nan)
+    if finite.any():
+        w, V = _general_spectrum(mats[finite])
+        min_eig[finite] = w.min(axis=(-2, -1))
+        c_general[finite] = _wootters(w, V)
+    reports = [
+        ValidationReport(*devs, _TOL_HERM, _TOL_TRACE, _PSD_SLACK)
+        for devs in zip(herm_dev.tolist(), trace_dev.tolist(), min_eig.tolist())
+    ]
+    return reports, c_general
+
+
+def _validity_cases(scenario: Scenario, alphas: np.ndarray, taus: np.ndarray) -> list[tuple[float, str]]:
+    """State-validity's ten ratios per pair and angle of one scenario, in that order (see :func:`suite_state_validity`)."""
+    words = _scenario_words(scenario)
+    weights = _scenario_weights(scenario, alphas.tolist())
+    # one Gram build per scenario, read by both the full states and the sweep's X route
+    grams = dynamics._grams(scenario.model, scenario.field_a, scenario.field_b, taus)
+    cases = []
+    for pair in PAIR_CHOICES:
+        kernel = dynamics._combine(scenario.model, scenario.bell_type, *grams, pair)
+        KX, off_bound = _x_pair_kernel(_X_PLANS[scenario.model, scenario.bell_type, pair], *grams)
+        full = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
+        X = np.moveaxis(dynamics._apply_weights(KX, weights), -1, 0)
+        del kernel, KX
+        reports, c_general = _validated(full)
+        # every term below is [alpha] or [alpha, t]: maxima over t are exact, so each angle reads as if alone
+        closed = zip(*_x_margin_terms(X))
+        x_shape = _x_residue(full, lead=1) / _X_SHAPE_TOL
+        x_form = np.abs(_concurrence_x_batch(full) - c_general).max(axis=1) / 1e-9
+        x_route = np.abs(_x_slice_concurrence(X) - c_general).max(axis=1) / 1e-9
+        for i, (alpha, report, terms) in enumerate(zip(alphas.tolist(), reports, closed)):
+            closed_report = _x_report(terms, report.tol_trace)
+            # np.maximum carries a NaN, where the builtin max keeps only a leading one
+            ratios = {
+                "hermiticity": report.hermiticity_deviation / report.tol_herm,
+                "trace": report.trace_deviation / report.tol_trace,
+                "psd": np.maximum(0.0, -report.min_eigenvalue) / report.psd_slack,
+                "x-shape": x_shape[i],
+                "off-bound": 0.0 if off_bound == 0.0 else math.inf,
+                "x-form concurrence": x_form[i],
+                "x-route concurrence": x_route[i],
+                "x-route hermiticity": abs(closed_report.hermiticity_deviation - report.hermiticity_deviation) / 1e-15,
+                "x-route trace": abs(closed_report.trace_deviation - report.trace_deviation) / 1e-15,
+                "x-route psd": np.maximum(0.0, closed_report.min_eigenvalue - report.min_eigenvalue) / 1e-15,
+            }
+            label = f"{words} {pair} alpha={alpha:.4f}"
+            cases.extend((ratio, f"{label} {term}") for term, ratio in ratios.items())
+    return cases
 
 
 def suite_state_validity() -> SuiteResult:
@@ -262,54 +309,27 @@ def suite_state_validity() -> SuiteResult:
     sweep requires (a ratio of 0, else inf), its concurrence must match the
     general one at 1e-9, its closed-form Hermiticity and trace the full
     states' at 1e-15, and its closed-form minimum eigenvalue may lie at most
-    1e-15 above the full states' minimum.  One ``eigh`` of each state's
-    Hermitian part gives both that minimum and the general concurrence
-    (:func:`_validated`).  Each kernel and each X slice are weighted for all
-    nine alphas in one product, as the sweep weights them.  A state that is
-    not finite gets NaN ratios.  The thermal member uses a tail mass small
-    enough not to disturb the trace bar.  The reported deviation is the
-    worst bar-normalized ratio.
+    1e-15 above the full states' minimum.  Each kernel and each X slice are
+    weighted for all nine alphas in one product, as the sweep weights them,
+    and each check runs once on that [alpha, t] stack: one ``eigh`` of the
+    stack's Hermitian parts gives both the minimum eigenvalues and the
+    general concurrence (:func:`_validated`), and each angle's ratios are
+    reductions over its taus.  An angle whose states are not all finite gets
+    NaN ratios.  The thermal member uses a tail mass small enough not to
+    disturb the trace bar.  The reported deviation is the worst
+    bar-normalized ratio.
     """
 
     def worker():
         alphas = np.linspace(0.05, 0.45, 9) * np.pi
         taus = np.linspace(0.0, 25.0, 251)
-        scenarios = []
-        for bell in (BellType.PSI, BellType.PHI):
-            for fld in (FieldSpec.vacuum(), FieldSpec.fock(1), FieldSpec.thermal(1.0, 1e-13)):
-                scenarios.append(Scenario(Model.DTCM, bell, fld, fld))
-        cases = []
-        states = 0
-        for scenario in scenarios:
-            words = _scenario_words(scenario)
-            weights = _scenario_weights(scenario, alphas.tolist())
-            # one Gram build per scenario, read by both the full states and the sweep's X route
-            grams = dynamics._grams(scenario.model, scenario.field_a, scenario.field_b, taus)
-            for pair in PAIR_CHOICES:
-                kernel = dynamics._combine(scenario.model, scenario.bell_type, *grams, pair)
-                KX, off_bound = _x_pair_kernel(_X_PLANS[scenario.model, scenario.bell_type, pair], *grams)
-                full = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
-                slices = np.moveaxis(dynamics._apply_weights(KX, weights), -1, 0)
-                for alpha, reduced, X in zip(alphas.tolist(), full, slices):
-                    report, c_general = _validated(reduced)
-                    closed = _x_report(_x_margin_terms(X), report.tol_trace)
-                    # np.maximum carries a NaN, where the builtin max keeps only a leading one
-                    ratios = {
-                        "hermiticity": report.hermiticity_deviation / report.tol_herm,
-                        "trace": report.trace_deviation / report.tol_trace,
-                        "psd": np.maximum(0.0, -report.min_eigenvalue) / report.psd_slack,
-                        "x-shape": x_pattern_deviation(reduced) / _X_SHAPE_TOL,
-                        "off-bound": 0.0 if off_bound == 0.0 else math.inf,
-                        "x-form concurrence": float(np.abs(_concurrence_x_batch(reduced) - c_general).max()) / 1e-9,
-                        "x-route concurrence": float(np.abs(_x_slice_concurrence(X) - c_general).max()) / 1e-9,
-                        "x-route hermiticity": abs(closed.hermiticity_deviation - report.hermiticity_deviation) / 1e-15,
-                        "x-route trace": abs(closed.trace_deviation - report.trace_deviation) / 1e-15,
-                        "x-route psd": np.maximum(0.0, closed.min_eigenvalue - report.min_eigenvalue) / 1e-15,
-                    }
-                    label = f"{words} {pair} alpha={alpha:.4f}"
-                    cases.extend((ratio, f"{label} {term}") for term, ratio in ratios.items())
-                    states += reduced.shape[0]
-                del kernel, KX
+        scenarios = [
+            Scenario(Model.DTCM, bell, fld, fld)
+            for bell in (BellType.PSI, BellType.PHI)
+            for fld in (FieldSpec.vacuum(), FieldSpec.fock(1), FieldSpec.thermal(1.0, 1e-13))
+        ]
+        cases = [case for sc in scenarios for case in _validity_cases(sc, alphas, taus)]
+        states = len(scenarios) * len(PAIR_CHOICES) * alphas.size * taus.size
         return cases, f"{states} reduced states, bar-normalized ratios"
 
     return _timed("state-validity", 1.0, worker)

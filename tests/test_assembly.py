@@ -239,6 +239,24 @@ def test_import_leaves_numpy_ma_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_verify_leaves_numpy_random_unloaded():
+    # numpy.random adds about 5 MB resident; verify draws no random numbers, so it should never load
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dynamics.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    bare = "import sys, numpy; print('numpy.random' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", bare], capture_output=True, text=True, env=env, check=True).stdout != "False\n":
+        pytest.skip("this numpy loads numpy.random on import")
+    code = (
+        "import contextlib, io, sys\n"
+        "from dtcm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['verify', '--level', 'quick'])\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("n_tau", (1, 251))
 @pytest.mark.parametrize("model", (Model.DTCM, Model.DJCM))
 def test_weight_matrix_gives_each_column_its_vector_product(model, n_tau):

@@ -1,4 +1,4 @@
-"""Every verify suite fails closed on a NaN in what it compares, and names the case; state-validity takes one spectrum per state."""
+"""Every verify suite fails closed on a NaN in what it compares, and names the case; state-validity takes one spectrum per stack."""
 
 import math
 from dataclasses import replace
@@ -9,9 +9,17 @@ import pytest
 
 import dense_route
 from dtcm import analysis, dynamics, oracle, verification
-from dtcm.algebra import _validate_batch
-from dtcm.concurrence import _concurrence_general_batch
+from dtcm.algebra import _PSD_SLACK, _TOL_HERM, _TOL_TRACE, ValidationReport, _deviations, _validate_batch
+from dtcm.concurrence import (
+    _X_SHAPE_TOL,
+    _concurrence_general_batch,
+    _concurrence_x_batch,
+    _general_spectrum,
+    _wootters,
+    x_pattern_deviation,
+)
 from dtcm.dynamics import BellType, FieldSpec, Model
+from dtcm.errors import NumericalError
 
 
 def nan_at(values, index):
@@ -67,7 +75,8 @@ CASES = [
     ),
     (
         verification.suite_state_validity,
-        verification, "_x_slice_concurrence", lambda real: with_nan(real, 4),
+        # the suite asks for every angle's X-route concurrence at once, as [alpha, t]
+        verification, "_x_slice_concurrence", lambda real: with_nan(real, (0, 4)),
         "DTCM psi vacuum/vacuum AB alpha=0.1571 x-route concurrence",
     ),
     (
@@ -94,7 +103,7 @@ def test_a_nan_fails_the_suite_and_is_named(monkeypatch, suite, module, name, fa
 
 
 def test_state_validity_takes_one_spectrum_for_both_results():
-    # one scenario's dense-route kernels, weighted as the suite weights them
+    # one scenario's dense-route kernels, weighted as the suite weights them, one [alpha, t] stack per pair
     scenario = analysis.Scenario(Model.DTCM, BellType.PHI, FieldSpec.thermal(1.0, 1e-13), FieldSpec.thermal(1.0, 1e-13))
     alphas = np.linspace(0.05, 0.45, 3) * np.pi
     taus = np.linspace(0.0, 25.0, 61)
@@ -102,24 +111,118 @@ def test_state_validity_takes_one_spectrum_for_both_results():
     channels = dense_route.channels(scenario.model, scenario.field_a, scenario.field_b, taus)
     for pair in analysis.PAIR_CHOICES:
         kernel = dense_route.einsum_combine(scenario.model, scenario.bell_type, *channels, pair)
-        for reduced in np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0):
-            report, c_general = verification._validated(reduced)
+        stack = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
+        reports, c_general = verification._validated(stack)
+        assert len(reports) == alphas.size and c_general.shape == (alphas.size, taus.size)
+        for reduced, report, c in zip(stack, reports, c_general):
             alone = _validate_batch(reduced)
-            assert np.array_equal(c_general, _concurrence_general_batch(reduced))
+            assert np.array_equal(c, _concurrence_general_batch(reduced))
             assert abs(report.min_eigenvalue - alone.min_eigenvalue) <= 1e-15
             assert report == replace(alone, min_eigenvalue=report.min_eigenvalue)
 
 
-def test_a_state_that_is_not_finite_gets_nan_without_a_spectrum(monkeypatch):
-    def no_spectrum(mats):
-        raise AssertionError("a state that is not finite reached the eigensolver")
+def test_an_angle_that_is_not_finite_gets_nan_without_a_spectrum(monkeypatch):
+    real = verification._general_spectrum
+    asked = []
 
-    monkeypatch.setattr(verification, "_general_spectrum", no_spectrum)
-    states = np.tile(np.eye(4) / 4.0, (5, 1, 1))
-    states[2, 1, 3] = np.inf
-    report, c_general = verification._validated(states)
-    assert math.isnan(report.min_eigenvalue) and math.isnan(c_general)
-    assert not report.ok
+    def finite_only(mats):
+        assert np.isfinite(mats).all(), "a state that is not finite reached the eigensolver"
+        asked.append(mats.shape)
+        return real(mats)
+
+    monkeypatch.setattr(verification, "_general_spectrum", finite_only)
+    states = np.tile(np.eye(4) / 4.0, (3, 5, 1, 1))
+    states[1, 2, 1, 3] = np.inf
+    reports, c_general = verification._validated(states)
+    assert asked == [(2, 5, 4, 4)]
+    assert math.isnan(reports[1].min_eigenvalue) and np.isnan(c_general[1]).all()
+    assert not reports[1].ok
+    for i in (0, 2):
+        assert reports[i].ok and reports[i].min_eigenvalue == pytest.approx(0.25)
+        assert np.array_equal(c_general[i], np.zeros(5))
+    # a stack with no finite angle asks for no spectrum at all
+    asked.clear()
+    reports, c_general = verification._validated(states[1:2])
+    assert asked == [] and np.isnan(c_general).all() and not reports[0].ok
+
+
+def test_state_validity_takes_one_spectrum_per_scenario_and_pair(monkeypatch):
+    real = verification._general_spectrum
+    asked = []
+
+    def counted(mats):
+        asked.append(mats.shape)
+        return real(mats)
+
+    monkeypatch.setattr(verification, "_general_spectrum", counted)
+    result = verification.suite_state_validity()
+    assert result.passed, result.line()
+    assert asked == [(9, 251, 4, 4)] * (6 * len(analysis.PAIR_CHOICES))
+
+
+def test_a_stack_the_general_route_rejects_fails_the_suite(monkeypatch):
+    def rejecting(mats):
+        raise NumericalError("negative population beyond tolerance: -1.000e-03")
+
+    monkeypatch.setattr(verification, "_general_spectrum", rejecting)
+    result = verification.suite_state_validity()
+    assert not result.passed and result.max_deviation == math.inf, result.line()
+    assert result.detail == "NumericalError: negative population beyond tolerance: -1.000e-03", result.line()
+
+
+def validated_per_angle(mats):
+    """The suite's former validation of one angle's states ``mats[t, 4, 4]``."""
+    _, herm_dev, trace_dev = _deviations(mats)
+    min_eig = c_general = np.nan
+    if math.isfinite(herm_dev):
+        w, V = _general_spectrum(mats)
+        min_eig, c_general = float(w.min()), _wootters(w, V)
+    return ValidationReport(float(herm_dev), float(trace_dev), min_eig, _TOL_HERM, _TOL_TRACE, _PSD_SLACK), c_general
+
+
+def per_angle_cases(scenario, alphas, taus):
+    """State-validity's cases as the suite built them one angle at a time: the reference for the per-stack suite."""
+    words = verification._scenario_words(scenario)
+    weights = analysis._scenario_weights(scenario, alphas.tolist())
+    grams = dynamics._grams(scenario.model, scenario.field_a, scenario.field_b, taus)
+    cases = []
+    for pair in analysis.PAIR_CHOICES:
+        kernel = dynamics._combine(scenario.model, scenario.bell_type, *grams, pair)
+        KX, off_bound = analysis._x_pair_kernel(analysis._X_PLANS[scenario.model, scenario.bell_type, pair], *grams)
+        full = np.moveaxis(dynamics._apply_weights(kernel, weights), -1, 0)
+        slices = np.moveaxis(dynamics._apply_weights(KX, weights), -1, 0)
+        for alpha, reduced, X in zip(alphas.tolist(), full, slices):
+            report, c_general = validated_per_angle(reduced)
+            closed = analysis._x_report(analysis._x_margin_terms(X), report.tol_trace)
+            ratios = {
+                "hermiticity": report.hermiticity_deviation / report.tol_herm,
+                "trace": report.trace_deviation / report.tol_trace,
+                "psd": np.maximum(0.0, -report.min_eigenvalue) / report.psd_slack,
+                "x-shape": x_pattern_deviation(reduced) / _X_SHAPE_TOL,
+                "off-bound": 0.0 if off_bound == 0.0 else math.inf,
+                "x-form concurrence": float(np.abs(_concurrence_x_batch(reduced) - c_general).max()) / 1e-9,
+                "x-route concurrence": float(np.abs(analysis._x_slice_concurrence(X) - c_general).max()) / 1e-9,
+                "x-route hermiticity": abs(closed.hermiticity_deviation - report.hermiticity_deviation) / 1e-15,
+                "x-route trace": abs(closed.trace_deviation - report.trace_deviation) / 1e-15,
+                "x-route psd": np.maximum(0.0, closed.min_eigenvalue - report.min_eigenvalue) / 1e-15,
+            }
+            label = f"{words} {pair} alpha={alpha:.4f}"
+            cases.extend((ratio, f"{label} {term}") for term, ratio in ratios.items())
+    return cases
+
+
+@pytest.mark.parametrize("bell", (BellType.PSI, BellType.PHI), ids=("psi", "phi"))
+@pytest.mark.parametrize("field", (FieldSpec.vacuum(), FieldSpec.fock(1), FieldSpec.thermal(1.0, 1e-13)), ids=("vacuum", "fock1", "thermal"))
+def test_per_stack_cases_are_the_per_angle_cases_bit_for_bit(bell, field):
+    scenario = analysis.Scenario(Model.DTCM, bell, field, field)
+    # the suite's grid
+    alphas = np.linspace(0.05, 0.45, 9) * np.pi
+    taus = np.linspace(0.0, 25.0, 251)
+    stacked = verification._validity_cases(scenario, alphas, taus)
+    reference = per_angle_cases(scenario, alphas, taus)
+    assert [where for _, where in stacked] == [where for _, where in reference]
+    bits = [np.array([value for value, _ in cases], dtype=np.float64).view(np.int64) for cases in (stacked, reference)]
+    assert np.array_equal(*bits)
 
 
 def test_state_validity_fails_any_off_pattern_bound_that_is_not_zero(monkeypatch):
